@@ -9,7 +9,7 @@
 Each checker returns a BoundReport carrying both sides, the named component
 terms, and a holds flag at an explicit tolerance. The quantum correlation
 enters as an explicit argument so callers control its certification level
-(grid oracle, optimizer, or an analytically known value).
+(exact qubit oracle, optimizer, or an analytically known value).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .skew import (
 )
 
 # Default holds-tolerances: tight when every input is exact, looser when the
-# quantum correlation comes from the grid oracle.
+# quantum correlation comes from an oracle.
 HEISENBERG_TOL = 1e-9
 MEMORY_BOUND_TOL = 1e-6
 

@@ -5,9 +5,9 @@ subsystem.
 
 Two minimizers are provided. ``quantum_correlation_D`` is a multi-start local
 search over unitaries parameterized as exp(iG); its result is an upper bound
-on the true minimum. ``brute_force_D_qubit`` scans an explicit angular grid
-(plus one local refinement) and is the certified oracle whenever the measured
-subsystem is a qubit.
+on the true minimum. ``brute_force_D_qubit`` is exact whenever the measured
+subsystem is a qubit: the deficit is a quadratic form in the Bloch vector, so
+its minimum is lambda_min(Q) / 2, cross-checked by direct re-evaluation.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def quantum_correlation_D(rho_ab: BipartiteDensityMatrix, alpha: float,
     the measured subsystem.
 
     The returned value is an upper bound on the true minimum; for a qubit
-    subsystem use ``brute_force_D_qubit`` when a certified value is needed.
+    subsystem ``brute_force_D_qubit`` gives the exact value.
     Deterministic for a fixed ``cfg.seed``.
     """
     cfg = cfg or OptimizerConfig()
@@ -214,6 +214,8 @@ def quantum_correlation_D(rho_ab: BipartiteDensityMatrix, alpha: float,
             best_val = float(res.fun)
             best_x = np.asarray(res.x)
         if best_val <= _EARLY_STOP:
+            # the deficit is nonnegative: a value at the floor is converged
+            any_converged = True
             break
     if not any_converged:
         raise OptimizerError(
@@ -229,7 +231,7 @@ def quantum_correlation_D(rho_ab: BipartiteDensityMatrix, alpha: float,
 
 def _qubit_vectors(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Basis vector cos(t)|0> + e^{i p} sin(t)|1> and its orthogonal
-    complement, stacked as rows."""
+    complement; its Bloch vector is (sin 2t cos p, sin 2t sin p, cos 2t)."""
     ct, st = np.cos(theta), np.sin(theta)
     ph = np.exp(1j * phi)
     v = np.stack([ct + 0j, ph * st], axis=-1)
@@ -237,57 +239,31 @@ def _qubit_vectors(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.n
     return v, w
 
 
-def _bloch_from_angles(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Bloch vector of the projector onto cos(t)|0> + e^{i p} sin(t)|1>."""
-    two_t = 2.0 * theta
-    return np.stack([np.sin(two_t) * np.cos(phi),
-                     np.sin(two_t) * np.sin(phi),
-                     np.cos(two_t)], axis=-1)
+def brute_force_D_qubit(rho_ab: BipartiteDensityMatrix, alpha: float) -> float:
+    """Exact minimum of the deficit when the measured subsystem is a qubit.
 
-
-def brute_force_D_qubit(rho_ab: BipartiteDensityMatrix, alpha: float,
-                        n_theta: int = 181, n_phi: int = 181) -> float:
-    """Grid-certified minimum of the deficit when the measured subsystem is a
-    qubit: exhaustive scan over (theta, phi) in [0, pi/2] x [0, 2 pi), then
-    one local refinement around the grid minimum.
-
-    Grid cells are scored through the quadratic Bloch form (exactly the
-    deficit, reorganized); the winning point is then re-evaluated through the
-    generic deficit path, and the two must agree to within float noise. Every
-    scored value is a true deficit, so the result can only overestimate the
-    exact minimum, and by at most the grid resolution error.
+    A whole basis with Bloch vector n has deficit n.Q.n / 2 (see
+    ``DeficitEvaluator.bloch_quadratic``), so the minimum over unit vectors is
+    lambda_min(Q) / 2, attained at the corresponding eigenvector. The basis
+    built from that eigenvector is re-evaluated through the generic deficit
+    path as a tripwire, and the two values must agree to within float noise.
+    The command line and configs select it as oracle ``"grid"``.
     """
     if rho_ab.d_A != 2:
         raise ValidationError(
-            f"grid oracle requires a qubit subsystem, got d_A = {rho_ab.d_A}")
-    if n_theta < 2 or n_phi < 2:
-        raise ValidationError("grid needs at least 2 points per axis")
+            f"qubit oracle requires a qubit subsystem, got d_A = {rho_ab.d_A}")
     ev = DeficitEvaluator(rho_ab, alpha)
-    thetas = np.linspace(0.0, np.pi / 2.0, n_theta)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    tg, pg = tg.ravel(), pg.ravel()
-    deficits = ev.bloch_basis_deficits(_bloch_from_angles(tg, pg))
-    imin = int(np.argmin(deficits))
-    grid_min = float(deficits[imin])
-
-    def angle_objective(x: np.ndarray) -> float:
-        return float(ev.bloch_basis_deficits(_bloch_from_angles(x[:1], x[1:2]))[0])
-
-    start = np.array([tg[imin], pg[imin]])
-    res = minimize(angle_objective, start, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": 200})
-    if float(res.fun) <= grid_min:
-        best_angles, value = np.asarray(res.x), float(res.fun)
-    else:
-        best_angles, value = start, grid_min
-    vv, ww = _qubit_vectors(best_angles[:1], best_angles[1:2])
-    direct = float(ev.vector_deficits(np.concatenate([vv, ww])).sum())
+    w, vecs = np.linalg.eigh(ev.bloch_quadratic())
+    value = 0.5 * float(w[0])
+    n = vecs[:, 0]
+    theta = 0.5 * np.arccos(np.clip(n[2], -1.0, 1.0))
+    phi = np.arctan2(n[1], n[0])
+    direct = float(ev.vector_deficits(np.stack(_qubit_vectors(theta, phi))).sum())
     if abs(direct - value) > 1e-9:
         raise NumericalConsistencyError(
             f"Bloch-form deficit {value:.6e} disagrees with the direct "
             f"evaluation {direct:.6e}")
     if direct < -NEG_CLIP:
         raise NumericalConsistencyError(
-            f"grid minimum {direct:.3e} negative beyond the noise floor")
+            f"qubit minimum {direct:.3e} negative beyond the noise floor")
     return max(direct, 0.0)

@@ -213,7 +213,7 @@ def clipped_spectrum(dec: SpectralDecomposition, psd_tol: float = PSD_TOL) -> np
 def powered_spectrum(w: np.ndarray, alpha: float) -> np.ndarray:
     """Elementwise w**alpha with the convention 0**alpha = 0 for all alpha in
     [0, 1], including alpha = 0 (support-projector convention)."""
-    return np.where(w > 0.0, np.power(w, alpha, where=w > 0.0), 0.0)
+    return np.power(w, alpha, out=np.zeros_like(w), where=w > 0.0)
 
 
 def check_alpha(alpha: float) -> float:

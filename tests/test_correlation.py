@@ -1,5 +1,5 @@
 """Basis minimization of the measurement deficit: reference evaluation,
-multi-start optimizer, and the qubit grid oracle."""
+multi-start optimizer, and the exact qubit oracle."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from skewunc.correlation import (
     DeficitEvaluator,
     OptimizerConfig,
-    _bloch_from_angles,
     _qubit_vectors,
     _unitary_from_params,
     basis_from_unitary,
@@ -27,6 +26,14 @@ from skewunc.states import (
     werner_isotropic,
     werner_swap,
 )
+
+
+def _bloch_from_angles(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Bloch vector of the projector onto cos(t)|0> + e^{i p} sin(t)|1>."""
+    two_t = 2.0 * theta
+    return np.stack([np.sin(two_t) * np.cos(phi),
+                     np.sin(two_t) * np.sin(phi),
+                     np.cos(two_t)], axis=-1)
 
 
 # --- basis construction ------------------------------------------------------
@@ -175,7 +182,49 @@ def test_optimizer_failure_carries_best_value():
     assert np.isfinite(err.value.best_value)
 
 
-# --- grid oracle -------------------------------------------------------------
+def test_optimizer_floor_counts_as_converged():
+    # restart 0 reaches the nonnegative floor without Nelder-Mead reporting
+    # success; the early stop must return that value, not raise
+    rho = random_density(EnsembleSpec("classical_quantum", (3, 3), 11), index=11)
+    u = kron(random_unitary(3, 5, index=11), np.eye(3))
+    rotated = BipartiteDensityMatrix(u @ rho.mat @ u.conj().T, 3, 3)
+    res = quantum_correlation_D(rotated, 0.5)
+    assert len(res.optimizer_trace) == 1
+    assert 0.0 <= res.value <= 1e-10
+
+
+# --- exact qubit oracle ------------------------------------------------------
+
+_ORACLE_DIMS = ((2, 2), (2, 3), (2, 4))
+
+
+def test_oracle_not_above_dense_grid():
+    th, ph = np.meshgrid(np.linspace(0.0, np.pi / 2, 91),
+                         np.linspace(0.0, 2 * np.pi, 180, endpoint=False),
+                         indexing="ij")
+    nvecs = _bloch_from_angles(th.ravel(), ph.ravel())
+    for dims in _ORACLE_DIMS:
+        for i in range(4):
+            rho = random_density(EnsembleSpec("full_rank", dims, 31), index=i)
+            alpha = (0.2, 0.5, 0.8, 0.35)[i]
+            grid_min = float(DeficitEvaluator(rho, alpha).bloch_basis_deficits(nvecs).min())
+            assert brute_force_D_qubit(rho, alpha) <= grid_min + 1e-12
+
+
+def test_oracle_argmin_basis_reproduces_value():
+    pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    for dims in _ORACLE_DIMS:
+        for i in range(4):
+            rho = random_density(EnsembleSpec("full_rank", dims, 32), index=i)
+            alpha = (0.25, 0.5, 0.75, 0.6)[i]
+            value = brute_force_D_qubit(rho, alpha)
+            w, vecs = np.linalg.eigh(DeficitEvaluator(rho, alpha).bloch_quadratic())
+            assert value == pytest.approx(w[0] / 2, abs=1e-12)
+            # the eigenbasis of n.sigma measures along the minimizing direction
+            _, cols = np.linalg.eigh(np.einsum("i,ijk->jk", vecs[:, 0], pauli))
+            assert correlation_deficit(rho, basis_from_unitary(cols), alpha) == \
+                pytest.approx(value, abs=1e-12)
+
 
 def test_oracle_product_state_is_zero():
     rho = random_density(EnsembleSpec("product", (2, 2), 19))
@@ -208,6 +257,12 @@ def test_oracle_werner_flat_landscape():
     ph = rng.uniform(0, 2 * np.pi, 200)
     vals = ev.bloch_basis_deficits(_bloch_from_angles(th, ph))
     assert float(vals.max() - vals.min()) < 1e-8
+    # Q is a multiple of the identity, so every direction is an eigenvector
+    q = ev.bloch_quadratic()
+    assert np.max(np.abs(q - q[0, 0] * np.eye(3))) < 1e-12
+    # closed form of test_oracle_werner_closed_form_spot at p = 0.2
+    t = 2.4**0.4 * 1.2**0.6 + 1.2**0.4 * 2.4**0.6
+    assert brute_force_D_qubit(rho, 0.4) == pytest.approx(1.8 / 6 - t / 12, abs=1e-12)
 
 
 def test_oracle_werner_closed_form_spot():
