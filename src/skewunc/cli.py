@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -137,24 +138,35 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
+def _optimizer_int(key: str, value, minimum: int) -> int:
+    """An integral JSON number >= ``minimum``; bools and fractions are errors."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer() or value < minimum):
+        raise ConfigError(f"optimizer {key!r} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _optimizer_from_config(block, default_seed: int) -> OptimizerConfig:
-    """Build the basis-search settings from a config-file block."""
+    """Build the basis-search settings from a config-file block; missing
+    settings take the ``OptimizerConfig`` defaults."""
     if block is None:
         return OptimizerConfig(seed=default_seed)
     if not isinstance(block, dict):
         raise ConfigError(f"'optimizer' must be an object, got {block!r}")
-    known = {"restarts", "tol", "max_iters", "seed"}
-    unknown = set(block) - known
+    unknown = set(block) - {f.name for f in fields(OptimizerConfig)}
     if unknown:
         raise ConfigError(f"unknown optimizer settings: {sorted(unknown)}")
-    try:
-        return OptimizerConfig(
-            restarts=int(block.get("restarts", 20)),
-            tol=float(block.get("tol", 1e-6)),
-            max_iters=int(block.get("max_iters", 2000)),
-            seed=int(block.get("seed", default_seed)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad optimizer settings: {exc}") from exc
+    settings = {"seed": default_seed}
+    for key, minimum in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
+        if key in block:
+            settings[key] = _optimizer_int(key, block[key], minimum)
+    if "tol" in block:
+        tol = block["tol"]
+        if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+                or not math.isfinite(tol) or tol <= 0):
+            raise ConfigError(f"optimizer 'tol' must be a finite number > 0, got {tol!r}")
+        settings["tol"] = float(tol)
+    return OptimizerConfig(**settings)
 
 
 def _csv_cell(value) -> str:

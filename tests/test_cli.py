@@ -115,6 +115,36 @@ def test_reproduce_rejects_unknown_optimizer_key(tmp_path):
     assert run_cli("reproduce", "--config", str(cfg)) == 2
 
 
+@pytest.mark.parametrize("block", [
+    {"max_iters": 0},
+    {"restarts": 2.7},
+    {"restarts": True},
+    {"restarts": 0},
+    {"max_iters": "500"},
+    {"seed": -1},
+    {"tol": -1},
+    {"tol": 0},
+    {"tol": float("inf")},
+    {"tol": False},
+])
+def test_reproduce_rejects_bad_optimizer_setting(tmp_path, capsys, block):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"example": 2, "alphas": [0.5], "optimizer": block}))
+    assert run_cli("reproduce", "--config", str(cfg), "--oracle", "optimizer",
+                   "--out", str(tmp_path / "ex2.csv")) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_optimizer_block_defaults_follow_optimizer_config():
+    from skewunc.cli import _optimizer_from_config
+    from skewunc.correlation import OptimizerConfig
+
+    assert _optimizer_from_config({}, 7) == OptimizerConfig(seed=7)
+    assert _optimizer_from_config(None, 7) == OptimizerConfig(seed=7)
+    assert _optimizer_from_config({"restarts": 3.0, "tol": 1e-8}, 7) == \
+        OptimizerConfig(restarts=3, tol=1e-8, seed=7)
+
+
 def test_numerical_error_exit_code(tmp_path, monkeypatch):
     import skewunc.cli as cli_mod
     from skewunc.errors import NumericalConsistencyError

@@ -7,6 +7,7 @@ import pytest
 from skewunc.correlation import (
     DeficitEvaluator,
     OptimizerConfig,
+    _deficit_and_param_gradient,
     _qubit_vectors,
     _unitary_from_params,
     basis_from_unitary,
@@ -139,6 +140,25 @@ def test_deficit_relabeling_invariance():
 
 # --- optimizer ---------------------------------------------------------------
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 2)])
+def test_deficit_gradient_matches_central_differences(dims):
+    d = dims[0]
+    rho = random_density(EnsembleSpec("full_rank", dims, 40))
+    ev = DeficitEvaluator(rho, 0.35)
+    rng = np.random.default_rng(41)
+    # a generic point and the identity, where every eigenvalue of G ties
+    for x in (rng.standard_normal(d * d), np.zeros(d * d)):
+        value, grad = _deficit_and_param_gradient(x, ev)
+        direct = float(ev.vector_deficits(_unitary_from_params(x, d).T).sum())
+        assert value == pytest.approx(direct, abs=1e-14)
+        h = 1e-6
+        central = np.array([
+            (_deficit_and_param_gradient(x + h * e, ev)[0]
+             - _deficit_and_param_gradient(x - h * e, ev)[0]) / (2 * h)
+            for e in np.eye(d * d)])
+        assert np.max(np.abs(grad - central)) <= 1e-6 * np.max(np.abs(central))
+
+
 def test_optimizer_classical_quantum_reaches_zero():
     rho = random_density(EnsembleSpec("classical_quantum", (2, 2), 15))
     res = quantum_correlation_D(rho, 0.5, OptimizerConfig(seed=1))
@@ -175,7 +195,7 @@ def test_optimizer_failure_carries_best_value():
     from skewunc.errors import OptimizerError
 
     rho = random_density(EnsembleSpec("full_rank", (2, 2), 25))
-    # one iteration per restart cannot converge at the 1e-10 step threshold
+    # one BFGS iteration per restart cannot reach the 1e-9 gradient threshold
     with pytest.raises(OptimizerError) as err:
         quantum_correlation_D(rho, 0.5, OptimizerConfig(restarts=2, max_iters=1))
     assert err.value.best_value is not None
@@ -183,14 +203,24 @@ def test_optimizer_failure_carries_best_value():
 
 
 def test_optimizer_floor_counts_as_converged():
-    # restart 0 reaches the nonnegative floor without Nelder-Mead reporting
-    # success; the early stop must return that value, not raise
+    # restart 0 reaches the nonnegative floor; the early stop must return
+    # that value whether or not the local search reports success
     rho = random_density(EnsembleSpec("classical_quantum", (3, 3), 11), index=11)
     u = kron(random_unitary(3, 5, index=11), np.eye(3))
     rotated = BipartiteDensityMatrix(u @ rho.mat @ u.conj().T, 3, 3)
     res = quantum_correlation_D(rotated, 0.5)
     assert len(res.optimizer_trace) == 1
     assert 0.0 <= res.value <= 1e-10
+
+
+def test_optimizer_converges_at_4x2_defaults():
+    rho = random_density(EnsembleSpec("full_rank", (4, 2), 42))
+    res = quantum_correlation_D(rho, 0.5, OptimizerConfig())
+    assert correlation_deficit(rho, res.argmin_basis, 0.5) == pytest.approx(
+        res.value, abs=1e-12)
+    ev = DeficitEvaluator(rho, 0.5)
+    haar = [ev.basis_deficit(random_unitary(4, 43, index=i))[0] for i in range(200)]
+    assert res.value <= min(haar)
 
 
 # --- exact qubit oracle ------------------------------------------------------
@@ -238,13 +268,12 @@ def test_oracle_requires_qubit_subsystem():
 
 
 def test_oracle_matches_optimizer_on_random_states():
-    for i in range(8):
-        rho = random_density(EnsembleSpec("full_rank", (2, 2), 21), index=i)
-        alpha = (0.3, 0.5, 0.7)[i % 3]
-        opt = quantum_correlation_D(rho, alpha, OptimizerConfig(seed=i)).value
-        grid = brute_force_D_qubit(rho, alpha)
-        assert abs(opt - grid) < 1e-4
-        assert opt - grid < 1e-6  # optimizer may not overshoot the oracle
+    for dims, count in (((2, 2), 8), ((2, 3), 4)):
+        for i in range(count):
+            rho = random_density(EnsembleSpec("full_rank", dims, 21), index=i)
+            alpha = (0.3, 0.5, 0.7)[i % 3]
+            opt = quantum_correlation_D(rho, alpha, OptimizerConfig(seed=i)).value
+            assert abs(opt - brute_force_D_qubit(rho, alpha)) <= 1e-10
 
 
 def test_oracle_werner_flat_landscape():
