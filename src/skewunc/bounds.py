@@ -10,6 +10,11 @@ Each checker returns a BoundReport carrying both sides, the named component
 terms, and a holds flag at an explicit tolerance. The quantum correlation
 enters as an explicit argument so callers control its certification level
 (exact qubit oracle, optimizer, or an analytically known value).
+
+Both memory bounds share their terms: ``memory_bounds`` scores them once
+against an ``EvalContext`` (the joint and reduced engines of one state at one
+alpha) and returns both reports. ``product_bound_check`` and
+``sum_bound_check`` build a context and return one of the two.
 """
 
 from __future__ import annotations
@@ -24,14 +29,14 @@ from .linalg import (
     DensityMatrix,
     HermitianOperator,
     check_alpha,
-    partial_trace,
 )
 from .skew import (
     NEG_CLIP,
+    EvalContext,
     ProjectiveBasis,
     SkewEngine,
-    compat_L,
-    measurement_uncertainty_terms,
+    engine_compat_L,
+    engine_uncertainty_terms,
 )
 
 # Default holds-tolerances: tight when every input is exact, looser when the
@@ -99,18 +104,16 @@ def _check_d_value(d_value: float) -> float:
     return max(d_value, 0.0)
 
 
-def _memory_terms(rho_ab: BipartiteDensityMatrix, phi: ProjectiveBasis,
-                  psi: ProjectiveBasis, alpha: float, d_value: float) -> dict:
+def _memory_terms(ctx: EvalContext, phi: ProjectiveBasis, psi: ProjectiveBasis,
+                  d_value: float) -> dict:
+    rho_ab = ctx.rho_ab
     if phi.dim != rho_ab.d_A or psi.dim != rho_ab.d_A:
         raise ValidationError(
             f"both bases must live on the measured subsystem "
             f"(dimension {rho_ab.d_A})")
-    un_phi = measurement_uncertainty_terms(rho_ab, phi, alpha,
-                                           memory_dim=rho_ab.d_B)
-    un_psi = measurement_uncertainty_terms(rho_ab, psi, alpha,
-                                           memory_dim=rho_ab.d_B)
-    rho_a = partial_trace(rho_ab, "A")
-    per_k_l = [compat_L(rho_a, phi.projector(k), psi.projector(k), alpha)
+    un_phi = engine_uncertainty_terms(ctx.joint, phi, memory_dim=rho_ab.d_B)
+    un_psi = engine_uncertainty_terms(ctx.joint, psi, memory_dim=rho_ab.d_B)
+    per_k_l = [engine_compat_L(ctx.reduced, phi.projector(k), psi.projector(k))
                for k in range(phi.dim)]
     return {
         "un_phi": float(sum(t.u_alpha for t in un_phi)),
@@ -126,17 +129,30 @@ def _memory_terms(rho_ab: BipartiteDensityMatrix, phi: ProjectiveBasis,
     }
 
 
+def memory_bounds(ctx: EvalContext, phi: ProjectiveBasis, psi: ProjectiveBasis,
+                  d_value: float, tolerance: float = MEMORY_BOUND_TOL
+                  ) -> tuple[BoundReport, BoundReport]:
+    """Product and sum bounds with memory for the context's state and alpha,
+    from one evaluation of their shared terms.
+
+    Product: the product of the two total measurement uncertainties against
+    sum_L_sq + D_tilde^2. Sum: their sum against 2 sum_L + 2 D_tilde.
+    """
+    d_value = _check_d_value(d_value)
+    terms = _memory_terms(ctx, phi, psi, d_value)
+    prod = _report("product", terms["un_phi"] * terms["un_psi"],
+                   terms["sum_L_sq"] + d_value * d_value, terms, tolerance)
+    summ = _report("sum", terms["un_phi"] + terms["un_psi"],
+                   2.0 * terms["sum_L"] + 2.0 * d_value, dict(terms), tolerance)
+    return prod, summ
+
+
 def product_bound_check(rho_ab: BipartiteDensityMatrix, phi: ProjectiveBasis,
                         psi: ProjectiveBasis, alpha: float, d_value: float,
                         tolerance: float = MEMORY_BOUND_TOL) -> BoundReport:
     """Product bound with memory: the product of the two total measurement
     uncertainties against sum_L_sq + D_tilde^2."""
-    alpha = check_alpha(alpha)
-    d_value = _check_d_value(d_value)
-    terms = _memory_terms(rho_ab, phi, psi, alpha, d_value)
-    lhs = terms["un_phi"] * terms["un_psi"]
-    rhs = terms["sum_L_sq"] + d_value * d_value
-    return _report("product", lhs, rhs, terms, tolerance)
+    return memory_bounds(EvalContext(rho_ab, alpha), phi, psi, d_value, tolerance)[0]
 
 
 def sum_bound_check(rho_ab: BipartiteDensityMatrix, phi: ProjectiveBasis,
@@ -144,12 +160,7 @@ def sum_bound_check(rho_ab: BipartiteDensityMatrix, phi: ProjectiveBasis,
                     tolerance: float = MEMORY_BOUND_TOL) -> BoundReport:
     """Sum bound with memory: the sum of the two total measurement
     uncertainties against 2 sum_L + 2 D_tilde."""
-    alpha = check_alpha(alpha)
-    d_value = _check_d_value(d_value)
-    terms = _memory_terms(rho_ab, phi, psi, alpha, d_value)
-    lhs = terms["un_phi"] + terms["un_psi"]
-    rhs = 2.0 * terms["sum_L"] + 2.0 * d_value
-    return _report("sum", lhs, rhs, terms, tolerance)
+    return memory_bounds(EvalContext(rho_ab, alpha), phi, psi, d_value, tolerance)[1]
 
 
 def _snap(x: float) -> float:

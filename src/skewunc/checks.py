@@ -20,12 +20,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .bounds import heisenberg_type_check, product_bound_check, sum_bound_check
+from .bounds import heisenberg_type_check, memory_bounds
 from .correlation import (
     DeficitEvaluator,
     OptimizerConfig,
     basis_from_unitary,
     brute_force_D_qubit,
+    qubit_minimum,
     quantum_correlation_D,
 )
 from .errors import ConfigError
@@ -40,6 +41,7 @@ from .linalg import (
 )
 from .serialize import matrix_to_pairs
 from .skew import (
+    EvalContext,
     SkewEngine,
     skew_information_I,
     skew_information_J,
@@ -87,6 +89,8 @@ class CheckConfig:
     ensembles: tuple[EnsembleRun, ...] = ()
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_samples < 1 or self.n_optimizer < 1 or self.n_theorem < 1:
             raise ConfigError("sample counts must be >= 1")
         if min(self.herm_tol, self.psd_tol, self.bound_tol) <= 0:
@@ -414,9 +418,9 @@ def prop_theorems_with_oracle(cfg: CheckConfig):
     for i in range(cfg.n_theorem):
         rho, phi, psi = _random_two_qubit_pair(seed, i)
         alpha = cfg.alphas[i % len(cfg.alphas)]
-        d_val = brute_force_D_qubit(rho, alpha)
-        prod = product_bound_check(rho, phi, psi, alpha, d_val, tolerance=ORACLE_TOL)
-        summ = sum_bound_check(rho, phi, psi, alpha, d_val, tolerance=ORACLE_TOL)
+        ctx = EvalContext(rho, alpha)
+        d_val = qubit_minimum(DeficitEvaluator.from_context(ctx))
+        prod, summ = memory_bounds(ctx, phi, psi, d_val, tolerance=ORACLE_TOL)
         payload = _state_payload(rho, alpha=alpha, d_tilde=d_val,
                                  phi=matrix_to_pairs(phi.columns),
                                  psi=matrix_to_pairs(psi.columns))
@@ -426,8 +430,7 @@ def prop_theorems_with_oracle(cfg: CheckConfig):
         sum_i_phi = float(sum(prod.terms["per_k_I_phi"]))
         sum_i_psi = float(sum(prod.terms["per_k_I_psi"]))
         mid = sum_i_phi * sum_i_psi
-        rho_a = partial_trace(rho, "A")
-        eng_a = SkewEngine(rho_a, alpha)
+        eng_a = ctx.reduced
         i_a_phi = [eng_a.i_value(phi.projector(k).mat) for k in range(2)]
         i_a_psi = [eng_a.i_value(psi.projector(k).mat) for k in range(2)]
         mid2 = (d_val + sum(i_a_phi)) * (d_val + sum(i_a_psi))

@@ -23,12 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bounds import (
-    BoundReport,
-    heisenberg_type_check,
-    product_bound_check,
-    sum_bound_check,
-)
+from .bounds import BoundReport, heisenberg_type_check, memory_bounds
 from .checks import CheckConfig, EnsembleRun, run_checks
 from .correlation import OptimizerConfig
 from .errors import (
@@ -40,13 +35,15 @@ from .errors import (
 )
 from .linalg import HermitianOperator, kron
 from .serialize import fmt17, load_state
+from .skew import EvalContext
 from .states import EnsembleSpec, pauli, pauli_basis
 from .sweeps import (
     EXAMPLE_P_RANGES,
+    ROW_COLUMNS,
     SWEEP_ERR_TOL,
-    bound_pair,
     certified_d,
     p_grid,
+    state_row,
     sweep_row,
 )
 
@@ -55,11 +52,7 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-CSV_COLUMNS = (
-    "p", "alpha", "lhs_product", "rhs_product", "lhs_sum", "rhs_sum",
-    "sum_L", "D_tilde", "closed_form_lhs_product", "closed_form_rhs_product",
-    "closed_form_lhs_sum", "closed_form_rhs_sum", "abs_err_max",
-)
+CSV_COLUMNS = ROW_COLUMNS
 
 EXAMPLE2_NOTE = (
     "example 2: the x-basis uncertainty factor is exactly zero, so the "
@@ -82,13 +75,14 @@ class SweepConfig:
     out: str | None = None
     fmt: str = "csv"
     state_file: str | None = None
-    bases: str = "x,z"
     optimizer: OptimizerConfig | None = None
 
     def optimizer_config(self) -> OptimizerConfig:
         return self.optimizer or OptimizerConfig(seed=self.seed)
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.example_id not in (1, 2, 3, "custom"):
             raise ConfigError(f"example must be 1, 2, 3 or 'custom', got {self.example_id!r}")
         if self.oracle not in ("grid", "optimizer"):
@@ -121,6 +115,26 @@ def _parse_alpha_list(text: str) -> tuple[float, ...]:
     if not values:
         raise ConfigError("alpha list is empty")
     return values
+
+
+def _converted(key: str, value, convert):
+    """``convert(value)``, with a malformed value reported as a config error."""
+    try:
+        return convert(value)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+
+
+def _float_tuple(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _reject_unknown_keys(doc: dict, known, what: str) -> None:
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what} settings: {sorted(unknown)}")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -215,17 +229,7 @@ def cmd_reproduce(cfg: SweepConfig) -> int:
     else:  # custom state file
         state = load_state(cfg.state_file)
         for alpha in cfg.alphas:
-            d_value = certified_d(state, alpha, cfg.oracle, optimizer_cfg=opt)
-            prod, summ = bound_pair(state, alpha, d_value)
-            rows.append({
-                "p": None, "alpha": alpha,
-                "lhs_product": prod.lhs, "rhs_product": prod.rhs,
-                "lhs_sum": summ.lhs, "rhs_sum": summ.rhs,
-                "sum_L": prod.terms["sum_L"], "D_tilde": d_value,
-                "closed_form_lhs_product": None, "closed_form_rhs_product": None,
-                "closed_form_lhs_sum": None, "closed_form_rhs_sum": None,
-                "abs_err_max": None,
-            })
+            rows.append(state_row(state, alpha, cfg.oracle, optimizer_cfg=opt))
     out = _write_rows(cfg, rows, notes)
     checked = [r["abs_err_max"] for r in rows if r["abs_err_max"] is not None]
     worst = max(checked) if checked else 0.0
@@ -254,26 +258,22 @@ def _ensemble_runs_from_config(items) -> tuple[EnsembleRun, ...]:
     return tuple(runs)
 
 
+# How each key of a check config file is read.
+_CHECK_KEYS = {
+    "seed": int, "n_samples": int, "n_optimizer": int, "n_theorem": int,
+    "herm_tol": float, "psd_tol": float, "bound_tol": float,
+    "alphas": _float_tuple, "dims": lambda ds: tuple(int(d) for d in ds),
+    "ensembles": _ensemble_runs_from_config,
+}
+
+
 def _build_check_config(doc: dict, args) -> CheckConfig:
-    kwargs = {}
-    for key in ("seed", "n_samples", "n_optimizer", "n_theorem"):
-        if key in doc:
-            kwargs[key] = int(doc[key])
-    for key in ("herm_tol", "psd_tol", "bound_tol"):
-        if key in doc:
-            kwargs[key] = float(doc[key])
-    if "alphas" in doc:
-        kwargs["alphas"] = tuple(float(a) for a in doc["alphas"])
-    if "dims" in doc:
-        kwargs["dims"] = tuple(int(d) for d in doc["dims"])
-    if "ensembles" in doc:
-        kwargs["ensembles"] = _ensemble_runs_from_config(doc["ensembles"])
+    _reject_unknown_keys(doc, _CHECK_KEYS, "check")
+    kwargs = {key: _converted(key, doc[key], convert)
+              for key, convert in _CHECK_KEYS.items() if key in doc}
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    try:
-        cfg = CheckConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad check configuration: {exc}") from exc
+    cfg = CheckConfig(**kwargs)
     cfg.validate()
     return cfg
 
@@ -309,6 +309,7 @@ def _report_dict(rep: BoundReport) -> dict:
 def cmd_eval(args) -> int:
     state = load_state(args.state_file)
     doc = _load_config_file(args.config)
+    _reject_unknown_keys(doc, {"optimizer"}, "eval")
     axes = tuple(tok.strip() for tok in args.bases.split(",") if tok.strip())
     if len(axes) != 2 or any(a not in ("x", "y", "z") for a in axes):
         raise ConfigError(f"bases must be two of x, y, z; got {args.bases!r}")
@@ -317,11 +318,13 @@ def cmd_eval(args) -> int:
     alpha = args.alpha
     if not (0.0 <= alpha <= 1.0):
         raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     opt = _optimizer_from_config(doc.get("optimizer"), args.seed or 0)
-    d_value = certified_d(state, alpha, args.oracle, optimizer_cfg=opt)
-    phi, psi = pauli_basis(axes[0]), pauli_basis(axes[1])
-    prod = product_bound_check(state, phi, psi, alpha, d_value)
-    summ = sum_bound_check(state, phi, psi, alpha, d_value)
+    ctx = EvalContext(state, alpha)
+    d_value = certified_d(ctx, args.oracle, optimizer_cfg=opt)
+    prod, summ = memory_bounds(ctx, pauli_basis(axes[0]), pauli_basis(axes[1]),
+                               d_value)
     eye_b = np.eye(state.d_B)
     r = HermitianOperator(kron(pauli(axes[0]).mat, eye_b))
     s = HermitianOperator(kron(pauli(axes[1]).mat, eye_b))
@@ -387,23 +390,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Config-file key -> (SweepConfig attribute, how the value is read). The
+# "optimizer" block is read last, by _optimizer_from_config.
+_SWEEP_KEYS = {
+    "example": ("example_id", None), "alphas": ("alphas", _float_tuple),
+    "p_start": ("p_start", float), "p_stop": ("p_stop", float),
+    "p_step": ("p_step", float), "oracle": ("oracle", None),
+    "out": ("out", None), "format": ("fmt", None),
+    "state": ("state_file", None), "seed": ("seed", int),
+}
+
+
 def _sweep_config_from(args) -> SweepConfig:
     doc = _load_config_file(args.config)
+    _reject_unknown_keys(doc, {*_SWEEP_KEYS, "optimizer"}, "reproduce")
     cfg = SweepConfig()
-    if "example" in doc:
-        cfg.example_id = doc["example"]
-    if "alphas" in doc:
-        cfg.alphas = tuple(float(a) for a in doc["alphas"])
-    for key, attr in (("p_start", "p_start"), ("p_stop", "p_stop"),
-                      ("p_step", "p_step")):
+    for key, (attr, convert) in _SWEEP_KEYS.items():
         if key in doc:
-            setattr(cfg, attr, float(doc[key]))
-    for key, attr in (("oracle", "oracle"), ("out", "out"), ("format", "fmt"),
-                      ("state", "state_file"), ("bases", "bases")):
-        if key in doc:
-            setattr(cfg, attr, doc[key])
-    if "seed" in doc:
-        cfg.seed = int(doc["seed"])
+            value = doc[key]
+            setattr(cfg, attr, value if convert is None
+                    else _converted(key, value, convert))
     # flags override the file
     if args.example is not None:
         cfg.example_id = args.example

@@ -24,8 +24,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import NumericalConsistencyError, OptimizerError, ShapeError, ValidationError
-from .linalg import BipartiteDensityMatrix, check_alpha, partial_trace
-from .skew import NEG_CLIP, ProjectiveBasis, SkewEngine
+from .linalg import BipartiteDensityMatrix
+from .skew import NEG_CLIP, EvalContext, ProjectiveBasis
 
 # Restarts stop early once the best value reaches this floor; the deficit is
 # nonnegative, so nothing below it can be found.
@@ -73,17 +73,38 @@ _PAULI_STACK = np.array([
 ], dtype=np.complex128)
 
 
+@lru_cache(maxsize=16)
+def _embedded_paulis(d_b: int) -> np.ndarray:
+    """The Pauli matrices embedded as s (x) I on a memory of dimension d_b."""
+    embedded = np.stack([np.kron(s, np.eye(d_b)) for s in _PAULI_STACK])
+    embedded.flags.writeable = False
+    return embedded
+
+
 class DeficitEvaluator:
     """Caches the spectral data of a bipartite state and its reduction so the
-    measurement deficit can be scored against many candidate bases cheaply."""
+    measurement deficit can be scored against many candidate bases cheaply.
+
+    ``DeficitEvaluator(rho_ab, alpha)`` builds its own ``EvalContext``;
+    ``from_context`` reuses one that the bound checkers share.
+    """
 
     def __init__(self, rho_ab: BipartiteDensityMatrix, alpha: float):
-        self.alpha = check_alpha(alpha)
-        self.d_A = rho_ab.d_A
-        self.d_B = rho_ab.d_B
-        self._eng_ab = SkewEngine(rho_ab, alpha)
-        self._eng_a = SkewEngine(partial_trace(rho_ab, "A"), alpha)
-        dim = rho_ab.dim
+        self._bind(EvalContext(rho_ab, alpha))
+
+    @classmethod
+    def from_context(cls, ctx: EvalContext) -> "DeficitEvaluator":
+        ev = cls.__new__(cls)
+        ev._bind(ctx)
+        return ev
+
+    def _bind(self, ctx: EvalContext) -> None:
+        self.alpha = ctx.alpha
+        self.d_A = ctx.rho_ab.d_A
+        self.d_B = ctx.rho_ab.d_B
+        self._eng_ab = ctx.joint
+        self._eng_a = ctx.reduced
+        dim = ctx.rho_ab.dim
         # eigenvector matrix indexed (a, (b, eigenindex)) for the embedding trick
         self._u_flat = np.ascontiguousarray(
             self._eng_ab.eigenvectors.reshape(self.d_A, self.d_B * dim))
@@ -159,9 +180,7 @@ class DeficitEvaluator:
             raise ValidationError("Bloch parameterization needs d_A = 2")
         if self._bloch is None:
             u = self._eng_ab.eigenvectors
-            embedded = np.stack([
-                np.kron(s, np.eye(self.d_B)) for s in _PAULI_STACK])
-            st = np.einsum('ja,iab,bk->ijk', u.conj().T, embedded, u)
+            st = np.einsum('ja,iab,bk->ijk', u.conj().T, _embedded_paulis(self.d_B), u)
             q_ab = np.einsum('jk,ijk,ljk->il', self._w_ab, st, st.conj()).real
             ua = self._ua_conj.conj()
             st_a = np.einsum('ja,iab,bk->ijk', ua.conj().T, _PAULI_STACK, ua)
@@ -258,11 +277,16 @@ def quantum_correlation_D(rho_ab: BipartiteDensityMatrix, alpha: float,
     for a qubit subsystem ``brute_force_D_qubit`` gives the exact value.
     Deterministic for a fixed ``cfg.seed``.
     """
+    return minimize_deficit(DeficitEvaluator(rho_ab, alpha), cfg)
+
+
+def minimize_deficit(ev: DeficitEvaluator,
+                     cfg: OptimizerConfig | None = None) -> CorrelationResult:
+    """``quantum_correlation_D`` on the evaluator's state and alpha."""
     cfg = cfg or OptimizerConfig()
     if cfg.restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {cfg.restarts}")
-    ev = DeficitEvaluator(rho_ab, alpha)
-    d = rho_ab.d_A
+    d = ev.d_A
     nparams = d * d
     rng = np.random.default_rng(cfg.seed)
 
@@ -315,10 +339,14 @@ def brute_force_D_qubit(rho_ab: BipartiteDensityMatrix, alpha: float) -> float:
     path as a tripwire, and the two values must agree to within float noise.
     The command line and configs select it as oracle ``"grid"``.
     """
-    if rho_ab.d_A != 2:
+    return qubit_minimum(DeficitEvaluator(rho_ab, alpha))
+
+
+def qubit_minimum(ev: DeficitEvaluator) -> float:
+    """``brute_force_D_qubit`` on the evaluator's state and alpha."""
+    if ev.d_A != 2:
         raise ValidationError(
-            f"qubit oracle requires a qubit subsystem, got d_A = {rho_ab.d_A}")
-    ev = DeficitEvaluator(rho_ab, alpha)
+            f"qubit oracle requires a qubit subsystem, got d_A = {ev.d_A}")
     w, vecs = np.linalg.eigh(ev.bloch_quadratic())
     value = 0.5 * float(w[0])
     n = vecs[:, 0]

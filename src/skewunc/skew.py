@@ -1,7 +1,10 @@
 """Skew-information quantities of a state against an observable: the
 fractional-power skew information, its anticommutator dual, their geometric
 mean, the per-measurement uncertainty sum, and the measurement compatibility
-term used by the uncertainty bounds.
+term used by the uncertainty bounds. ``EvalContext`` holds the engines of a
+bipartite state and of its reduction at one alpha, so that the bounds and the
+correlation measure share them; ``engine_uncertainty_terms`` and
+``engine_compat_L`` score against such engines.
 
 All quantities are evaluated in the eigenbasis of the state. Writing the
 skew information as a sum over eigenvalue pairs,
@@ -22,12 +25,14 @@ import numpy as np
 
 from .errors import NumericalConsistencyError, ShapeError, ValidationError
 from .linalg import (
+    BipartiteDensityMatrix,
     DensityMatrix,
     HermitianOperator,
     PSD_TOL,
     check_alpha,
     clipped_spectrum,
     fractional_power,
+    partial_trace,
     powered_spectrum,
 )
 
@@ -114,6 +119,7 @@ class SkewEngine:
 
     def __init__(self, rho: DensityMatrix, alpha: float, psd_tol: float = PSD_TOL):
         self.alpha = check_alpha(alpha)
+        self.state = rho
         self.dim = rho.dim
         dec = rho.spectral()
         lam = clipped_spectrum(dec, psd_tol=psd_tol)
@@ -160,6 +166,21 @@ class SkewEngine:
                         alpha=self.alpha)
 
 
+class EvalContext:
+    """Everything the memory bounds and the quantum correlation share for one
+    bipartite state at one alpha, built once: the engine of the joint state
+    and the engine of its reduction rho_A (one partial trace, kept as
+    ``reduced.state``)."""
+
+    __slots__ = ("alpha", "rho_ab", "joint", "reduced")
+
+    def __init__(self, rho_ab: BipartiteDensityMatrix, alpha: float):
+        self.alpha = check_alpha(alpha)
+        self.rho_ab = rho_ab
+        self.joint = SkewEngine(rho_ab, self.alpha)
+        self.reduced = SkewEngine(partial_trace(rho_ab, "A"), self.alpha)
+
+
 def _check_dims(rho: DensityMatrix, h: HermitianOperator) -> None:
     if rho.dim != h.dim:
         raise ShapeError(f"state dimension {rho.dim} != observable dimension {h.dim}")
@@ -196,13 +217,18 @@ def measurement_uncertainty_terms(rho: DensityMatrix, basis: ProjectiveBasis,
     composite system whose second factor has that dimension; the state must
     then live on the composite space.
     """
+    return engine_uncertainty_terms(SkewEngine(rho, alpha), basis, memory_dim)
+
+
+def engine_uncertainty_terms(engine: SkewEngine, basis: ProjectiveBasis,
+                             memory_dim: int = 1) -> list[SkewPair]:
+    """``measurement_uncertainty_terms`` against the engine's state."""
     if memory_dim < 1:
         raise ValidationError(f"memory_dim must be >= 1, got {memory_dim}")
-    if basis.dim * memory_dim != rho.dim:
+    if basis.dim * memory_dim != engine.dim:
         raise ShapeError(
             f"basis dimension {basis.dim} x memory {memory_dim} != state "
-            f"dimension {rho.dim}")
-    engine = SkewEngine(rho, alpha)
+            f"dimension {engine.dim}")
     eye_mem = np.eye(memory_dim)
     terms = []
     for k in range(basis.dim):
@@ -237,14 +263,20 @@ def compat_L(rho_a: DensityMatrix, phi: HermitianOperator, psi: HermitianOperato
     ``denom_tol``: a vanishing factor forces the numerator to vanish as well,
     so 0 is the continuous completion at boundary states.
     """
-    alpha = check_alpha(alpha)
+    return engine_compat_L(SkewEngine(rho_a, alpha), phi, psi, denom_tol)
+
+
+def engine_compat_L(engine: SkewEngine, phi: HermitianOperator,
+                    psi: HermitianOperator, denom_tol: float = DENOM_TOL) -> float:
+    """``compat_L`` against the engine's state and alpha."""
+    rho_a = engine.state
     _check_dims(rho_a, phi)
     _check_dims(rho_a, psi)
     _check_rank1_projector(phi, "phi")
     _check_rank1_projector(psi, "psi")
+    alpha = engine.alpha
     comm = phi.mat @ psi.mat - psi.mat @ phi.mat
     numerator = alpha * (1.0 - alpha) * abs(complex(np.trace(rho_a.mat @ comm)))**2
-    engine = SkewEngine(rho_a, alpha)
     denom_sq = engine.j_value(phi.mat) * engine.j_value(psi.mat)
     if denom_sq < denom_tol:
         return 0.0

@@ -237,3 +237,40 @@ def test_product_chain_links_random():
         assert mid >= mid2 - 1e-6  # link through the oracle-certified minimum
         assert mid2 >= mid3 - 1e-9
         assert mid3 >= rep.rhs - 1e-9
+
+
+# --- one shared context per (state, alpha) ----------------------------------
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_shared_context_reports_equal_standalone_checkers(dims):
+    from skewunc.bounds import memory_bounds
+    from skewunc.correlation import (
+        OptimizerConfig,
+        basis_from_unitary,
+        quantum_correlation_D,
+    )
+    from skewunc.linalg import partial_trace
+    from skewunc.skew import EvalContext, compat_L, skew_information_I
+    from skewunc.states import random_unitary
+
+    d_a, d_b = dims
+    for i in range(4):
+        rho = random_density(EnsembleSpec("full_rank", dims, 31), index=i)
+        alpha = (0.2, 0.5, 0.7, 0.9)[i]
+        phi = basis_from_unitary(random_unitary(d_a, 32, index=i))
+        psi = basis_from_unitary(random_unitary(d_a, 33, index=i))
+        oracle = (brute_force_D_qubit(rho, alpha) if d_a == 2 else
+                  quantum_correlation_D(rho, alpha, OptimizerConfig(restarts=2)).value)
+        for d_value in (0.0, oracle):
+            prod, summ = memory_bounds(EvalContext(rho, alpha), phi, psi, d_value)
+            assert prod == product_bound_check(rho, phi, psi, alpha, d_value)
+            assert summ == sum_bound_check(rho, phi, psi, alpha, d_value)
+            assert prod.terms == summ.terms and prod.terms is not summ.terms
+            # every term equals its value from fresh engines on its own state
+            rho_a = partial_trace(rho, "A")
+            for k in range(d_a):
+                p_phi, p_psi = phi.projector(k), psi.projector(k)
+                embedded = HermitianOperator(kron(p_phi.mat, np.eye(d_b)))
+                assert prod.terms["per_k_I_phi"][k] == skew_information_I(
+                    rho, embedded, alpha)
+                assert prod.terms["per_k_L"][k] == compat_L(rho_a, p_phi, p_psi, alpha)

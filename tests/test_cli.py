@@ -135,6 +135,52 @@ def test_reproduce_rejects_bad_optimizer_setting(tmp_path, capsys, block):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("check", {"n_samples": "abc"}),
+    ("check", {"alphas": 0.5}),
+    ("check", {"ensembles": [{"kind": "full_rank", "dims": 2, "n_samples": "x"}]}),
+    ("check", {"seed": -3}),
+    ("check", {"n_sample": 20}),
+    ("reproduce", {"p_start": "x"}),
+    ("reproduce", {"alphas": 0.5}),
+    ("reproduce", {"seed": -3}),
+    ("reproduce", {"bases": "y,y"}),
+    ("reproduce", {"example": 1, "walkers": 7}),
+])
+def test_config_parse_failure_exits_2(tmp_path, capsys, command, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(command, "--config", str(cfg),
+                   "--out", str(tmp_path / "out.json")) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_reproduce_rejects_negative_seed_flag(tmp_path, capsys):
+    assert run_cli("reproduce", "--example", "2", "--alpha", "0.5",
+                   "--oracle", "optimizer", "--seed", "-1",
+                   "--out", str(tmp_path / "ex2.csv")) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_check_rejects_negative_seed_flag(tmp_path, capsys):
+    cfg = tmp_path / "check.json"
+    cfg.write_text(json.dumps(CHECK_CFG))
+    assert run_cli("check", "--config", str(cfg), "--seed", "-1",
+                   "--out", str(tmp_path / "report.json")) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_eval_rejects_negative_seed_flag_and_unknown_config_key(tmp_path, capsys):
+    path = tmp_path / "bell.json"
+    save_state(str(path), werner_isotropic(1.0))
+    assert run_cli("eval", str(path), "--oracle", "optimizer", "--seed", "-2") == 2
+    assert "configuration error" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"optimizer": {}, "bases": "y,z"}))
+    assert run_cli("eval", str(path), "--config", str(cfg)) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_optimizer_block_defaults_follow_optimizer_config():
     from skewunc.cli import _optimizer_from_config
     from skewunc.correlation import OptimizerConfig
