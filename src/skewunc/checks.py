@@ -26,7 +26,6 @@ from .correlation import (
     OptimizerConfig,
     basis_from_unitary,
     brute_force_D_qubit,
-    qubit_minimum,
     quantum_correlation_D,
 )
 from .errors import ConfigError
@@ -41,8 +40,7 @@ from .linalg import (
 )
 from .serialize import matrix_to_pairs
 from .skew import (
-    EvalContext,
-    SkewEngine,
+    engine,
     skew_information_I,
     skew_information_J,
     skew_information_via_powers,
@@ -83,8 +81,6 @@ class CheckConfig:
     n_theorem: int = 200       # theorem checks with an oracle-certified D
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
     dims: tuple[int, ...] = (2, 3, 4)
-    herm_tol: float = 1e-10
-    psd_tol: float = 1e-10
     bound_tol: float = 1e-9
     ensembles: tuple[EnsembleRun, ...] = ()
 
@@ -93,8 +89,8 @@ class CheckConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_samples < 1 or self.n_optimizer < 1 or self.n_theorem < 1:
             raise ConfigError("sample counts must be >= 1")
-        if min(self.herm_tol, self.psd_tol, self.bound_tol) <= 0:
-            raise ConfigError("tolerances must be positive")
+        if self.bound_tol <= 0:
+            raise ConfigError("bound_tol must be positive")
         if not self.alphas or any(not (0.0 <= a <= 1.0) for a in self.alphas):
             raise ConfigError("alphas must be a nonempty subset of [0, 1]")
         if not self.dims or any(d < 2 for d in self.dims):
@@ -232,9 +228,9 @@ def prop_skew_ordering(cfg: CheckConfig):
         rho = random_density(EnsembleSpec("full_rank", d, seed), index=i)
         h = random_hermitian(d, seed + 1, index=i)
         alpha = cfg.alphas[i % len(cfg.alphas)]
-        engine = SkewEngine(rho, alpha)
-        i_val = engine.i_value(h.mat)
-        j_val = engine.j_value(h.mat)
+        eng = engine(rho, alpha)
+        i_val = eng.i_value(h.mat)
+        j_val = eng.j_value(h.mat)
         tr.update(min(j_val - i_val, i_val),
                   _state_payload(rho, alpha=alpha,
                                  observable=matrix_to_pairs(h.mat)))
@@ -418,9 +414,8 @@ def prop_theorems_with_oracle(cfg: CheckConfig):
     for i in range(cfg.n_theorem):
         rho, phi, psi = _random_two_qubit_pair(seed, i)
         alpha = cfg.alphas[i % len(cfg.alphas)]
-        ctx = EvalContext(rho, alpha)
-        d_val = qubit_minimum(DeficitEvaluator.from_context(ctx))
-        prod, summ = memory_bounds(ctx, phi, psi, d_val, tolerance=ORACLE_TOL)
+        d_val = brute_force_D_qubit(rho, alpha)
+        prod, summ = memory_bounds(rho, phi, psi, alpha, d_val, tolerance=ORACLE_TOL)
         payload = _state_payload(rho, alpha=alpha, d_tilde=d_val,
                                  phi=matrix_to_pairs(phi.columns),
                                  psi=matrix_to_pairs(psi.columns))
@@ -430,7 +425,7 @@ def prop_theorems_with_oracle(cfg: CheckConfig):
         sum_i_phi = float(sum(prod.terms["per_k_I_phi"]))
         sum_i_psi = float(sum(prod.terms["per_k_I_psi"]))
         mid = sum_i_phi * sum_i_psi
-        eng_a = ctx.reduced
+        eng_a = engine(rho.reduced(), alpha)
         i_a_phi = [eng_a.i_value(phi.projector(k).mat) for k in range(2)]
         i_a_psi = [eng_a.i_value(psi.projector(k).mat) for k in range(2)]
         mid2 = (d_val + sum(i_a_phi)) * (d_val + sum(i_a_psi))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -35,7 +34,6 @@ from .errors import (
 )
 from .linalg import HermitianOperator, kron
 from .serialize import fmt17, load_state
-from .skew import EvalContext
 from .states import EnsembleSpec, pauli, pauli_basis
 from .sweeps import (
     EXAMPLE_P_RANGES,
@@ -152,12 +150,16 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def _optimizer_int(key: str, value, minimum: int) -> int:
+def _config_int(key: str, value, minimum: int) -> int:
     """An integral JSON number >= ``minimum``; bools and fractions are errors."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not float(value).is_integer() or value < minimum):
-        raise ConfigError(f"optimizer {key!r} must be an integer >= {minimum}, got {value!r}")
+        raise ConfigError(f"{key!r} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _int_reader(key: str, minimum: int):
+    return lambda value: _config_int(key, value, minimum)
 
 
 def _optimizer_from_config(block, default_seed: int) -> OptimizerConfig:
@@ -173,13 +175,7 @@ def _optimizer_from_config(block, default_seed: int) -> OptimizerConfig:
     settings = {"seed": default_seed}
     for key, minimum in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
         if key in block:
-            settings[key] = _optimizer_int(key, block[key], minimum)
-    if "tol" in block:
-        tol = block["tol"]
-        if (isinstance(tol, bool) or not isinstance(tol, (int, float))
-                or not math.isfinite(tol) or tol <= 0):
-            raise ConfigError(f"optimizer 'tol' must be a finite number > 0, got {tol!r}")
-        settings["tol"] = float(tol)
+            settings[key] = _config_int(key, block[key], minimum)
     return OptimizerConfig(**settings)
 
 
@@ -248,21 +244,26 @@ def _ensemble_runs_from_config(items) -> tuple[EnsembleRun, ...]:
             raise ConfigError(f"ensemble entry must be an object, got {item!r}")
         try:
             dims = item["dims"]
-            dims = tuple(dims) if isinstance(dims, list) else int(dims)
+            dims = (tuple(_config_int("dims", d, 1) for d in dims)
+                    if isinstance(dims, list) else _config_int("dims", dims, 1))
+            rank = item.get("rank")
             spec = EnsembleSpec(kind=item["kind"], dims=dims,
-                                seed=int(item.get("seed", 0)),
-                                rank=item.get("rank"))
+                                seed=_config_int("seed", item.get("seed", 0), 0),
+                                rank=None if rank is None else _config_int("rank", rank, 1))
         except (KeyError, TypeError, ValidationError) as exc:
             raise ConfigError(f"bad ensemble entry {item!r}: {exc}") from exc
-        runs.append(EnsembleRun(spec=spec, n_samples=int(item.get("n_samples", 1))))
+        n_samples = _config_int("n_samples", item.get("n_samples", 1), 1)
+        runs.append(EnsembleRun(spec=spec, n_samples=n_samples))
     return tuple(runs)
 
 
 # How each key of a check config file is read.
 _CHECK_KEYS = {
-    "seed": int, "n_samples": int, "n_optimizer": int, "n_theorem": int,
-    "herm_tol": float, "psd_tol": float, "bound_tol": float,
-    "alphas": _float_tuple, "dims": lambda ds: tuple(int(d) for d in ds),
+    "seed": _int_reader("seed", 0), "n_samples": _int_reader("n_samples", 1),
+    "n_optimizer": _int_reader("n_optimizer", 1),
+    "n_theorem": _int_reader("n_theorem", 1), "bound_tol": float,
+    "alphas": _float_tuple,
+    "dims": lambda ds: tuple(_config_int("dims", d, 2) for d in ds),
     "ensembles": _ensemble_runs_from_config,
 }
 
@@ -321,10 +322,9 @@ def cmd_eval(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
     opt = _optimizer_from_config(doc.get("optimizer"), args.seed or 0)
-    ctx = EvalContext(state, alpha)
-    d_value = certified_d(ctx, args.oracle, optimizer_cfg=opt)
-    prod, summ = memory_bounds(ctx, pauli_basis(axes[0]), pauli_basis(axes[1]),
-                               d_value)
+    d_value = certified_d(state, alpha, args.oracle, optimizer_cfg=opt)
+    prod, summ = memory_bounds(state, pauli_basis(axes[0]), pauli_basis(axes[1]),
+                               alpha, d_value)
     eye_b = np.eye(state.d_B)
     r = HermitianOperator(kron(pauli(axes[0]).mat, eye_b))
     s = HermitianOperator(kron(pauli(axes[1]).mat, eye_b))
@@ -397,7 +397,7 @@ _SWEEP_KEYS = {
     "p_start": ("p_start", float), "p_stop": ("p_stop", float),
     "p_step": ("p_step", float), "oracle": ("oracle", None),
     "out": ("out", None), "format": ("fmt", None),
-    "state": ("state_file", None), "seed": ("seed", int),
+    "state": ("state_file", None), "seed": ("seed", _int_reader("seed", 0)),
 }
 
 

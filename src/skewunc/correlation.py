@@ -24,8 +24,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import NumericalConsistencyError, OptimizerError, ShapeError, ValidationError
-from .linalg import BipartiteDensityMatrix
-from .skew import NEG_CLIP, EvalContext, ProjectiveBasis
+from .linalg import BipartiteDensityMatrix, check_alpha
+from .skew import NEG_CLIP, ProjectiveBasis, engine
 
 # Restarts stop early once the best value reaches this floor; the deficit is
 # nonnegative, so nothing below it can be found.
@@ -40,7 +40,6 @@ class OptimizerConfig:
     """Multi-start search settings for the basis minimization."""
 
     restarts: int = 20
-    tol: float = 1e-6       # value tolerance callers should attach to results
     max_iters: int = 2000   # per-restart iteration cap
     seed: int = 0
 
@@ -82,29 +81,18 @@ def _embedded_paulis(d_b: int) -> np.ndarray:
 
 
 class DeficitEvaluator:
-    """Caches the spectral data of a bipartite state and its reduction so the
-    measurement deficit can be scored against many candidate bases cheaply.
-
-    ``DeficitEvaluator(rho_ab, alpha)`` builds its own ``EvalContext``;
-    ``from_context`` reuses one that the bound checkers share.
+    """Scores the measurement deficit of a bipartite state against many
+    candidate bases cheaply, from the engines of the state and of its
+    reduction (shared through ``skew.engine`` with the bound checkers).
     """
 
     def __init__(self, rho_ab: BipartiteDensityMatrix, alpha: float):
-        self._bind(EvalContext(rho_ab, alpha))
-
-    @classmethod
-    def from_context(cls, ctx: EvalContext) -> "DeficitEvaluator":
-        ev = cls.__new__(cls)
-        ev._bind(ctx)
-        return ev
-
-    def _bind(self, ctx: EvalContext) -> None:
-        self.alpha = ctx.alpha
-        self.d_A = ctx.rho_ab.d_A
-        self.d_B = ctx.rho_ab.d_B
-        self._eng_ab = ctx.joint
-        self._eng_a = ctx.reduced
-        dim = ctx.rho_ab.dim
+        self.alpha = check_alpha(alpha)
+        self.d_A = rho_ab.d_A
+        self.d_B = rho_ab.d_B
+        self._eng_ab = engine(rho_ab, self.alpha)
+        self._eng_a = engine(rho_ab.reduced(), self.alpha)
+        dim = rho_ab.dim
         # eigenvector matrix indexed (a, (b, eigenindex)) for the embedding trick
         self._u_flat = np.ascontiguousarray(
             self._eng_ab.eigenvectors.reshape(self.d_A, self.d_B * dim))
@@ -112,10 +100,6 @@ class DeficitEvaluator:
         self._w_ab = self._eng_ab.i_weights
         self._w_ab_flat = self._w_ab.ravel()
         self._w_a = self._eng_a.i_weights
-        # the gradient needs symmetric weights; i_weights is not symmetric
-        # (its cross term is l_j^a l_k^(1-a))
-        self._w_ab_sym = 0.5 * (self._w_ab + self._w_ab.T)
-        self._w_a_sym = 0.5 * (self._w_a + self._w_a.T)
         self._bloch = None
 
     def _deficit_terms(self, v: np.ndarray):
@@ -147,16 +131,16 @@ class DeficitEvaluator:
         gradient with respect to those columns.
 
         Column k contributes I(P_k (x) I) - I(P_k) with P_k = u_k u_k^dag.
-        Each skew information is sum W_s |Ht|^2 with Ht linear in P_k, so its
-        gradient in u_k is 4 K u_k, where K = Tr_B[E (W_s o Ht) E^dag] on the
-        joint state (E its eigenvectors, W_s the symmetrized pair weights)
-        and the same expression on the reduced state.
+        Each skew information is sum W |Ht|^2 with Ht linear in P_k, so its
+        gradient in u_k is 4 K u_k, where K = Tr_B[E (W o Ht) E^dag] on the
+        joint state (E its eigenvectors, W the symmetric pair weights) and
+        the same expression on the reduced state.
         """
         v = np.asarray(columns, dtype=np.complex128).T
         per_k, b, ht, t, q = self._deficit_terms(v)
-        k_ab = np.matmul(b, ht * self._w_ab_sym).conj().reshape(v.shape[0], -1)
+        k_ab = np.matmul(b, ht * self._w_ab).conj().reshape(v.shape[0], -1)
         g_ab = k_ab @ self._u_flat.T
-        g_a = (t * (q @ self._w_a_sym)) @ self._ua_conj.T.conj()
+        g_a = (t * (q @ self._w_a)) @ self._ua_conj.T.conj()
         return float(per_k.sum()), 4.0 * (g_ab - g_a).T
 
     def basis_deficit(self, columns: np.ndarray) -> tuple[float, list[float]]:
@@ -277,15 +261,10 @@ def quantum_correlation_D(rho_ab: BipartiteDensityMatrix, alpha: float,
     for a qubit subsystem ``brute_force_D_qubit`` gives the exact value.
     Deterministic for a fixed ``cfg.seed``.
     """
-    return minimize_deficit(DeficitEvaluator(rho_ab, alpha), cfg)
-
-
-def minimize_deficit(ev: DeficitEvaluator,
-                     cfg: OptimizerConfig | None = None) -> CorrelationResult:
-    """``quantum_correlation_D`` on the evaluator's state and alpha."""
     cfg = cfg or OptimizerConfig()
     if cfg.restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {cfg.restarts}")
+    ev = DeficitEvaluator(rho_ab, alpha)
     d = ev.d_A
     nparams = d * d
     rng = np.random.default_rng(cfg.seed)
@@ -339,14 +318,10 @@ def brute_force_D_qubit(rho_ab: BipartiteDensityMatrix, alpha: float) -> float:
     path as a tripwire, and the two values must agree to within float noise.
     The command line and configs select it as oracle ``"grid"``.
     """
-    return qubit_minimum(DeficitEvaluator(rho_ab, alpha))
-
-
-def qubit_minimum(ev: DeficitEvaluator) -> float:
-    """``brute_force_D_qubit`` on the evaluator's state and alpha."""
-    if ev.d_A != 2:
+    if rho_ab.d_A != 2:
         raise ValidationError(
-            f"qubit oracle requires a qubit subsystem, got d_A = {ev.d_A}")
+            f"qubit oracle requires a qubit subsystem, got d_A = {rho_ab.d_A}")
+    ev = DeficitEvaluator(rho_ab, alpha)
     w, vecs = np.linalg.eigh(ev.bloch_quadratic())
     value = 0.5 * float(w[0])
     n = vecs[:, 0]

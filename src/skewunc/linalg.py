@@ -102,7 +102,7 @@ class DensityMatrix(HermitianOperator):
 class BipartiteDensityMatrix(DensityMatrix):
     """Density matrix with declared tensor-factor dimensions (d_A, d_B)."""
 
-    __slots__ = ("d_A", "d_B")
+    __slots__ = ("d_A", "d_B", "_reduced")
 
     def __init__(self, mat, d_A: int, d_B: int, **tols):
         super().__init__(mat, **tols)
@@ -111,6 +111,13 @@ class BipartiteDensityMatrix(DensityMatrix):
                 f"declared factors {d_A}x{d_B} do not match dimension {self.dim}")
         self.d_A = int(d_A)
         self.d_B = int(d_B)
+        self._reduced: DensityMatrix | None = None
+
+    def reduced(self) -> DensityMatrix:
+        """The reduced state rho_A, computed once and cached (mat is immutable)."""
+        if self._reduced is None:
+            self._reduced = partial_trace(self, "A")
+        return self._reduced
 
     def __repr__(self):
         return f"BipartiteDensityMatrix(d_A={self.d_A}, d_B={self.d_B})"

@@ -1,10 +1,9 @@
 """Skew-information quantities of a state against an observable: the
 fractional-power skew information, its anticommutator dual, their geometric
 mean, the per-measurement uncertainty sum, and the measurement compatibility
-term used by the uncertainty bounds. ``EvalContext`` holds the engines of a
-bipartite state and of its reduction at one alpha, so that the bounds and the
-correlation measure share them; ``engine_uncertainty_terms`` and
-``engine_compat_L`` score against such engines.
+term used by the uncertainty bounds. ``engine`` memoizes the spectral data
+of a state at one alpha, so the bounds and the correlation measure evaluated
+on one state share the engines of the joint and the reduced state.
 
 All quantities are evaluated in the eigenbasis of the state. Writing the
 skew information as a sum over eigenvalue pairs,
@@ -20,19 +19,17 @@ zeroed explicitly rather than left to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericalConsistencyError, ShapeError, ValidationError
 from .linalg import (
-    BipartiteDensityMatrix,
     DensityMatrix,
     HermitianOperator,
-    PSD_TOL,
     check_alpha,
     clipped_spectrum,
     fractional_power,
-    partial_trace,
     powered_spectrum,
 )
 
@@ -114,31 +111,38 @@ class SkewEngine:
 
     Building the eigendecomposition and the pair-weight matrices once lets a
     caller score many observables against the same state cheaply (basis
-    optimization, grid scans, bound checkers).
+    optimization, bound checkers). Its arrays are read-only, so ``engine``
+    can share one instance between callers.
     """
 
-    def __init__(self, rho: DensityMatrix, alpha: float, psd_tol: float = PSD_TOL):
+    def __init__(self, rho: DensityMatrix, alpha: float):
         self.alpha = check_alpha(alpha)
-        self.state = rho
         self.dim = rho.dim
         dec = rho.spectral()
-        lam = clipped_spectrum(dec, psd_tol=psd_tol)
+        lam = clipped_spectrum(dec)
         self.eigenvalues = lam
         self.eigenvectors = dec.eigenvectors
         pa = powered_spectrum(lam, self.alpha)
         pb = powered_spectrum(lam, 1.0 - self.alpha)
         avg = 0.5 * (lam[:, None] + lam[None, :])
         cross = pa[:, None] * pb[None, :]
+        # symmetric form (module docstring): a weight that is 0 in exact
+        # arithmetic (alpha 0 or 1, full rank) cancels exactly, not to rounding
+        cross = 0.5 * (cross + cross.T)
         w_i = avg - cross
         scale = max(float(lam[-1]), np.finfo(float).tiny)
         degenerate = np.abs(lam[:, None] - lam[None, :]) <= PAIR_DEGENERACY_TOL * scale
         w_i[degenerate] = 0.0
+        w_j = avg + cross
+        for arr in (lam, w_i, w_j):
+            arr.flags.writeable = False
         self._w_i = w_i
-        self._w_j = avg + cross
+        self._w_j = w_j
 
     @property
     def i_weights(self) -> np.ndarray:
-        """Pair-weight matrix of the skew information in the eigenbasis."""
+        """Symmetric pair-weight matrix of the skew information in the
+        eigenbasis."""
         return self._w_i
 
     def _rotate(self, h: np.ndarray) -> np.ndarray:
@@ -166,19 +170,12 @@ class SkewEngine:
                         alpha=self.alpha)
 
 
-class EvalContext:
-    """Everything the memory bounds and the quantum correlation share for one
-    bipartite state at one alpha, built once: the engine of the joint state
-    and the engine of its reduction rho_A (one partial trace, kept as
-    ``reduced.state``)."""
-
-    __slots__ = ("alpha", "rho_ab", "joint", "reduced")
-
-    def __init__(self, rho_ab: BipartiteDensityMatrix, alpha: float):
-        self.alpha = check_alpha(alpha)
-        self.rho_ab = rho_ab
-        self.joint = SkewEngine(rho_ab, self.alpha)
-        self.reduced = SkewEngine(partial_trace(rho_ab, "A"), self.alpha)
+@lru_cache(maxsize=8)
+def engine(rho: DensityMatrix, alpha: float) -> SkewEngine:
+    """The ``SkewEngine`` of ``rho`` at ``alpha``, built once per pair and
+    keyed on the state's identity (safe: its matrix is read-only). One state
+    at one alpha needs two entries, the joint and the reduced state."""
+    return SkewEngine(rho, alpha)
 
 
 def _check_dims(rho: DensityMatrix, h: HermitianOperator) -> None:
@@ -192,7 +189,7 @@ def skew_information_I(rho: DensityMatrix, h: HermitianOperator, alpha: float) -
     Nonnegative; zero exactly when the state commutes with the observable.
     """
     _check_dims(rho, h)
-    return SkewEngine(rho, alpha).i_value(h.mat)
+    return engine(rho, alpha).i_value(h.mat)
 
 
 def skew_information_J(rho: DensityMatrix, h: HermitianOperator, alpha: float) -> float:
@@ -200,13 +197,13 @@ def skew_information_J(rho: DensityMatrix, h: HermitianOperator, alpha: float) -
     observable centered as h0 = h - Tr(rho h) I. Always >= the skew
     information at the same alpha."""
     _check_dims(rho, h)
-    return SkewEngine(rho, alpha).j_value(h.mat)
+    return engine(rho, alpha).j_value(h.mat)
 
 
 def uncertainty_U(rho: DensityMatrix, h: HermitianOperator, alpha: float) -> SkewPair:
     """Geometric-mean uncertainty sqrt(I * J), with both factors."""
     _check_dims(rho, h)
-    return SkewEngine(rho, alpha).pair(h.mat)
+    return engine(rho, alpha).pair(h.mat)
 
 
 def measurement_uncertainty_terms(rho: DensityMatrix, basis: ProjectiveBasis,
@@ -217,25 +214,20 @@ def measurement_uncertainty_terms(rho: DensityMatrix, basis: ProjectiveBasis,
     composite system whose second factor has that dimension; the state must
     then live on the composite space.
     """
-    return engine_uncertainty_terms(SkewEngine(rho, alpha), basis, memory_dim)
-
-
-def engine_uncertainty_terms(engine: SkewEngine, basis: ProjectiveBasis,
-                             memory_dim: int = 1) -> list[SkewPair]:
-    """``measurement_uncertainty_terms`` against the engine's state."""
     if memory_dim < 1:
         raise ValidationError(f"memory_dim must be >= 1, got {memory_dim}")
-    if basis.dim * memory_dim != engine.dim:
+    if basis.dim * memory_dim != rho.dim:
         raise ShapeError(
             f"basis dimension {basis.dim} x memory {memory_dim} != state "
-            f"dimension {engine.dim}")
+            f"dimension {rho.dim}")
+    eng = engine(rho, alpha)
     eye_mem = np.eye(memory_dim)
     terms = []
     for k in range(basis.dim):
         v = basis.vector(k)
         p = np.outer(v, v.conj())
         h = np.kron(p, eye_mem) if memory_dim > 1 else p
-        terms.append(engine.pair(h))
+        terms.append(eng.pair(h))
     return terms
 
 
@@ -263,21 +255,15 @@ def compat_L(rho_a: DensityMatrix, phi: HermitianOperator, psi: HermitianOperato
     ``denom_tol``: a vanishing factor forces the numerator to vanish as well,
     so 0 is the continuous completion at boundary states.
     """
-    return engine_compat_L(SkewEngine(rho_a, alpha), phi, psi, denom_tol)
-
-
-def engine_compat_L(engine: SkewEngine, phi: HermitianOperator,
-                    psi: HermitianOperator, denom_tol: float = DENOM_TOL) -> float:
-    """``compat_L`` against the engine's state and alpha."""
-    rho_a = engine.state
     _check_dims(rho_a, phi)
     _check_dims(rho_a, psi)
     _check_rank1_projector(phi, "phi")
     _check_rank1_projector(psi, "psi")
-    alpha = engine.alpha
+    eng = engine(rho_a, alpha)
+    alpha = eng.alpha
     comm = phi.mat @ psi.mat - psi.mat @ phi.mat
     numerator = alpha * (1.0 - alpha) * abs(complex(np.trace(rho_a.mat @ comm)))**2
-    denom_sq = engine.j_value(phi.mat) * engine.j_value(psi.mat)
+    denom_sq = eng.j_value(phi.mat) * eng.j_value(psi.mat)
     if denom_sq < denom_tol:
         return 0.0
     return float(numerator / np.sqrt(denom_sq))

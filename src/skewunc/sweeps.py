@@ -1,7 +1,8 @@
 """Row-level evaluation for the sweep command: build the example state at a
 given mixing parameter (or take a loaded state), compute the quantum
 correlation and both memory bounds through the numeric pipeline at Pauli x/z
-bases from one ``EvalContext``, and put the closed-form values next to them.
+bases, and put the closed-form values next to them. The D computation and
+the bounds share the state's engines through ``skew.engine``.
 """
 
 from __future__ import annotations
@@ -9,10 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import example_closed_forms, memory_bounds
-from .correlation import DeficitEvaluator, OptimizerConfig, minimize_deficit, qubit_minimum
+from .correlation import OptimizerConfig, brute_force_D_qubit, quantum_correlation_D
 from .errors import ValidationError
 from .linalg import BipartiteDensityMatrix
-from .skew import EvalContext
 from .states import example2_state, pauli_basis, werner_isotropic, werner_swap
 
 EXAMPLE_P_RANGES = {1: (-1.0, 1.0), 2: None, 3: (0.0, 1.0)}
@@ -40,27 +40,25 @@ def example_state(example_id: int, p: float | None) -> BipartiteDensityMatrix:
     raise ValidationError(f"unknown example id {example_id}")
 
 
-def certified_d(ctx: EvalContext, oracle: str,
+def certified_d(state: BipartiteDensityMatrix, alpha: float, oracle: str,
                 optimizer_cfg: OptimizerConfig | None = None) -> float:
-    """Quantum correlation of the context's state through the selected
-    minimizer."""
+    """Quantum correlation of ``state`` through the selected minimizer."""
     if oracle not in ("grid", "optimizer"):
         raise ValidationError(f"oracle must be 'grid' or 'optimizer', got {oracle!r}")
-    ev = DeficitEvaluator.from_context(ctx)
     if oracle == "grid":
-        return qubit_minimum(ev)
-    return minimize_deficit(ev, optimizer_cfg or OptimizerConfig()).value
+        return brute_force_D_qubit(state, alpha)
+    return quantum_correlation_D(state, alpha, optimizer_cfg or OptimizerConfig()).value
 
 
 def state_row(state: BipartiteDensityMatrix, alpha: float, oracle: str,
               optimizer_cfg: OptimizerConfig | None = None,
               p: float | None = None, example_id: int | None = None) -> dict:
-    """One output row for ``state``: D, both memory bounds at Pauli x/z bases
-    from one shared context, and, for examples 1 and 3, the closed forms at
-    ``p`` with the worst absolute deviation from them."""
-    ctx = EvalContext(state, alpha)
-    d_value = certified_d(ctx, oracle, optimizer_cfg=optimizer_cfg)
-    prod, summ = memory_bounds(ctx, pauli_basis("x"), pauli_basis("z"), d_value)
+    """One output row for ``state``: D, both memory bounds at Pauli x/z bases,
+    and, for examples 1 and 3, the closed forms at ``p`` with the worst
+    absolute deviation from them."""
+    d_value = certified_d(state, alpha, oracle, optimizer_cfg=optimizer_cfg)
+    prod, summ = memory_bounds(state, pauli_basis("x"), pauli_basis("z"), alpha,
+                               d_value)
     row = dict.fromkeys(ROW_COLUMNS)
     row.update(p=p, alpha=alpha, lhs_product=prod.lhs, rhs_product=prod.rhs,
                lhs_sum=summ.lhs, rhs_sum=summ.rhs, sum_L=prod.terms["sum_L"],

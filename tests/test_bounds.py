@@ -239,7 +239,7 @@ def test_product_chain_links_random():
         assert mid3 >= rep.rhs - 1e-9
 
 
-# --- one shared context per (state, alpha) ----------------------------------
+# --- shared engines per (state, alpha) --------------------------------------
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
 def test_shared_context_reports_equal_standalone_checkers(dims):
@@ -250,7 +250,7 @@ def test_shared_context_reports_equal_standalone_checkers(dims):
         quantum_correlation_D,
     )
     from skewunc.linalg import partial_trace
-    from skewunc.skew import EvalContext, compat_L, skew_information_I
+    from skewunc.skew import compat_L, engine, skew_information_I
     from skewunc.states import random_unitary
 
     d_a, d_b = dims
@@ -262,11 +262,12 @@ def test_shared_context_reports_equal_standalone_checkers(dims):
         oracle = (brute_force_D_qubit(rho, alpha) if d_a == 2 else
                   quantum_correlation_D(rho, alpha, OptimizerConfig(restarts=2)).value)
         for d_value in (0.0, oracle):
-            prod, summ = memory_bounds(EvalContext(rho, alpha), phi, psi, d_value)
+            prod, summ = memory_bounds(rho, phi, psi, alpha, d_value)
             assert prod == product_bound_check(rho, phi, psi, alpha, d_value)
             assert summ == sum_bound_check(rho, phi, psi, alpha, d_value)
             assert prod.terms == summ.terms and prod.terms is not summ.terms
             # every term equals its value from fresh engines on its own state
+            engine.cache_clear()
             rho_a = partial_trace(rho, "A")
             for k in range(d_a):
                 p_phi, p_psi = phi.projector(k), psi.projector(k)

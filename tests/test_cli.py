@@ -38,6 +38,14 @@ def test_reproduce_is_byte_stable(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("example", ["1", "3"])
+def test_reproduce_alpha_endpoints_match_closed_forms(tmp_path, example):
+    # the full p grid at alpha 0 and 1, where the skew information's pair
+    # weights must cancel exactly instead of leaving rounding under a root
+    assert run_cli("reproduce", "--example", example, "--alpha", "0,1",
+                   "--out", str(tmp_path / "sweep.csv")) == 0
+
+
 def test_reproduce_example2_report(tmp_path):
     out = tmp_path / "ex2.json"
     code = run_cli("reproduce", "--example", "2", "--alpha", "0.2,0.5",
@@ -146,6 +154,21 @@ def test_reproduce_rejects_bad_optimizer_setting(tmp_path, capsys, block):
     ("reproduce", {"seed": -3}),
     ("reproduce", {"bases": "y,y"}),
     ("reproduce", {"example": 1, "walkers": 7}),
+    ("check", {"herm_tol": 1e-10}),
+    ("check", {"psd_tol": 1e-10}),
+    # every integer setting must be integral
+    ("check", {"seed": 1.5}),
+    ("check", {"n_samples": 2.9}),
+    ("check", {"n_optimizer": 1.5}),
+    ("check", {"n_theorem": True}),
+    ("check", {"dims": [2.7, 3]}),
+    ("check", {"ensembles": [{"kind": "full_rank", "dims": 2, "seed": 1.5}]}),
+    ("check", {"ensembles": [{"kind": "full_rank", "dims": 2, "n_samples": 2.5}]}),
+    ("check", {"ensembles": [{"kind": "product", "dims": [2.5, 2]}]}),
+    ("check", {"ensembles": [{"kind": "fixed_rank", "dims": 4, "rank": 1.5}]}),
+    ("check", {"ensembles": [{"kind": "full_rank", "dims": 2, "seed": -1}]}),
+    ("reproduce", {"example": 1, "seed": 1.5}),
+    ("reproduce", {"example": 1, "seed": False}),
 ])
 def test_config_parse_failure_exits_2(tmp_path, capsys, command, doc):
     cfg = tmp_path / "cfg.json"
@@ -184,11 +207,14 @@ def test_eval_rejects_negative_seed_flag_and_unknown_config_key(tmp_path, capsys
 def test_optimizer_block_defaults_follow_optimizer_config():
     from skewunc.cli import _optimizer_from_config
     from skewunc.correlation import OptimizerConfig
+    from skewunc.errors import ConfigError
 
     assert _optimizer_from_config({}, 7) == OptimizerConfig(seed=7)
     assert _optimizer_from_config(None, 7) == OptimizerConfig(seed=7)
-    assert _optimizer_from_config({"restarts": 3.0, "tol": 1e-8}, 7) == \
-        OptimizerConfig(restarts=3, tol=1e-8, seed=7)
+    assert _optimizer_from_config({"restarts": 3.0}, 7) == \
+        OptimizerConfig(restarts=3, seed=7)
+    with pytest.raises(ConfigError, match="unknown optimizer settings"):
+        _optimizer_from_config({"tol": 1e-8}, 7)
 
 
 def test_numerical_error_exit_code(tmp_path, monkeypatch):

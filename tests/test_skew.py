@@ -9,7 +9,9 @@ from skewunc.errors import ShapeError, ValidationError
 from skewunc.linalg import DensityMatrix, HermitianOperator
 from skewunc.skew import (
     ProjectiveBasis,
+    SkewEngine,
     compat_L,
+    engine,
     measurement_uncertainty_UN,
     measurement_uncertainty_terms,
     skew_information_I,
@@ -195,6 +197,28 @@ def test_ordering_and_symmetry_random():
         assert jv >= iv >= 0.0
         assert iv == pytest.approx(skew_information_I(rho, h, 1 - alpha), abs=1e-10)
         assert jv == pytest.approx(skew_information_J(rho, h, 1 - alpha), abs=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_i_weights_symmetric_and_exactly_zero_at_alpha_endpoints(alpha):
+    # rho^0 of a full-rank state is the identity, so at alpha 0 and 1 the
+    # skew information vanishes for every observable: each pair weight must
+    # cancel exactly, not up to rounding
+    for i in range(12):
+        rho = random_density(EnsembleSpec("full_rank", (2, 3, 4)[i % 3], 61), index=i)
+        w = SkewEngine(rho, alpha).i_weights
+        assert np.array_equal(w, w.T)
+        assert not np.any(w)
+        assert skew_information_I(rho, random_hermitian(rho.dim, 62, index=i), alpha) == 0.0
+
+
+def test_engine_is_shared_per_state_and_alpha():
+    rho = random_density(EnsembleSpec("full_rank", 3, 63))
+    assert engine(rho, 0.3) is engine(rho, 0.3)
+    assert engine(rho, 0.3) is not engine(rho, 0.7)
+    assert engine(rho, 0.3) is not engine(DensityMatrix(rho.mat), 0.3)
+    with pytest.raises(ValueError):
+        engine(rho, 0.3).i_weights[0, 0] = 1.0
 
 
 def test_agrees_with_sqrtm_route_at_half():

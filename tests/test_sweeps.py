@@ -1,10 +1,14 @@
-"""Sweep rows: one evaluation context per (state, alpha), one row schema."""
+"""Sweep rows and single-state evaluation: one set of engines per (state,
+alpha), one row schema."""
 
 import sys
 
 import pytest
 
 from skewunc import linalg, skew
+from skewunc.cli import main
+from skewunc.serialize import save_state
+from skewunc.states import EnsembleSpec, random_density
 from skewunc.sweeps import ROW_COLUMNS, state_row, sweep_row
 
 
@@ -33,6 +37,19 @@ def test_example1_row_builds_each_spectral_object_once(monkeypatch):
     # joint and reduced engine; joint and reduced eigendecomposition; one
     # reduction of the joint state
     assert counts == {"__init__": 2, "herm_eig": 2, "partial_trace": 1}
+
+
+def test_eval_builds_each_spectral_object_once(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    save_state(str(path), random_density(EnsembleSpec("full_rank", (2, 2), 5)))
+    counts = {"__init__": 0, "herm_eig": 0, "partial_trace": 0}
+    _count_calls(monkeypatch, skew.SkewEngine, "__init__", counts)
+    _count_calls(monkeypatch, linalg, "herm_eig", counts)
+    _count_calls(monkeypatch, linalg, "partial_trace", counts)
+    assert main(["eval", str(path)]) == 0
+    # D, both memory bounds and the Heisenberg check share the joint engine
+    assert counts == {"__init__": 2, "herm_eig": 2, "partial_trace": 1}
+    assert '"holds": true' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("example_id, p", [(1, -0.4), (2, None), (3, 0.6)])
