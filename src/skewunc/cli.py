@@ -126,7 +126,7 @@ def _converted(key: str, value, convert):
 
 
 def _float_tuple(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(_config_float(v) for v in values)
 
 
 def _reject_unknown_keys(doc: dict, known, what: str) -> None:
@@ -160,6 +160,13 @@ def _config_int(key: str, value, minimum: int) -> int:
 
 def _int_reader(key: str, minimum: int):
     return lambda value: _config_int(key, value, minimum)
+
+
+def _config_float(value) -> float:
+    """A JSON number; bools and strings are errors (read via ``_converted``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
 
 
 def _optimizer_from_config(block, default_seed: int) -> OptimizerConfig:
@@ -242,6 +249,8 @@ def _ensemble_runs_from_config(items) -> tuple[EnsembleRun, ...]:
     for item in items:
         if not isinstance(item, dict):
             raise ConfigError(f"ensemble entry must be an object, got {item!r}")
+        _reject_unknown_keys(item, ("kind", "dims", "seed", "rank", "n_samples"),
+                             "ensemble entry")
         try:
             dims = item["dims"]
             dims = (tuple(_config_int("dims", d, 1) for d in dims)
@@ -261,7 +270,7 @@ def _ensemble_runs_from_config(items) -> tuple[EnsembleRun, ...]:
 _CHECK_KEYS = {
     "seed": _int_reader("seed", 0), "n_samples": _int_reader("n_samples", 1),
     "n_optimizer": _int_reader("n_optimizer", 1),
-    "n_theorem": _int_reader("n_theorem", 1), "bound_tol": float,
+    "n_theorem": _int_reader("n_theorem", 1), "bound_tol": _config_float,
     "alphas": _float_tuple,
     "dims": lambda ds: tuple(_config_int("dims", d, 2) for d in ds),
     "ensembles": _ensemble_runs_from_config,
@@ -394,8 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # "optimizer" block is read last, by _optimizer_from_config.
 _SWEEP_KEYS = {
     "example": ("example_id", None), "alphas": ("alphas", _float_tuple),
-    "p_start": ("p_start", float), "p_stop": ("p_stop", float),
-    "p_step": ("p_step", float), "oracle": ("oracle", None),
+    "p_start": ("p_start", _config_float), "p_stop": ("p_stop", _config_float),
+    "p_step": ("p_step", _config_float), "oracle": ("oracle", None),
     "out": ("out", None), "format": ("fmt", None),
     "state": ("state_file", None), "seed": ("seed", _int_reader("seed", 0)),
 }

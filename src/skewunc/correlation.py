@@ -34,10 +34,24 @@ _EARLY_STOP = 1e-10
 # Gradient norm (largest component) at which a local search has converged.
 _GRAD_TOL = 1e-9
 
+# A restart stopped on precision loss has converged if its gradient is this
+# small: the line search can no longer resolve the minimum in float arithmetic.
+_LOSS_GRAD_TOL = 1e-6
+
+# The search stops once this many converged restarts lie within _AGREE_TOL of
+# the best value. At d_A = 2 every local minimum is global (a quadratic form
+# on the Bloch sphere). At d_A = 4, in 1,400 seeded full-rank states, the first
+# five restarts once agreed on a local minimum 2.9e-4 above the best.
+_AGREE_COUNT_QUBIT = 2
+_AGREE_COUNT = 8
+_AGREE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multi-start search settings for the basis minimization."""
+    """Multi-start search settings for the basis minimization. ``restarts``
+    is a cap: the search stops once enough converged restarts agree on the
+    best value (see ``quantum_correlation_D``)."""
 
     restarts: int = 20
     max_iters: int = 2000   # per-restart iteration cap
@@ -254,8 +268,11 @@ def quantum_correlation_D(rho_ab: BipartiteDensityMatrix, alpha: float,
     Each restart runs BFGS with the analytic gradient on the d^2 parameters
     of exp(iG), from the identity on restart 0 and from seeded random
     generators after it, and stops at stationarity or after
-    ``cfg.max_iters`` iterations. The search ends early once the best value
-    reaches the nonnegative floor; it fails with ``OptimizerError`` if no
+    ``cfg.max_iters`` iterations; one stopped on precision loss with a small
+    gradient has converged too. ``cfg.restarts`` is a cap: the search ends
+    once enough converged restarts (2 at d_A = 2, else 8) agree on the best
+    value, or that value reaches the nonnegative floor; ``optimizer_trace``
+    has one entry per restart run. It fails with ``OptimizerError`` if no
     restart converged. The best basis is re-evaluated through the generic
     deficit path. The returned value is an upper bound on the true minimum;
     for a qubit subsystem ``brute_force_D_qubit`` gives the exact value.
@@ -268,25 +285,29 @@ def quantum_correlation_D(rho_ab: BipartiteDensityMatrix, alpha: float,
     d = ev.d_A
     nparams = d * d
     rng = np.random.default_rng(cfg.seed)
+    agree_count = _AGREE_COUNT_QUBIT if d == 2 else _AGREE_COUNT
 
     trace: list[tuple[int, float]] = []
     best_x: np.ndarray | None = None
     best_val = np.inf
-    any_converged = False
+    converged: list[float] = []
     for r in range(cfg.restarts):
         x0 = np.zeros(nparams) if r == 0 else rng.standard_normal(nparams) * (np.pi / 2)
         res = minimize(_deficit_and_param_gradient, x0, args=(ev,), jac=True,
                        method="BFGS", options={"gtol": _GRAD_TOL, "maxiter": cfg.max_iters})
         trace.append((r, float(res.fun)))
-        any_converged = any_converged or bool(res.success)
+        if res.success or (res.status == 2 and np.max(np.abs(res.jac)) <= _LOSS_GRAD_TOL):
+            converged.append(float(res.fun))
         if res.fun < best_val:
             best_val = float(res.fun)
             best_x = np.asarray(res.x)
         if best_val <= _EARLY_STOP:
             # the deficit is nonnegative: a value at the floor is converged
-            any_converged = True
+            converged.append(best_val)
             break
-    if not any_converged:
+        if sum(v <= best_val + _AGREE_TOL for v in converged) >= agree_count:
+            break
+    if not converged:
         raise OptimizerError(
             f"no restart converged within {cfg.max_iters} iterations",
             best_value=best_val if np.isfinite(best_val) else None)

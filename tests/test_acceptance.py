@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines as they complete. Expected total runtime is a few minutes; the oracle
-equivalence criterion dominates (hundreds of multi-start optimizer runs).
+lines as they complete. Expected total runtime is about 20 s on a 2-vCPU
+machine; the Heisenberg-bound criterion (~7.5 s) and the 300 optimizer runs
+of the oracle-equivalence criterion (~4 s) take the most.
 """
 
 import json

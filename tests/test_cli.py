@@ -169,6 +169,15 @@ def test_reproduce_rejects_bad_optimizer_setting(tmp_path, capsys, block):
     ("check", {"ensembles": [{"kind": "full_rank", "dims": 2, "seed": -1}]}),
     ("reproduce", {"example": 1, "seed": 1.5}),
     ("reproduce", {"example": 1, "seed": False}),
+    # ensemble entries reject unknown keys
+    ("check", {"ensembles": [{"kind": "full_rank", "dims": 2, "n_sample": 5}]}),
+    # float settings reject JSON booleans
+    ("check", {"alphas": [True, 0.5]}),
+    ("check", {"bound_tol": True}),
+    ("reproduce", {"example": 1, "alphas": [True, 0.5]}),
+    ("reproduce", {"example": 1, "p_start": False}),
+    ("reproduce", {"example": 1, "p_stop": True}),
+    ("reproduce", {"example": 1, "p_step": True}),
 ])
 def test_config_parse_failure_exits_2(tmp_path, capsys, command, doc):
     cfg = tmp_path / "cfg.json"

@@ -213,6 +213,42 @@ def test_optimizer_floor_counts_as_converged():
     assert 0.0 <= res.value <= 1e-10
 
 
+@pytest.mark.parametrize("dims, used", [((2, 2), 2), ((3, 2), 8)])
+def test_optimizer_stops_once_restarts_agree(dims, used):
+    # every restart reaches the same minimum here; at d_A = 2 every local
+    # minimum is global, so the second restart confirms the first, while
+    # from d_A = 3 on eight must agree. Either way not all 20 run.
+    rho = random_density(EnsembleSpec("full_rank", dims, 16))
+    res = quantum_correlation_D(rho, 0.4, OptimizerConfig(seed=2))
+    assert len(res.optimizer_trace) == used
+    values = [v for _, v in res.optimizer_trace]
+    assert max(values) - min(values) <= 1e-10
+
+
+@pytest.mark.parametrize("spec, index, alpha, seed, gap", [
+    # restart 0 lands on a local minimum near 0.0424; the later restarts
+    # agree on the lower one near 0.0318
+    (EnsembleSpec("pure", (4, 2), 1149), 149, 0.7, 149, 1e-3),
+    # restarts 0 to 4 agree on a local minimum 2.9e-4 above the one that
+    # restart 5 reaches: five agreeing restarts are not enough
+    (EnsembleSpec("full_rank", (4, 2), 207042), 581, 0.7, 207623, 2e-4),
+])
+def test_optimizer_agreement_escapes_local_minimum(spec, index, alpha, seed, gap):
+    rho = random_density(spec, index=index)
+    res = quantum_correlation_D(rho, alpha, OptimizerConfig(seed=seed))
+    assert len(res.optimizer_trace) >= 3
+    assert res.value < res.optimizer_trace[0][1] - gap
+
+
+def test_optimizer_precision_loss_counts_as_converged():
+    # the only restart stops on SciPy's precision-loss status with a
+    # gradient of ~3e-9, at the exact minimum
+    rho = random_density(EnsembleSpec("full_rank", (2, 2), 2024), index=4)
+    res = quantum_correlation_D(rho, 0.3, OptimizerConfig(restarts=1, seed=2028))
+    assert len(res.optimizer_trace) == 1
+    assert abs(res.value - brute_force_D_qubit(rho, 0.3)) <= 1e-12
+
+
 def test_optimizer_converges_at_4x2_defaults():
     rho = random_density(EnsembleSpec("full_rank", (4, 2), 42))
     res = quantum_correlation_D(rho, 0.5, OptimizerConfig())
