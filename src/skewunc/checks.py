@@ -55,7 +55,7 @@ from .states import (
     werner_isotropic,
     werner_swap,
 )
-from .sweeps import SWEEP_ERR_TOL, p_grid, sweep_row
+from .sweeps import EXAMPLE_P_RANGES, SWEEP_ERR_TOL, p_grid, sweep_row
 
 DEFAULT_ALPHAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -442,8 +442,8 @@ def prop_theorems_with_oracle(cfg: CheckConfig):
 
 def prop_closed_form_agreement(cfg: CheckConfig):
     tr = _Tracker()
-    for example_id, (lo, hi) in ((1, (-1.0, 1.0)), (3, (0.0, 1.0))):
-        for p in p_grid(lo, hi, 0.01):
+    for example_id in (1, 3):
+        for p in p_grid(*EXAMPLE_P_RANGES[example_id], 0.01):
             for alpha in (0.2, 0.5):
                 row = sweep_row(example_id, p, alpha, "grid")
                 tr.update(-row["abs_err_max"],

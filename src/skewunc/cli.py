@@ -34,7 +34,7 @@ from .errors import (
 )
 from .linalg import HermitianOperator, kron
 from .serialize import fmt17, load_state
-from .states import EnsembleSpec, pauli, pauli_basis
+from .states import EnsembleSpec, example2_state, pauli, pauli_basis
 from .sweeps import (
     EXAMPLE_P_RANGES,
     ROW_COLUMNS,
@@ -50,8 +50,6 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-CSV_COLUMNS = ROW_COLUMNS
-
 EXAMPLE2_NOTE = (
     "example 2: the x-basis uncertainty factor is exactly zero, so the "
     "product-form left side is 0 while the sum-form left side equals the "
@@ -63,7 +61,7 @@ EXAMPLE2_NOTE = (
 
 @dataclass
 class SweepConfig:
-    example_id: int | str = 1
+    example: int | str = 1
     alphas: tuple[float, ...] = (0.2, 0.5)
     p_start: float | None = None
     p_stop: float | None = None
@@ -71,48 +69,37 @@ class SweepConfig:
     oracle: str = "grid"
     seed: int = 42
     out: str | None = None
-    fmt: str = "csv"
-    state_file: str | None = None
-    optimizer: OptimizerConfig | None = None
-
-    def optimizer_config(self) -> OptimizerConfig:
-        return self.optimizer or OptimizerConfig(seed=self.seed)
+    format: str = "csv"
+    state: str | None = None
+    optimizer: dict | None = None   # the config block, see _optimizer_from_config
 
     def validate(self) -> None:
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.example_id not in (1, 2, 3, "custom"):
-            raise ConfigError(f"example must be 1, 2, 3 or 'custom', got {self.example_id!r}")
-        if self.oracle not in ("grid", "optimizer"):
-            raise ConfigError(f"oracle must be 'grid' or 'optimizer', got {self.oracle!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be 'csv' or 'json', got {self.fmt!r}")
-        if not self.alphas or any(not (0.0 <= a <= 1.0) for a in self.alphas):
-            raise ConfigError("alphas must be a nonempty subset of [0, 1]")
-        if self.example_id == "custom" and not self.state_file:
+        """The checks that span settings; each setting alone was checked by
+        its reader. Fills in the default p grid of examples 1 and 3."""
+        if self.example == "custom" and not self.state:
             raise ConfigError("custom sweeps need a 'state' file in the config")
-        rng = EXAMPLE_P_RANGES.get(self.example_id)
-        if rng is not None:
-            lo, hi = rng
-            start = lo if self.p_start is None else self.p_start
-            stop = hi if self.p_stop is None else self.p_stop
-            step = 0.01 if self.p_step is None else self.p_step
-            if step <= 0:
-                raise ConfigError(f"p step must be positive, got {step}")
-            if start < lo - 1e-12 or stop > hi + 1e-12 or stop < start:
-                raise ConfigError(
-                    f"p grid [{start}, {stop}] outside the valid range [{lo}, {hi}]")
-            self.p_start, self.p_stop, self.p_step = start, stop, step
+        rng = EXAMPLE_P_RANGES.get(self.example)
+        if rng is None:
+            if (self.p_start, self.p_stop, self.p_step) != (None, None, None):
+                raise ConfigError("p_start, p_stop and p_step apply only to "
+                                  "examples 1 and 3")
+            return
+        lo, hi = rng
+        start = lo if self.p_start is None else self.p_start
+        stop = hi if self.p_stop is None else self.p_stop
+        step = 0.01 if self.p_step is None else self.p_step
+        if start < lo - 1e-12 or stop > hi + 1e-12 or stop < start:
+            raise ConfigError(
+                f"p grid [{start}, {stop}] outside the valid range [{lo}, {hi}]")
+        self.p_start, self.p_stop, self.p_step = start, stop, step
 
 
 def _parse_alpha_list(text: str) -> tuple[float, ...]:
+    """The ``--alpha`` text as numbers, for the ``alphas`` reader to check."""
     try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"cannot parse alpha list {text!r}") from exc
-    if not values:
-        raise ConfigError("alpha list is empty")
-    return values
 
 
 def _converted(key: str, value, convert):
@@ -122,11 +109,7 @@ def _converted(key: str, value, convert):
     except ConfigError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-
-
-def _float_tuple(values) -> tuple[float, ...]:
-    return tuple(_config_float(v) for v in values)
+        raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
 
 
 def _reject_unknown_keys(doc: dict, known, what: str) -> None:
@@ -163,10 +146,41 @@ def _int_reader(key: str, minimum: int):
 
 
 def _config_float(value) -> float:
-    """A JSON number; bools and strings are errors (read via ``_converted``)."""
+    """A finite JSON number; bools, strings, NaN and infinities are errors."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"not a number: {value!r}")
+        raise TypeError("not a number")
+    if not np.isfinite(value):
+        raise ValueError("not finite")
     return float(value)
+
+
+def _reader(convert, ok, reason: str):
+    """A setting's reader: convert the value, then reject it unless ``ok``
+    holds. ``_converted`` reports either failure as a config error."""
+    def read(value):
+        value = convert(value)
+        if not ok(value):
+            raise ValueError(reason)
+        return value
+    return read
+
+
+def _choice(*choices):
+    """A reader of exactly one of ``choices``: equal and of the same type, so
+    neither ``true`` nor ``1.0`` stands in for 1."""
+    def ok(value):
+        return any(type(value) is type(c) and value == c for c in choices)
+    return _reader(lambda v: v, ok, f"must be one of {choices}")
+
+
+_positive_float = _reader(_config_float, lambda x: x > 0, "must be positive")
+_unit_float = _reader(_config_float, lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]")
+_alphas = _reader(lambda values: tuple(map(_unit_float, values)), bool,
+                  "must be a nonempty subset of [0, 1]")
+_string = _reader(lambda v: v, lambda v: isinstance(v, str), "must be a string")
+_bases = _reader(lambda text: tuple(t.strip() for t in text.split(",") if t.strip()),
+                 lambda axes: len(axes) == 2 and set(axes) <= {"x", "y", "z"},
+                 "must be two of x, y, z")
 
 
 def _optimizer_from_config(block, default_seed: int) -> OptimizerConfig:
@@ -176,14 +190,35 @@ def _optimizer_from_config(block, default_seed: int) -> OptimizerConfig:
         return OptimizerConfig(seed=default_seed)
     if not isinstance(block, dict):
         raise ConfigError(f"'optimizer' must be an object, got {block!r}")
-    unknown = set(block) - {f.name for f in fields(OptimizerConfig)}
-    if unknown:
-        raise ConfigError(f"unknown optimizer settings: {sorted(unknown)}")
+    _reject_unknown_keys(block, {f.name for f in fields(OptimizerConfig)}, "optimizer")
     settings = {"seed": default_seed}
     for key, minimum in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
         if key in block:
             settings[key] = _config_int(key, block[key], minimum)
     return OptimizerConfig(**settings)
+
+
+def _settings(args, keys: dict, file_keys=None) -> dict:
+    """Every setting of ``keys`` that is given: read from the ``--config``
+    file, then overridden by the flag of the same name, both through the
+    setting's reader. The file may hold only ``file_keys`` (default: all)."""
+    doc = _load_config_file(args.config)
+    _reject_unknown_keys(doc, keys if file_keys is None else file_keys, args.command)
+    settings = {key: _converted(key, value, keys[key]) for key, value in doc.items()}
+    for key, read in keys.items():
+        flag = getattr(args, key, None)
+        if flag is not None:
+            settings[key] = _converted(key, flag, read)
+    return settings
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is a config error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _csv_cell(value) -> str:
@@ -195,44 +230,39 @@ def _csv_cell(value) -> str:
 
 
 def _write_rows(cfg: SweepConfig, rows: list[dict], notes: list[str]) -> str:
-    out = cfg.out or f"reproduce_example{cfg.example_id}.{cfg.fmt}"
-    if cfg.fmt == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        lines += [",".join(_csv_cell(row[c]) for c in CSV_COLUMNS) for row in rows]
+    out = cfg.out or f"reproduce_example{cfg.example}.{cfg.format}"
+    if cfg.format == "csv":
+        lines = [",".join(ROW_COLUMNS)]
+        lines += [",".join(_csv_cell(row[c]) for c in ROW_COLUMNS) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         doc = {
-            "example": cfg.example_id,
+            "example": cfg.example,
             "oracle": cfg.oracle,
             "seed": cfg.seed,
-            "columns": list(CSV_COLUMNS),
+            "columns": list(ROW_COLUMNS),
             "rows": rows,
             "notes": notes,
         }
         text = json.dumps(doc, indent=2) + "\n"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(out, text)
     return out
 
 
 def cmd_reproduce(cfg: SweepConfig) -> int:
     cfg.validate()
-    opt = cfg.optimizer_config()
+    opt = _optimizer_from_config(cfg.optimizer, cfg.seed)
     rows: list[dict] = []
-    notes: list[str] = []
-    if cfg.example_id in (1, 3):
+    if cfg.example in (1, 3):
         for p in p_grid(cfg.p_start, cfg.p_stop, cfg.p_step):
             for alpha in cfg.alphas:
-                rows.append(sweep_row(cfg.example_id, p, alpha, cfg.oracle,
+                rows.append(sweep_row(cfg.example, p, alpha, cfg.oracle,
                                       optimizer_cfg=opt))
-    elif cfg.example_id == 2:
-        for alpha in cfg.alphas:
-            rows.append(sweep_row(2, None, alpha, cfg.oracle, optimizer_cfg=opt))
-        notes.append(EXAMPLE2_NOTE)
-    else:  # custom state file
-        state = load_state(cfg.state_file)
+    else:  # example 2 or a custom state file
+        state = example2_state() if cfg.example == 2 else load_state(cfg.state)
         for alpha in cfg.alphas:
             rows.append(state_row(state, alpha, cfg.oracle, optimizer_cfg=opt))
+    notes = [EXAMPLE2_NOTE] if cfg.example == 2 else []
     out = _write_rows(cfg, rows, notes)
     checked = [r["abs_err_max"] for r in rows if r["abs_err_max"] is not None]
     worst = max(checked) if checked else 0.0
@@ -266,41 +296,28 @@ def _ensemble_runs_from_config(items) -> tuple[EnsembleRun, ...]:
     return tuple(runs)
 
 
-# How each key of a check config file is read.
+# How each check setting is read; 'out' is a flag only.
 _CHECK_KEYS = {
     "seed": _int_reader("seed", 0), "n_samples": _int_reader("n_samples", 1),
     "n_optimizer": _int_reader("n_optimizer", 1),
-    "n_theorem": _int_reader("n_theorem", 1), "bound_tol": _config_float,
-    "alphas": _float_tuple,
+    "n_theorem": _int_reader("n_theorem", 1), "bound_tol": _positive_float,
+    "alphas": _alphas,
     "dims": lambda ds: tuple(_config_int("dims", d, 2) for d in ds),
-    "ensembles": _ensemble_runs_from_config,
+    "ensembles": _ensemble_runs_from_config, "out": _string,
 }
 
 
-def _build_check_config(doc: dict, args) -> CheckConfig:
-    _reject_unknown_keys(doc, _CHECK_KEYS, "check")
-    kwargs = {key: _converted(key, doc[key], convert)
-              for key, convert in _CHECK_KEYS.items() if key in doc}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    cfg = CheckConfig(**kwargs)
-    cfg.validate()
-    return cfg
-
-
 def cmd_check(args) -> int:
-    doc = _load_config_file(args.config)
-    cfg = _build_check_config(doc, args)
-    out = args.out or "check_report.json"
+    settings = _settings(args, _CHECK_KEYS, file_keys=_CHECK_KEYS.keys() - {"out"})
+    out = settings.pop("out")
+    cfg = CheckConfig(**settings)
     witness_dir = os.path.dirname(os.path.abspath(out))
     report = run_checks(cfg, witness_dir=witness_dir,
                         progress=lambda r: print(
                             f"{'PASS' if r.passed else 'FAIL'} {r.name}: "
                             f"worst slack {r.worst_slack:.3e} over {r.samples} "
                             f"samples (tol {r.tol:.0e})"))
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(cfg), fh, indent=2)
-        fh.write("\n")
+    _write_text(out, json.dumps(report.to_dict(cfg), indent=2) + "\n")
     print(f"report written to {out}; all_pass={report.all_pass}")
     return EXIT_OK if report.all_pass else EXIT_VIOLATION
 
@@ -316,22 +333,22 @@ def _report_dict(rep: BoundReport) -> dict:
     }
 
 
+# How each eval setting is read; the config file holds only 'optimizer'.
+_EVAL_KEYS = {
+    "state": _string, "bases": _bases, "alpha": _unit_float,
+    "oracle": _choice("grid", "optimizer"), "seed": _int_reader("seed", 0),
+    "out": _string, "optimizer": lambda block: block,
+}
+
+
 def cmd_eval(args) -> int:
-    state = load_state(args.state_file)
-    doc = _load_config_file(args.config)
-    _reject_unknown_keys(doc, {"optimizer"}, "eval")
-    axes = tuple(tok.strip() for tok in args.bases.split(",") if tok.strip())
-    if len(axes) != 2 or any(a not in ("x", "y", "z") for a in axes):
-        raise ConfigError(f"bases must be two of x, y, z; got {args.bases!r}")
+    settings = _settings(args, _EVAL_KEYS, file_keys={"optimizer"})
+    state = load_state(settings["state"])
+    axes, alpha = settings["bases"], settings["alpha"]
     if state.d_A != 2:
         raise ConfigError("Pauli measurement bases need a qubit subsystem A")
-    alpha = args.alpha
-    if not (0.0 <= alpha <= 1.0):
-        raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {args.seed}")
-    opt = _optimizer_from_config(doc.get("optimizer"), args.seed or 0)
-    d_value = certified_d(state, alpha, args.oracle, optimizer_cfg=opt)
+    opt = _optimizer_from_config(settings.get("optimizer"), settings.get("seed", 0))
+    d_value = certified_d(state, alpha, settings["oracle"], optimizer_cfg=opt)
     prod, summ = memory_bounds(state, pauli_basis(axes[0]), pauli_basis(axes[1]),
                                alpha, d_value)
     eye_b = np.eye(state.d_B)
@@ -339,12 +356,12 @@ def cmd_eval(args) -> int:
     s = HermitianOperator(kron(pauli(axes[1]).mat, eye_b))
     heis = heisenberg_type_check(state, r, s, alpha)
     doc = {
-        "state_file": args.state_file,
+        "state_file": settings["state"],
         "d_A": state.d_A,
         "d_B": state.d_B,
         "alpha": alpha,
         "bases": ",".join(axes),
-        "oracle": args.oracle,
+        "oracle": settings["oracle"],
         "d_tilde": d_value,
         "heisenberg": _report_dict(heis),
         "product": _report_dict(prod),
@@ -352,9 +369,8 @@ def cmd_eval(args) -> int:
     }
     text = json.dumps(doc, indent=2)
     print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if "out" in settings:
+        _write_text(settings["out"], text + "\n")
     all_hold = heis.holds and prod.holds and summ.holds
     return EXIT_OK if all_hold else EXIT_VIOLATION
 
@@ -370,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "compare the pipeline with its closed forms")
     rep.add_argument("--config", default=None)
     rep.add_argument("--example", type=int, choices=(1, 2, 3), default=None)
-    rep.add_argument("--alpha", default=None, metavar="LIST",
+    rep.add_argument("--alpha", dest="alphas", default=None, metavar="LIST",
                      help="comma-separated alphas, e.g. 0.2,0.5")
     rep.add_argument("--p-start", type=float, default=None)
     rep.add_argument("--p-stop", type=float, default=None)
@@ -383,10 +399,10 @@ def _build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="run the property-check campaign")
     chk.add_argument("--config", default=None)
     chk.add_argument("--seed", type=int, default=None)
-    chk.add_argument("--out", default=None)
+    chk.add_argument("--out", default="check_report.json")
 
     ev = sub.add_parser("eval", help="evaluate the bound checks for one state file")
-    ev.add_argument("state_file")
+    ev.add_argument("state", metavar="state_file")
     ev.add_argument("--config", default=None,
                     help="JSON config; the 'optimizer' block tunes the "
                          "basis search used with --oracle optimizer")
@@ -399,49 +415,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Config-file key -> (SweepConfig attribute, how the value is read). The
-# "optimizer" block is read last, by _optimizer_from_config.
+# How each reproduce setting is read. A setting's name is its config-file key
+# and the dest of its flag, if it has one. The "optimizer" block is kept as
+# given, for _optimizer_from_config to read once its default seed is known.
 _SWEEP_KEYS = {
-    "example": ("example_id", None), "alphas": ("alphas", _float_tuple),
-    "p_start": ("p_start", _config_float), "p_stop": ("p_stop", _config_float),
-    "p_step": ("p_step", _config_float), "oracle": ("oracle", None),
-    "out": ("out", None), "format": ("fmt", None),
-    "state": ("state_file", None), "seed": ("seed", _int_reader("seed", 0)),
+    "example": _choice(1, 2, 3, "custom"), "alphas": _alphas,
+    "p_start": _config_float, "p_stop": _config_float, "p_step": _positive_float,
+    "oracle": _choice("grid", "optimizer"), "seed": _int_reader("seed", 0),
+    "out": _string, "format": _choice("csv", "json"), "state": _string,
+    "optimizer": lambda block: block,
 }
 
 
 def _sweep_config_from(args) -> SweepConfig:
-    doc = _load_config_file(args.config)
-    _reject_unknown_keys(doc, {*_SWEEP_KEYS, "optimizer"}, "reproduce")
-    cfg = SweepConfig()
-    for key, (attr, convert) in _SWEEP_KEYS.items():
-        if key in doc:
-            value = doc[key]
-            setattr(cfg, attr, value if convert is None
-                    else _converted(key, value, convert))
-    # flags override the file
-    if args.example is not None:
-        cfg.example_id = args.example
-    if args.alpha is not None:
-        cfg.alphas = _parse_alpha_list(args.alpha)
-    if args.p_start is not None:
-        cfg.p_start = args.p_start
-    if args.p_stop is not None:
-        cfg.p_stop = args.p_stop
-    if args.p_step is not None:
-        cfg.p_step = args.p_step
-    if args.oracle is not None:
-        cfg.oracle = args.oracle
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
-    if args.format is not None:
-        cfg.fmt = args.format
-    # resolved last so the block's default seed follows any --seed override
-    if "optimizer" in doc:
-        cfg.optimizer = _optimizer_from_config(doc["optimizer"], cfg.seed)
-    return cfg
+    if args.alphas is not None:
+        args.alphas = _parse_alpha_list(args.alphas)
+    return SweepConfig(**_settings(args, _SWEEP_KEYS))
 
 
 def main(argv=None) -> int:
@@ -451,9 +440,7 @@ def main(argv=None) -> int:
             return cmd_reproduce(_sweep_config_from(args))
         if args.command == "check":
             return cmd_check(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_eval(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

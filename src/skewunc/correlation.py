@@ -26,6 +26,7 @@ from scipy.optimize import minimize
 from .errors import NumericalConsistencyError, OptimizerError, ShapeError, ValidationError
 from .linalg import BipartiteDensityMatrix, check_alpha
 from .skew import NEG_CLIP, ProjectiveBasis, engine
+from .states import pauli
 
 # Restarts stop early once the best value reaches this floor; the deficit is
 # nonnegative, so nothing below it can be found.
@@ -70,20 +71,10 @@ class CorrelationResult:
 
 def basis_from_unitary(u: np.ndarray, tol: float = 1e-9) -> ProjectiveBasis:
     """Wrap the columns of a unitary as a projective measurement basis."""
-    u = np.asarray(u, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ShapeError(f"expected a square matrix, got {u.shape}")
-    d = u.shape[0]
-    if float(np.max(np.abs(u.conj().T @ u - np.eye(d)))) > tol:
-        raise ValidationError("matrix is not unitary within tolerance")
     return ProjectiveBasis(u, tol=tol)
 
 
-_PAULI_STACK = np.array([
-    [[0, 1], [1, 0]],
-    [[0, -1j], [1j, 0]],
-    [[1, 0], [0, -1]],
-], dtype=np.complex128)
+_PAULI_STACK = np.stack([pauli(axis).mat for axis in "xyz"])
 
 
 @lru_cache(maxsize=16)

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from skewunc.cli import CSV_COLUMNS, EXAMPLE2_NOTE, main
+from skewunc.cli import EXAMPLE2_NOTE, main
 from skewunc.serialize import save_state
 from skewunc.states import EnsembleSpec, random_density, werner_isotropic
+from skewunc.sweeps import ROW_COLUMNS
 
 
 def run_cli(*argv) -> int:
@@ -22,7 +23,7 @@ def test_reproduce_example1_csv(tmp_path, capsys):
                    "--out", str(out))
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == ",".join(ROW_COLUMNS)
     assert len(lines) == 1 + 9 * 2  # 9 grid points x 2 alphas
     first = lines[1].split(",")
     assert float(first[0]) == -1.0
@@ -178,12 +179,62 @@ def test_reproduce_rejects_bad_optimizer_setting(tmp_path, capsys, block):
     ("reproduce", {"example": 1, "p_start": False}),
     ("reproduce", {"example": 1, "p_stop": True}),
     ("reproduce", {"example": 1, "p_step": True}),
+    # example takes exactly 1, 2, 3 or "custom"; oracle and format a listed
+    # choice; out and state a string
+    ("reproduce", {"example": True}),
+    ("reproduce", {"example": 1.0}),
+    ("reproduce", {"example": "2"}),
+    ("reproduce", {"example": 1, "oracle": "exact"}),
+    ("reproduce", {"example": 1, "format": "xml"}),
+    ("reproduce", {"example": 1, "out": 7}),
+    ("reproduce", {"example": "custom", "state": 3}),
+    # float settings must be finite
+    ("reproduce", {"example": 1, "p_start": float("nan")}),
+    ("reproduce", {"example": 1, "p_stop": float("nan")}),
+    ("check", {"bound_tol": float("inf")}),
 ])
 def test_config_parse_failure_exits_2(tmp_path, capsys, command, doc):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert run_cli(command, "--config", str(cfg),
                    "--out", str(tmp_path / "out.json")) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, doc", [
+    (("--example", "2", "--p-start", "0.3", "--p-step", "5"), {}),
+    (("--example", "2"), {"p_stop": 0.5}),
+    ((), {"example": 2, "p_step": 0.1}),
+    ((), {"example": "custom", "p_start": 0.0}),
+])
+def test_reproduce_rejects_p_settings_outside_examples_1_and_3(tmp_path, capsys,
+                                                               flags, doc):
+    if doc.get("example") == "custom":
+        state_path = tmp_path / "prod.json"
+        save_state(str(state_path), random_density(EnsembleSpec("product", (2, 2), 3)))
+        doc = {**doc, "state": str(state_path)}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("reproduce", "--config", str(cfg), *flags,
+                   "--out", str(tmp_path / "out.csv")) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["reproduce", "check", "eval"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command):
+    out = str(tmp_path / "missing" / "out.json")
+    if command == "reproduce":
+        argv = ("reproduce", "--example", "1", "--p-step", "0.5")
+    elif command == "check":
+        cfg = tmp_path / "check.json"
+        cfg.write_text(json.dumps(CHECK_CFG))
+        argv = ("check", "--config", str(cfg))
+    else:
+        path = tmp_path / "bell.json"
+        save_state(str(path), werner_isotropic(1.0))
+        argv = ("eval", str(path))
+    assert run_cli(*argv, "--out", out) == 2
     assert "configuration error" in capsys.readouterr().err
 
 
