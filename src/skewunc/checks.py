@@ -1,18 +1,20 @@
 """Property-check campaigns over seeded random ensembles.
 
 Every invariant declared by the core modules is expressed here as a runner
-that draws configured sample counts, tracks the worst slack seen, and can
-hand back a witness payload (state, basis, alpha) for any violation. The
-CLI's check command and the test suite both drive these runners.
+that draws configured sample counts and yields each sample's slack and inputs.
+Only a failing property turns its worst sample's inputs (state, basis, alpha)
+into a witness payload. The CLI's check command and the test suite drive them.
 
 Pass rule: a property passes when ``worst_slack >= -tol``. Inequality
 properties use the literal margin as slack; agreement properties use the
-negated absolute error, so the same rule applies everywhere.
+negated absolute error, so the same rule applies everywhere. A NaN slack fails.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass, replace
@@ -31,7 +33,6 @@ from .correlation import (
 from .errors import ConfigError
 from .linalg import (
     BipartiteDensityMatrix,
-    DensityMatrix,
     HermitianOperator,
     fractional_power,
     herm_eig,
@@ -113,36 +114,43 @@ def _tag_seed(seed: int, tag: str) -> int:
     return int(ss.generate_state(1)[0])
 
 
-class _Tracker:
-    """Keeps the minimum slack and the payload that produced it."""
-
-    def __init__(self):
-        self.worst = np.inf
-        self.payload: dict | None = None
-        self.count = 0
-
-    def update(self, slack: float, payload: dict | None = None) -> None:
-        self.count += 1
-        if slack < self.worst:
-            self.worst = float(slack)
-            self.payload = payload
-
-    def result(self, name: str, tol: float) -> tuple[PropertyResult, dict | None]:
-        passed = bool(self.worst >= -tol)
-        res = PropertyResult(name=name, samples=self.count,
-                             worst_slack=float(self.worst), tol=tol, passed=passed)
-        return res, (None if passed else self.payload)
-
-
-def _state_payload(state: DensityMatrix, **extra) -> dict:
-    payload = {"matrix": matrix_to_pairs(state.mat)}
-    if isinstance(state, BipartiteDensityMatrix):
-        payload["d_A"] = state.d_A
-        payload["d_B"] = state.d_B
-    else:
-        payload["dim"] = state.dim
-    payload.update(extra)
+def _witness(inputs: dict) -> dict:
+    """Sample inputs as JSON: a ``state`` as its matrix and dims, arrays as pairs."""
+    payload = {}
+    for key, value in inputs.items():
+        if key == "state" and isinstance(value, BipartiteDensityMatrix):
+            payload.update(matrix=matrix_to_pairs(value.mat), d_A=value.d_A,
+                           d_B=value.d_B)
+        elif key == "state":
+            payload.update(matrix=matrix_to_pairs(value.mat), dim=value.dim)
+        elif isinstance(value, np.ndarray):
+            payload[key] = matrix_to_pairs(value)
+        else:
+            payload[key] = value
     return payload
+
+
+def _result(name: str, tol: float, samples) -> tuple[PropertyResult, dict | None]:
+    """The pass rule. The worst sample is the first NaN, else the first lowest
+    slack; only a failing property serializes its inputs (if not ``None``)."""
+    worst, worst_inputs, count = math.inf, None, 0
+    for count, (slack, inputs) in enumerate(samples, 1):
+        if slack < worst or (math.isnan(slack) and not math.isnan(worst)):
+            worst, worst_inputs = float(slack), inputs
+    passed = bool(worst >= -tol)
+    witness = None if passed or worst_inputs is None else _witness(worst_inputs)
+    return PropertyResult(name, count, worst, tol, passed), witness
+
+
+def _property(name: str, tol: float | None = None):
+    """Make a generator of ``(slack, inputs)`` samples a runner returning
+    ``(PropertyResult, witness or None)``; ``tol`` defaults to ``cfg.bound_tol``."""
+    def decorate(samples):
+        @functools.wraps(samples)
+        def run(cfg: CheckConfig):
+            return _result(name, cfg.bound_tol if tol is None else tol, samples(cfg))
+        return run
+    return decorate
 
 
 def _bipartite_dims(cfg: CheckConfig) -> list[tuple[int, int]]:
@@ -153,24 +161,22 @@ def _bipartite_dims(cfg: CheckConfig) -> list[tuple[int, int]]:
 # linalg properties
 # ---------------------------------------------------------------------------
 
+@_property("linalg_eig_reconstruction", 1e-10)
 def prop_eig_reconstruction(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "eig_reconstruction")
     dims = (2, 3, 4, 6)
-    tr = _Tracker()
     for i in range(cfg.n_samples):
         h = random_hermitian(dims[i % len(dims)], seed, index=i)
         dec = herm_eig(h)
         resid = float(np.max(np.abs(dec.reconstruct() - h.mat)))
         orth = float(np.max(np.abs(
             dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(h.dim))))
-        tr.update(-max(resid, orth),
-                  {"dim": h.dim, "matrix": matrix_to_pairs(h.mat)})
-    return tr.result("linalg_eig_reconstruction", 1e-10)
+        yield -max(resid, orth), {"dim": h.dim, "matrix": h.mat}
 
 
+@_property("linalg_fractional_power_pair", 1e-9)
 def prop_fractional_power_pair(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "fractional_power_pair")
-    tr = _Tracker()
     for i in range(cfg.n_samples):
         d = cfg.dims[i % len(cfg.dims)]
         if i % 3 == 0 and d > 2:
@@ -181,14 +187,13 @@ def prop_fractional_power_pair(cfg: CheckConfig):
         alpha = cfg.alphas[i % len(cfg.alphas)]
         prod = fractional_power(rho, alpha).mat @ fractional_power(rho, 1.0 - alpha).mat
         err = float(np.max(np.abs(prod - rho.mat)))
-        tr.update(-err, _state_payload(rho, alpha=alpha))
-    return tr.result("linalg_fractional_power_pair", 1e-9)
+        yield -err, {"state": rho, "alpha": alpha}
 
 
+@_property("linalg_partial_trace", 1e-9)
 def prop_partial_trace(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "partial_trace")
     dims = _bipartite_dims(cfg)
-    tr = _Tracker()
     for i in range(cfg.n_samples):
         da, db = dims[i % len(dims)]
         rho = random_density(EnsembleSpec("full_rank", (da, db), seed), index=i)
@@ -197,14 +202,13 @@ def prop_partial_trace(cfg: CheckConfig):
             red = partial_trace(rho, keep)
             bad = max(bad, abs(float(np.trace(red.mat).real) - 1.0),
                       max(0.0, -float(np.linalg.eigvalsh(red.mat)[0])))
-        tr.update(-bad, _state_payload(rho))
-    return tr.result("linalg_partial_trace", 1e-9)
+        yield -bad, {"state": rho}
 
 
+@_property("linalg_kron_roundtrip", 1e-12)
 def prop_kron_roundtrip(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "kron_roundtrip")
     dims = _bipartite_dims(cfg)
-    tr = _Tracker()
     for i in range(cfg.n_samples):
         da, db = dims[i % len(dims)]
         a = random_density(EnsembleSpec("full_rank", da, seed), index=2 * i)
@@ -212,17 +216,16 @@ def prop_kron_roundtrip(cfg: CheckConfig):
         joint = BipartiteDensityMatrix(kron(a.mat, b.mat), da, db)
         err = max(float(np.max(np.abs(partial_trace(joint, "A").mat - a.mat))),
                   float(np.max(np.abs(partial_trace(joint, "B").mat - b.mat))))
-        tr.update(-err, _state_payload(joint))
-    return tr.result("linalg_kron_roundtrip", 1e-12)
+        yield -err, {"state": joint}
 
 
 # ---------------------------------------------------------------------------
 # skew properties
 # ---------------------------------------------------------------------------
 
+@_property("skew_ordering_J_ge_I_ge_0")
 def prop_skew_ordering(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "skew_ordering")
-    tr = _Tracker()
     for i in range(cfg.n_samples):
         d = cfg.dims[i % len(cfg.dims)]
         rho = random_density(EnsembleSpec("full_rank", d, seed), index=i)
@@ -231,28 +234,25 @@ def prop_skew_ordering(cfg: CheckConfig):
         eng = engine(rho, alpha)
         i_val = eng.i_value(h.mat)
         j_val = eng.j_value(h.mat)
-        tr.update(min(j_val - i_val, i_val),
-                  _state_payload(rho, alpha=alpha,
-                                 observable=matrix_to_pairs(h.mat)))
-    return tr.result("skew_ordering_J_ge_I_ge_0", cfg.bound_tol)
+        yield min(j_val - i_val, i_val), {"state": rho, "alpha": alpha,
+                                          "observable": h.mat}
 
 
+@_property("skew_pure_state_reduction", 1e-9)
 def prop_pure_reduction(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "pure_reduction")
-    tr = _Tracker()
     for i in range(cfg.n_samples):
         d = cfg.dims[i % len(cfg.dims)]
         rho = random_density(EnsembleSpec("pure", d, seed), index=i)
         h = random_hermitian(d, seed + 1, index=i)
         v = variance(rho, h)
         err = max(abs(skew_information_I(rho, h, a) - v) for a in cfg.alphas)
-        tr.update(-err, _state_payload(rho, observable=matrix_to_pairs(h.mat)))
-    return tr.result("skew_pure_state_reduction", 1e-9)
+        yield -err, {"state": rho, "observable": h.mat}
 
 
+@_property("skew_alpha_symmetry", 1e-10)
 def prop_alpha_symmetry(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "alpha_symmetry")
-    tr = _Tracker()
     for i in range(cfg.n_samples):
         d = cfg.dims[i % len(cfg.dims)]
         rho = random_density(EnsembleSpec("full_rank", d, seed), index=i)
@@ -261,13 +261,12 @@ def prop_alpha_symmetry(cfg: CheckConfig):
         err = max(
             abs(skew_information_I(rho, h, alpha) - skew_information_I(rho, h, 1 - alpha)),
             abs(skew_information_J(rho, h, alpha) - skew_information_J(rho, h, 1 - alpha)))
-        tr.update(-err, _state_payload(rho, alpha=alpha))
-    return tr.result("skew_alpha_symmetry", 1e-10)
+        yield -err, {"state": rho, "alpha": alpha}
 
 
+@_property("skew_half_alpha_agreement", 1e-10)
 def prop_half_alpha_agreement(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "half_alpha")
-    tr = _Tracker()
     for i in range(cfg.n_samples):
         d = cfg.dims[i % len(cfg.dims)]
         rho = random_density(EnsembleSpec("full_rank", d, seed), index=i)
@@ -278,14 +277,13 @@ def prop_half_alpha_agreement(cfg: CheckConfig):
                         - np.trace(root @ h.mat @ root @ h.mat)).real)
         via_powers = skew_information_via_powers(rho, h, 0.5)
         err = max(abs(main - direct), abs(main - via_powers))
-        tr.update(-err, _state_payload(rho, observable=matrix_to_pairs(h.mat)))
-    return tr.result("skew_half_alpha_agreement", 1e-10)
+        yield -err, {"state": rho, "observable": h.mat}
 
 
+@_property("skew_local_monotonicity")
 def prop_local_monotonicity(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "local_monotonicity")
     dims = _bipartite_dims(cfg)
-    tr = _Tracker()
     for i in range(cfg.n_samples):
         da, db = dims[i % len(dims)]
         rho = random_density(EnsembleSpec("full_rank", (da, db), seed), index=i)
@@ -294,33 +292,29 @@ def prop_local_monotonicity(cfg: CheckConfig):
         embedded = HermitianOperator(kron(x.mat, np.eye(db)))
         slack = (skew_information_I(rho, embedded, alpha)
                  - skew_information_I(partial_trace(rho, "A"), x, alpha))
-        tr.update(slack, _state_payload(rho, alpha=alpha,
-                                        observable=matrix_to_pairs(x.mat)))
-    return tr.result("skew_local_monotonicity", cfg.bound_tol)
+        yield slack, {"state": rho, "alpha": alpha, "observable": x.mat}
 
 
 # ---------------------------------------------------------------------------
 # correlation properties
 # ---------------------------------------------------------------------------
 
+@_property("correlation_deficit_nonnegative")
 def prop_deficit_nonnegative(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "deficit_nonneg")
     dims = _bipartite_dims(cfg)
-    tr = _Tracker()
     for i in range(cfg.n_samples):
         da, db = dims[i % len(dims)]
         rho = random_density(EnsembleSpec("full_rank", (da, db), seed), index=i)
         alpha = cfg.alphas[i % len(cfg.alphas)]
         basis = basis_from_unitary(random_unitary(da, seed + 1, index=i))
         total, _ = DeficitEvaluator(rho, alpha).basis_deficit(basis.columns)
-        tr.update(total, _state_payload(rho, alpha=alpha,
-                                        basis=matrix_to_pairs(basis.columns)))
-    return tr.result("correlation_deficit_nonnegative", cfg.bound_tol)
+        yield total, {"state": rho, "alpha": alpha, "basis": basis.columns}
 
 
+@_property("correlation_relabel_invariance", 1e-12)
 def prop_relabel_invariance(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "relabel")
-    tr = _Tracker()
     for i in range(cfg.n_samples):
         rho = random_density(EnsembleSpec("full_rank", (2, 2), seed), index=i)
         alpha = cfg.alphas[i % len(cfg.alphas)]
@@ -328,14 +322,13 @@ def prop_relabel_invariance(cfg: CheckConfig):
         ev = DeficitEvaluator(rho, alpha)
         t1, _ = ev.basis_deficit(u)
         t2, _ = ev.basis_deficit(u[:, ::-1])
-        tr.update(-abs(t1 - t2), _state_payload(rho, alpha=alpha))
-    return tr.result("correlation_relabel_invariance", 1e-12)
+        yield -abs(t1 - t2), {"state": rho, "alpha": alpha}
 
 
+@_property("correlation_oracle_consistency", 0.0)
 def prop_oracle_consistency(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "oracle_consistency")
     alphas = (0.3, 0.5, 0.7)
-    tr = _Tracker()
     for i in range(cfg.n_optimizer):
         rho = random_density(EnsembleSpec("full_rank", (2, 2), seed), index=i)
         alpha = alphas[i % len(alphas)]
@@ -345,27 +338,25 @@ def prop_oracle_consistency(cfg: CheckConfig):
         # cannot undershoot beyond float noise; it may not overshoot it
         # meaningfully either
         slack = min(1e-6 - (opt - grid), (opt - grid) + 1e-4)
-        tr.update(slack, _state_payload(rho, alpha=alpha, optimizer=opt, grid=grid))
-    return tr.result("correlation_oracle_consistency", 0.0)
+        yield slack, {"state": rho, "alpha": alpha, "optimizer": opt, "grid": grid}
 
 
+@_property("correlation_local_unitary_covariance", 1e-4)
 def prop_local_unitary_covariance(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "lu_covariance")
-    tr = _Tracker()
     for i in range(cfg.n_optimizer):
         rho = random_density(EnsembleSpec("full_rank", (2, 2), seed), index=i)
         alpha = cfg.alphas[i % len(cfg.alphas)]
         u = kron(random_unitary(2, seed + 1, index=i), np.eye(2))
         rotated = BipartiteDensityMatrix(u @ rho.mat @ u.conj().T, 2, 2)
         err = abs(brute_force_D_qubit(rho, alpha) - brute_force_D_qubit(rotated, alpha))
-        tr.update(-err, _state_payload(rho, alpha=alpha))
-    return tr.result("correlation_local_unitary_covariance", 1e-4)
+        yield -err, {"state": rho, "alpha": alpha}
 
 
+@_property("correlation_classical_quantum_nullity", ORACLE_TOL)
 def prop_cq_nullity(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "cq_nullity")
     dims = _bipartite_dims(cfg)
-    tr = _Tracker()
     states: list[BipartiteDensityMatrix] = [example2_state()]
     for i in range(cfg.n_optimizer):
         da, db = dims[i % len(dims)]
@@ -374,17 +365,16 @@ def prop_cq_nullity(cfg: CheckConfig):
     for i, rho in enumerate(states):
         alpha = cfg.alphas[i % len(cfg.alphas)]
         value = quantum_correlation_D(rho, alpha, OptimizerConfig(seed=seed + i)).value
-        tr.update(-value, _state_payload(rho, alpha=alpha, value=value))
-    return tr.result("correlation_classical_quantum_nullity", ORACLE_TOL)
+        yield -value, {"state": rho, "alpha": alpha, "value": value}
 
 
 # ---------------------------------------------------------------------------
 # bounds properties
 # ---------------------------------------------------------------------------
 
+@_property("bounds_heisenberg_random")
 def prop_heisenberg(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "heisenberg")
-    tr = _Tracker()
     for d in cfg.dims:
         for i in range(cfg.n_samples):
             rho = random_density(EnsembleSpec("full_rank", d, seed + d), index=i)
@@ -393,10 +383,7 @@ def prop_heisenberg(cfg: CheckConfig):
             for alpha in cfg.alphas:
                 rep = heisenberg_type_check(rho, r, s, alpha,
                                             tolerance=cfg.bound_tol)
-                tr.update(rep.slack, _state_payload(rho, alpha=alpha,
-                                                    r=matrix_to_pairs(r.mat),
-                                                    s=matrix_to_pairs(s.mat)))
-    return tr.result("bounds_heisenberg_random", cfg.bound_tol)
+                yield rep.slack, {"state": rho, "alpha": alpha, "r": r.mat, "s": s.mat}
 
 
 def _random_two_qubit_pair(seed: int, i: int):
@@ -409,17 +396,15 @@ def _random_two_qubit_pair(seed: int, i: int):
 def prop_theorems_with_oracle(cfg: CheckConfig):
     """Theorem checks and the proof-chain links, sharing one oracle run."""
     seed = _tag_seed(cfg.seed, "theorems")
-    thm = _Tracker()
-    chain = _Tracker()
+    thm, chain = [], []
     for i in range(cfg.n_theorem):
         rho, phi, psi = _random_two_qubit_pair(seed, i)
         alpha = cfg.alphas[i % len(cfg.alphas)]
         d_val = brute_force_D_qubit(rho, alpha)
         prod, summ = memory_bounds(rho, phi, psi, alpha, d_val, tolerance=ORACLE_TOL)
-        payload = _state_payload(rho, alpha=alpha, d_tilde=d_val,
-                                 phi=matrix_to_pairs(phi.columns),
-                                 psi=matrix_to_pairs(psi.columns))
-        thm.update(min(prod.slack, summ.slack), payload)
+        inputs = {"state": rho, "alpha": alpha, "d_tilde": d_val,
+                  "phi": phi.columns, "psi": psi.columns}
+        thm.append((min(prod.slack, summ.slack), inputs))
 
         # chain links of the product bound's proof
         sum_i_phi = float(sum(prod.terms["per_k_I_phi"]))
@@ -434,22 +419,20 @@ def prop_theorems_with_oracle(cfg: CheckConfig):
         # the link through the minimum inherits the oracle's certification
         oracle_link = mid - mid2
         violation = max(-tight - cfg.bound_tol, -oracle_link - ORACLE_TOL)
-        chain.update(-violation, payload)
-    thm_res = thm.result("bounds_theorems_oracle_certified", ORACLE_TOL)
-    chain_res = chain.result("bounds_proof_chain_consistency", 0.0)
-    return [thm_res, chain_res]
+        chain.append((-violation, inputs))
+    return [_result("bounds_theorems_oracle_certified", ORACLE_TOL, thm),
+            _result("bounds_proof_chain_consistency", 0.0, chain)]
 
 
+@_property("bounds_closed_form_agreement", SWEEP_ERR_TOL)
 def prop_closed_form_agreement(cfg: CheckConfig):
-    tr = _Tracker()
     for example_id in (1, 3):
         for p in p_grid(*EXAMPLE_P_RANGES[example_id], 0.01):
             for alpha in (0.2, 0.5):
                 row = sweep_row(example_id, p, alpha, "grid")
-                tr.update(-row["abs_err_max"],
-                          {"example": example_id, "p": p, "alpha": alpha,
-                           "abs_err_max": row["abs_err_max"]})
-    return tr.result("bounds_closed_form_agreement", SWEEP_ERR_TOL)
+                yield -row["abs_err_max"], {"example": example_id, "p": p,
+                                            "alpha": alpha,
+                                            "abs_err_max": row["abs_err_max"]}
 
 
 # ---------------------------------------------------------------------------
@@ -471,52 +454,46 @@ def default_ensembles(cfg: CheckConfig) -> tuple[EnsembleRun, ...]:
     return tuple(runs)
 
 
+@_property("states_factory_validity", 0.0)
 def prop_factory_validity(cfg: CheckConfig):
     runs = cfg.ensembles or default_ensembles(cfg)
-    tr = _Tracker()
     for run in runs:
         for i in range(run.n_samples):
             try:
                 random_density(run.spec, index=i)
-                tr.update(0.0)
+                yield 0.0, None
             except Exception:
-                tr.update(-1.0, {"kind": run.spec.kind, "dims": run.spec.dims,
-                                 "seed": run.spec.seed, "index": i})
+                yield -1.0, {"kind": run.spec.kind, "dims": run.spec.dims,
+                             "seed": run.spec.seed, "index": i}
     for p in (-1.0, -0.5, 0.0, 0.5, 1.0):
         werner_swap(p)
-        tr.update(0.0)
+        yield 0.0, None
     for p in (0.0, 1.0 / 3.0, 1.0):
         werner_isotropic(p)
-        tr.update(0.0)
-    return tr.result("states_factory_validity", 0.0)
+        yield 0.0, None
 
 
+def _twirl_invariance(cfg: CheckConfig, tag: str, family, p_lo: float, conj: bool):
+    """``family(p)`` commutes with ``u (x) u``, or ``u (x) u*`` if ``conj``."""
+    seed = _tag_seed(cfg.seed, tag)
+    rng = np.random.default_rng(seed)
+    for i in range(max(1, cfg.n_samples // 10)):
+        p = float(rng.uniform(p_lo, 1.0))
+        rho = family(p)
+        u = random_unitary(2, seed + 1, index=i)
+        uu = kron(u, u.conj() if conj else u)
+        err = float(np.max(np.abs(uu @ rho.mat @ uu.conj().T - rho.mat)))
+        yield -err, {"p": p}
+
+
+@_property("states_werner_swap_symmetry", 1e-10)
 def prop_werner_swap_symmetry(cfg: CheckConfig):
-    seed = _tag_seed(cfg.seed, "swap_symmetry")
-    rng = np.random.default_rng(seed)
-    tr = _Tracker()
-    for i in range(max(1, cfg.n_samples // 10)):
-        p = float(rng.uniform(-1.0, 1.0))
-        rho = werner_swap(p)
-        u = random_unitary(2, seed + 1, index=i)
-        uu = kron(u, u)
-        err = float(np.max(np.abs(uu @ rho.mat @ uu.conj().T - rho.mat)))
-        tr.update(-err, {"p": p})
-    return tr.result("states_werner_swap_symmetry", 1e-10)
+    return _twirl_invariance(cfg, "swap_symmetry", werner_swap, -1.0, conj=False)
 
 
+@_property("states_isotropic_symmetry", 1e-10)
 def prop_isotropic_symmetry(cfg: CheckConfig):
-    seed = _tag_seed(cfg.seed, "isotropic_symmetry")
-    rng = np.random.default_rng(seed)
-    tr = _Tracker()
-    for i in range(max(1, cfg.n_samples // 10)):
-        p = float(rng.uniform(0.0, 1.0))
-        rho = werner_isotropic(p)
-        u = random_unitary(2, seed + 1, index=i)
-        uu = kron(u, u.conj())
-        err = float(np.max(np.abs(uu @ rho.mat @ uu.conj().T - rho.mat)))
-        tr.update(-err, {"p": p})
-    return tr.result("states_isotropic_symmetry", 1e-10)
+    return _twirl_invariance(cfg, "isotropic_symmetry", werner_isotropic, 0.0, conj=True)
 
 
 # ---------------------------------------------------------------------------
@@ -571,11 +548,14 @@ class CheckReport:
 
 
 def _write_witness(witness_dir: str, name: str, payload: dict) -> str:
-    os.makedirs(witness_dir, exist_ok=True)
     path = os.path.join(witness_dir, f"witness_{name}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"property": name, **payload}, fh, indent=2)
-        fh.write("\n")
+    try:
+        os.makedirs(witness_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"property": name, **payload}, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write witness {path}: {exc}") from exc
     return path
 
 

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 property violation, 2 configuration or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -78,6 +79,8 @@ class SweepConfig:
         its reader. Fills in the default p grid of examples 1 and 3."""
         if self.example == "custom" and not self.state:
             raise ConfigError("custom sweeps need a 'state' file in the config")
+        if self.example != "custom" and self.state is not None:
+            raise ConfigError("a 'state' file applies only to example \"custom\"")
         rng = EXAMPLE_P_RANGES.get(self.example)
         if rng is None:
             if (self.p_start, self.p_stop, self.p_step) != (None, None, None):
@@ -375,6 +378,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK if all_hold else EXIT_VIOLATION
 
 
+@functools.cache   # built once per process: a build costs ten parses
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewunc",

@@ -2,16 +2,25 @@
 validation."""
 
 import json
+import math
+from types import SimpleNamespace
 
 import pytest
 
+import skewunc.checks as checks
 from skewunc.checks import (
     ALL_PROPERTIES,
     CheckConfig,
     PropertyResult,
+    _property,
+    prop_deficit_nonnegative,
+    prop_heisenberg,
     run_checks,
 )
+from skewunc.correlation import basis_from_unitary
 from skewunc.errors import ConfigError
+from skewunc.linalg import BipartiteDensityMatrix, DensityMatrix, HermitianOperator
+from skewunc.serialize import pairs_to_matrix
 
 SMALL = CheckConfig(seed=42, n_samples=24, n_optimizer=2, n_theorem=3,
                     alphas=(0.2, 0.5, 0.8), dims=(2, 3))
@@ -59,6 +68,57 @@ def test_injected_failure_writes_witness(tmp_path):
     doc = json.loads(open(res.witness).read())
     assert doc["property"] == "injected_failure"
     assert doc["alpha"] == 0.5
+
+
+def test_nan_slack_fails_and_writes_its_witness(tmp_path):
+    @_property("injected_nan", 1e-9)
+    def prop_nan(cfg):
+        yield 0.5, {"alpha": 0.1}
+        yield float("nan"), {"alpha": 0.2}
+        yield -1.0, {"alpha": 0.3}
+        yield float("nan"), {"alpha": 0.4}
+
+    report = run_checks(SMALL, witness_dir=str(tmp_path), properties=(prop_nan,))
+    res = report.results[0]
+    assert not report.all_pass and not res.passed
+    assert res.samples == 4 and math.isnan(res.worst_slack)
+    doc = json.loads(open(res.witness).read())
+    assert doc == {"property": "injected_nan", "alpha": 0.2}
+
+
+class _NegativeDeficit:
+    def __init__(self, rho, alpha):
+        pass
+
+    def basis_deficit(self, columns):
+        return -1.0, None
+
+
+@pytest.mark.parametrize("prop, patch, keys", [
+    (prop_heisenberg,
+     ("heisenberg_type_check", lambda *args, **kw: SimpleNamespace(slack=-1.0)),
+     ["property", "matrix", "dim", "alpha", "r", "s"]),
+    (prop_deficit_nonnegative, ("DeficitEvaluator", _NegativeDeficit),
+     ["property", "matrix", "d_A", "d_B", "alpha", "basis"]),
+], ids=["heisenberg", "deficit_nonnegative"])
+def test_real_runner_witness_decodes(tmp_path, monkeypatch, prop, patch, keys):
+    monkeypatch.setattr(checks, *patch)
+    cfg = CheckConfig(seed=5, n_samples=4, alphas=(0.3, 0.7), dims=(3, 2))
+    res = run_checks(cfg, witness_dir=str(tmp_path), properties=(prop,)).results[0]
+    assert not res.passed and res.worst_slack == -1.0
+    doc = json.loads(open(res.witness).read())
+    assert list(doc) == keys
+    # the first sample is the worst: the first alpha, and dims[0] or (2, 2)
+    assert doc["alpha"] == 0.3
+    if "dim" in doc:
+        assert doc["dim"] == 3
+        DensityMatrix(pairs_to_matrix(doc["matrix"], 3))
+        for key in ("r", "s"):
+            HermitianOperator(pairs_to_matrix(doc[key], 3))
+    else:
+        assert (doc["d_A"], doc["d_B"]) == (2, 2)
+        BipartiteDensityMatrix(pairs_to_matrix(doc["matrix"], 4), 2, 2)
+        basis_from_unitary(pairs_to_matrix(doc["basis"], 2))
 
 
 def test_report_dict_shape():

@@ -192,6 +192,9 @@ def test_reproduce_rejects_bad_optimizer_setting(tmp_path, capsys, block):
     ("reproduce", {"example": 1, "p_start": float("nan")}),
     ("reproduce", {"example": 1, "p_stop": float("nan")}),
     ("check", {"bound_tol": float("inf")}),
+    # a state file goes only with example "custom"
+    ("reproduce", {"example": 1, "state": "nope.json", "p_step": 0.5}),
+    ("reproduce", {"example": 2, "state": "nope.json"}),
 ])
 def test_config_parse_failure_exits_2(tmp_path, capsys, command, doc):
     cfg = tmp_path / "cfg.json"
@@ -235,6 +238,22 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command):
         save_state(str(path), werner_isotropic(1.0))
         argv = ("eval", str(path))
     assert run_cli(*argv, "--out", out) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_unwritable_witness_exits_2(tmp_path, capsys, monkeypatch):
+    import skewunc.checks as checks_mod
+    from skewunc.checks import PropertyResult
+
+    def failing_property(cfg):
+        return (PropertyResult(name="forced_failure", samples=1,
+                               worst_slack=-1.0, tol=0.0, passed=False),
+                {"alpha": 0.1})
+
+    monkeypatch.setattr(checks_mod, "ALL_PROPERTIES", (failing_property,))
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    assert run_cli("check", "--out", str(afile / "r.json")) == 2
     assert "configuration error" in capsys.readouterr().err
 
 
