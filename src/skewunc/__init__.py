@@ -9,6 +9,7 @@ from .bounds import (
     BoundReport,
     example_closed_forms,
     heisenberg_type_check,
+    heisenberg_type_checks,
     product_bound_check,
     sum_bound_check,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "example_closed_forms",
     "fractional_power",
     "heisenberg_type_check",
+    "heisenberg_type_checks",
     "herm_eig",
     "kron",
     "measurement_uncertainty_UN",

@@ -13,7 +13,8 @@ enters as an explicit argument so callers control its certification level
 
 Both memory bounds share their terms: ``memory_bounds`` scores them once
 (against the engines ``skew.engine`` keeps for the joint and the reduced
-state) and returns both reports. ``product_bound_check`` and
+state) and returns both reports. ``heisenberg_type_checks`` checks the
+memoryless bound at many alphas from one engine. ``product_bound_check`` and
 ``sum_bound_check`` return one of the two.
 """
 
@@ -69,30 +70,39 @@ def _report(kind: str, lhs: float, rhs: float, terms: dict,
                        tolerance=tolerance)
 
 
+def heisenberg_type_checks(rho: DensityMatrix, r: HermitianOperator,
+                           s: HermitianOperator, alphas: tuple[float, ...],
+                           tolerance: float = HEISENBERG_TOL) -> list[BoundReport]:
+    """Memoryless bound at each of ``alphas``: product of the two
+    geometric-mean uncertainties against a(1-a) |Tr rho [R, S]|^2. Both
+    observables are scored at every alpha from one rotation each, and the
+    commutator trace is computed once."""
+    eng = engine(rho)
+    comm = r.mat @ s.mat - s.mat @ r.mat
+    comm_sq = abs(complex(np.trace(rho.mat @ comm)))**2
+    reports = []
+    for pr, ps in zip(eng.pairs(r.mat, alphas), eng.pairs(s.mat, alphas)):
+        alpha_factor = pr.alpha * (1.0 - pr.alpha)
+        terms = {
+            "u_alpha_R": pr.u_alpha,
+            "u_alpha_S": ps.u_alpha,
+            "i_alpha_R": pr.i_alpha,
+            "j_alpha_R": pr.j_alpha,
+            "i_alpha_S": ps.i_alpha,
+            "j_alpha_S": ps.j_alpha,
+            "alpha_factor": alpha_factor,
+            "commutator_trace_abs_sq": comm_sq,
+        }
+        reports.append(_report("heisenberg", pr.u_alpha * ps.u_alpha,
+                               alpha_factor * comm_sq, terms, tolerance))
+    return reports
+
+
 def heisenberg_type_check(rho: DensityMatrix, r: HermitianOperator,
                           s: HermitianOperator, alpha: float,
                           tolerance: float = HEISENBERG_TOL) -> BoundReport:
-    """Memoryless bound: product of the two geometric-mean uncertainties
-    against a(1-a) |Tr rho [R, S]|^2."""
-    alpha = check_alpha(alpha)
-    eng = engine(rho, alpha)
-    pr = eng.pair(r.mat)
-    ps = eng.pair(s.mat)
-    comm = r.mat @ s.mat - s.mat @ r.mat
-    comm_sq = abs(complex(np.trace(rho.mat @ comm)))**2
-    alpha_factor = alpha * (1.0 - alpha)
-    terms = {
-        "u_alpha_R": pr.u_alpha,
-        "u_alpha_S": ps.u_alpha,
-        "i_alpha_R": pr.i_alpha,
-        "j_alpha_R": pr.j_alpha,
-        "i_alpha_S": ps.i_alpha,
-        "j_alpha_S": ps.j_alpha,
-        "alpha_factor": alpha_factor,
-        "commutator_trace_abs_sq": comm_sq,
-    }
-    return _report("heisenberg", pr.u_alpha * ps.u_alpha,
-                   alpha_factor * comm_sq, terms, tolerance)
+    """``heisenberg_type_checks`` at one alpha."""
+    return heisenberg_type_checks(rho, r, s, (alpha,), tolerance)[0]
 
 
 def _check_d_value(d_value: float) -> float:

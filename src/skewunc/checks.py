@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .bounds import heisenberg_type_check, memory_bounds
+from .bounds import heisenberg_type_checks, memory_bounds
 from .correlation import (
     DeficitEvaluator,
     OptimizerConfig,
@@ -43,7 +43,6 @@ from .serialize import matrix_to_pairs
 from .skew import (
     engine,
     skew_information_I,
-    skew_information_J,
     skew_information_via_powers,
     variance,
 )
@@ -231,11 +230,9 @@ def prop_skew_ordering(cfg: CheckConfig):
         rho = random_density(EnsembleSpec("full_rank", d, seed), index=i)
         h = random_hermitian(d, seed + 1, index=i)
         alpha = cfg.alphas[i % len(cfg.alphas)]
-        eng = engine(rho, alpha)
-        i_val = eng.i_value(h.mat)
-        j_val = eng.j_value(h.mat)
-        yield min(j_val - i_val, i_val), {"state": rho, "alpha": alpha,
-                                          "observable": h.mat}
+        pair = engine(rho).pair(h.mat, alpha)
+        yield min(pair.j_alpha - pair.i_alpha, pair.i_alpha), {
+            "state": rho, "alpha": alpha, "observable": h.mat}
 
 
 @_property("skew_pure_state_reduction", 1e-9)
@@ -246,7 +243,7 @@ def prop_pure_reduction(cfg: CheckConfig):
         rho = random_density(EnsembleSpec("pure", d, seed), index=i)
         h = random_hermitian(d, seed + 1, index=i)
         v = variance(rho, h)
-        err = max(abs(skew_information_I(rho, h, a) - v) for a in cfg.alphas)
+        err = max(abs(p.i_alpha - v) for p in engine(rho).pairs(h.mat, cfg.alphas))
         yield -err, {"state": rho, "observable": h.mat}
 
 
@@ -258,9 +255,8 @@ def prop_alpha_symmetry(cfg: CheckConfig):
         rho = random_density(EnsembleSpec("full_rank", d, seed), index=i)
         h = random_hermitian(d, seed + 1, index=i)
         alpha = cfg.alphas[i % len(cfg.alphas)]
-        err = max(
-            abs(skew_information_I(rho, h, alpha) - skew_information_I(rho, h, 1 - alpha)),
-            abs(skew_information_J(rho, h, alpha) - skew_information_J(rho, h, 1 - alpha)))
+        at, mirrored = engine(rho).pairs(h.mat, (alpha, 1 - alpha))
+        err = max(abs(at.i_alpha - mirrored.i_alpha), abs(at.j_alpha - mirrored.j_alpha))
         yield -err, {"state": rho, "alpha": alpha}
 
 
@@ -380,9 +376,9 @@ def prop_heisenberg(cfg: CheckConfig):
             rho = random_density(EnsembleSpec("full_rank", d, seed + d), index=i)
             r = random_hermitian(d, seed + 10 * d, index=i)
             s = random_hermitian(d, seed + 20 * d, index=i)
-            for alpha in cfg.alphas:
-                rep = heisenberg_type_check(rho, r, s, alpha,
-                                            tolerance=cfg.bound_tol)
+            reports = heisenberg_type_checks(rho, r, s, cfg.alphas,
+                                             tolerance=cfg.bound_tol)
+            for alpha, rep in zip(cfg.alphas, reports):
                 yield rep.slack, {"state": rho, "alpha": alpha, "r": r.mat, "s": s.mat}
 
 
@@ -410,9 +406,9 @@ def prop_theorems_with_oracle(cfg: CheckConfig):
         sum_i_phi = float(sum(prod.terms["per_k_I_phi"]))
         sum_i_psi = float(sum(prod.terms["per_k_I_psi"]))
         mid = sum_i_phi * sum_i_psi
-        eng_a = engine(rho.reduced(), alpha)
-        i_a_phi = [eng_a.i_value(phi.projector(k).mat) for k in range(2)]
-        i_a_psi = [eng_a.i_value(psi.projector(k).mat) for k in range(2)]
+        eng_a = engine(rho.reduced())
+        i_a_phi = [eng_a.pair(phi.projector(k).mat, alpha).i_alpha for k in range(2)]
+        i_a_psi = [eng_a.pair(psi.projector(k).mat, alpha).i_alpha for k in range(2)]
         mid2 = (d_val + sum(i_a_phi)) * (d_val + sum(i_a_psi))
         mid3 = d_val**2 + sum(a * b for a, b in zip(i_a_phi, i_a_psi))
         tight = min(prod.lhs - mid, mid2 - mid3, mid3 - prod.rhs)
@@ -539,7 +535,9 @@ class CheckReport:
             "dims": list(cfg.dims),
             "properties": [
                 {"name": r.name, "samples": r.samples,
-                 "worst_slack": r.worst_slack, "tol": r.tol,
+                 # JSON has no NaN or infinity
+                 "worst_slack": r.worst_slack if math.isfinite(r.worst_slack) else None,
+                 "tol": r.tol,
                  "pass": r.passed, "witness": r.witness}
                 for r in self.results
             ],
@@ -550,7 +548,6 @@ class CheckReport:
 def _write_witness(witness_dir: str, name: str, payload: dict) -> str:
     path = os.path.join(witness_dir, f"witness_{name}.json")
     try:
-        os.makedirs(witness_dir, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"property": name, **payload}, fh, indent=2)
             fh.write("\n")

@@ -320,7 +320,7 @@ def cmd_check(args) -> int:
                             f"{'PASS' if r.passed else 'FAIL'} {r.name}: "
                             f"worst slack {r.worst_slack:.3e} over {r.samples} "
                             f"samples (tol {r.tol:.0e})"))
-    _write_text(out, json.dumps(report.to_dict(cfg), indent=2) + "\n")
+    _write_text(out, json.dumps(report.to_dict(cfg), indent=2, allow_nan=False) + "\n")
     print(f"report written to {out}; all_pass={report.all_pass}")
     return EXIT_OK if report.all_pass else EXIT_VIOLATION
 

@@ -95,16 +95,16 @@ class DeficitEvaluator:
         self.alpha = check_alpha(alpha)
         self.d_A = rho_ab.d_A
         self.d_B = rho_ab.d_B
-        self._eng_ab = engine(rho_ab, self.alpha)
-        self._eng_a = engine(rho_ab.reduced(), self.alpha)
+        self._eng_ab = engine(rho_ab)
+        self._eng_a = engine(rho_ab.reduced())
         dim = rho_ab.dim
         # eigenvector matrix indexed (a, (b, eigenindex)) for the embedding trick
         self._u_flat = np.ascontiguousarray(
             self._eng_ab.eigenvectors.reshape(self.d_A, self.d_B * dim))
         self._ua_conj = self._eng_a.eigenvectors.conj()
-        self._w_ab = self._eng_ab.i_weights
+        (self._w_ab,), _ = self._eng_ab.weights((self.alpha,))
         self._w_ab_flat = self._w_ab.ravel()
-        self._w_a = self._eng_a.i_weights
+        (self._w_a,), _ = self._eng_a.weights((self.alpha,))
         self._bloch = None
 
     def _deficit_terms(self, v: np.ndarray):

@@ -2,8 +2,8 @@
 fractional-power skew information, its anticommutator dual, their geometric
 mean, the per-measurement uncertainty sum, and the measurement compatibility
 term used by the uncertainty bounds. ``engine`` memoizes the spectral data
-of a state at one alpha, so the bounds and the correlation measure evaluated
-on one state share the engines of the joint and the reduced state.
+of a state, so the bounds and the correlation measure evaluated on one state,
+at any alphas, share the engines of the joint and the reduced state.
 
 All quantities are evaluated in the eigenbasis of the state. Writing the
 skew information as a sum over eigenvalue pairs,
@@ -46,6 +46,9 @@ PROJECTOR_TOL = 1e-9
 
 # Zero-denominator rule for the compatibility term.
 DENOM_TOL = 1e-12
+
+# Alpha tuples whose stacked weights one engine keeps before it starts over.
+_WEIGHT_SETS = 32
 
 
 class ProjectiveBasis:
@@ -107,75 +110,87 @@ def _clip_value(value: float, what: str) -> float:
 
 
 class SkewEngine:
-    """Spectral data of one state, cached for repeated evaluations.
+    """Alpha-independent spectral data of one state, for repeated scoring.
 
-    Building the eigendecomposition and the pair-weight matrices once lets a
-    caller score many observables against the same state cheaply (basis
-    optimization, bound checkers). Its arrays are read-only, so ``engine``
-    can share one instance between callers.
+    Holds the clipped spectrum, the eigenvectors, the pair averages
+    (l_j + l_k)/2 and the degeneracy mask once. ``weights`` stacks the I and
+    J pair weights for a tuple of alphas (kept per tuple), and ``pairs``
+    scores an observable at every alpha of a tuple from one rotation into
+    the eigenbasis. Its arrays are read-only, so ``engine`` can share one
+    instance between callers.
     """
 
-    def __init__(self, rho: DensityMatrix, alpha: float):
-        self.alpha = check_alpha(alpha)
+    def __init__(self, rho: DensityMatrix):
         self.dim = rho.dim
         dec = rho.spectral()
         lam = clipped_spectrum(dec)
         self.eigenvalues = lam
         self.eigenvectors = dec.eigenvectors
-        pa = powered_spectrum(lam, self.alpha)
-        pb = powered_spectrum(lam, 1.0 - self.alpha)
         avg = 0.5 * (lam[:, None] + lam[None, :])
-        cross = pa[:, None] * pb[None, :]
-        # symmetric form (module docstring): a weight that is 0 in exact
-        # arithmetic (alpha 0 or 1, full rank) cancels exactly, not to rounding
-        cross = 0.5 * (cross + cross.T)
-        w_i = avg - cross
         scale = max(float(lam[-1]), np.finfo(float).tiny)
         degenerate = np.abs(lam[:, None] - lam[None, :]) <= PAIR_DEGENERACY_TOL * scale
-        w_i[degenerate] = 0.0
-        w_j = avg + cross
-        for arr in (lam, w_i, w_j):
+        for arr in (lam, avg, degenerate):
             arr.flags.writeable = False
-        self._w_i = w_i
-        self._w_j = w_j
+        self._avg = avg
+        self._degenerate = degenerate
+        self._weights: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-    @property
-    def i_weights(self) -> np.ndarray:
-        """Symmetric pair-weight matrix of the skew information in the
-        eigenbasis."""
-        return self._w_i
+    def weights(self, alphas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Symmetric I and J pair-weight matrices in the eigenbasis, one per
+        alpha, stacked as (n, d, d)."""
+        alphas = tuple(map(check_alpha, alphas))
+        if alphas not in self._weights:
+            if len(self._weights) >= _WEIGHT_SETS:
+                self._weights.clear()
+            lam = self.eigenvalues
+            pa = np.empty((len(alphas), self.dim))
+            pb = np.empty_like(pa)
+            for k, alpha in enumerate(alphas):
+                # a scalar exponent each: np.power takes a different (sqrt)
+                # path for a scalar 0.5 than for a vector of them
+                pa[k] = powered_spectrum(lam, alpha)
+                pb[k] = powered_spectrum(lam, 1.0 - alpha)
+            cross = pa[:, :, None] * pb[:, None, :]
+            # symmetric form (module docstring): a weight that is 0 in exact
+            # arithmetic (alpha 0 or 1, full rank) cancels exactly, not to rounding
+            cross = 0.5 * (cross + cross.transpose(0, 2, 1))
+            w_i = self._avg - cross
+            np.copyto(w_i, 0.0, where=self._degenerate)
+            w_j = self._avg + cross
+            w_i.flags.writeable = w_j.flags.writeable = False
+            self._weights[alphas] = (w_i, w_j)
+        return self._weights[alphas]
 
-    def _rotate(self, h: np.ndarray) -> np.ndarray:
+    def pairs(self, h: np.ndarray, alphas: tuple[float, ...]) -> list[SkewPair]:
+        """Skew information, dual and their geometric mean of the cached
+        state against observable ``h`` at each of ``alphas``. The dual is
+        evaluated on the centered observable."""
+        w_i, w_j = self.weights(alphas)
         v = self.eigenvectors
-        return v.conj().T @ h @ v
-
-    def i_value(self, h: np.ndarray) -> float:
-        """Skew information of the cached state against observable ``h``."""
-        ht = self._rotate(h)
-        raw = float(np.einsum('jk,jk->', self._w_i, ht.real**2 + ht.imag**2))
-        return _clip_value(raw, "skew information")
-
-    def j_value(self, h: np.ndarray) -> float:
-        """Dual (anticommutator) quantity, evaluated on the centered observable."""
-        ht = self._rotate(h)
+        ht = v.conj().T @ h @ v
         mean = float(np.sum(self.eigenvalues * ht.diagonal().real))
-        ht = ht - mean * np.eye(self.dim)
-        raw = float(np.einsum('jk,jk->', self._w_j, ht.real**2 + ht.imag**2))
-        return _clip_value(raw, "dual skew information")
+        hc = ht - mean * np.eye(self.dim)
+        i_raw = np.einsum('ajk,jk->a', w_i, ht.real**2 + ht.imag**2)
+        j_raw = np.einsum('ajk,jk->a', w_j, hc.real**2 + hc.imag**2)
+        out = []
+        for alpha, i, j in zip(alphas, i_raw, j_raw):
+            i = _clip_value(float(i), "skew information")
+            j = _clip_value(float(j), "dual skew information")
+            out.append(SkewPair(i_alpha=i, j_alpha=j, u_alpha=float(np.sqrt(i * j)),
+                                alpha=float(alpha)))
+        return out
 
-    def pair(self, h: np.ndarray) -> SkewPair:
-        i = self.i_value(h)
-        j = self.j_value(h)
-        return SkewPair(i_alpha=i, j_alpha=j, u_alpha=float(np.sqrt(i * j)),
-                        alpha=self.alpha)
+    def pair(self, h: np.ndarray, alpha: float) -> SkewPair:
+        """``pairs`` at one alpha."""
+        return self.pairs(h, (alpha,))[0]
 
 
 @lru_cache(maxsize=8)
-def engine(rho: DensityMatrix, alpha: float) -> SkewEngine:
-    """The ``SkewEngine`` of ``rho`` at ``alpha``, built once per pair and
-    keyed on the state's identity (safe: its matrix is read-only). One state
-    at one alpha needs two entries, the joint and the reduced state."""
-    return SkewEngine(rho, alpha)
+def engine(rho: DensityMatrix) -> SkewEngine:
+    """The ``SkewEngine`` of ``rho``, built once per state and keyed on the
+    state's identity (safe: its matrix is read-only). A bipartite state
+    needs two entries, the joint and the reduced state."""
+    return SkewEngine(rho)
 
 
 def _check_dims(rho: DensityMatrix, h: HermitianOperator) -> None:
@@ -189,7 +204,7 @@ def skew_information_I(rho: DensityMatrix, h: HermitianOperator, alpha: float) -
     Nonnegative; zero exactly when the state commutes with the observable.
     """
     _check_dims(rho, h)
-    return engine(rho, alpha).i_value(h.mat)
+    return engine(rho).pair(h.mat, alpha).i_alpha
 
 
 def skew_information_J(rho: DensityMatrix, h: HermitianOperator, alpha: float) -> float:
@@ -197,13 +212,13 @@ def skew_information_J(rho: DensityMatrix, h: HermitianOperator, alpha: float) -
     observable centered as h0 = h - Tr(rho h) I. Always >= the skew
     information at the same alpha."""
     _check_dims(rho, h)
-    return engine(rho, alpha).j_value(h.mat)
+    return engine(rho).pair(h.mat, alpha).j_alpha
 
 
 def uncertainty_U(rho: DensityMatrix, h: HermitianOperator, alpha: float) -> SkewPair:
     """Geometric-mean uncertainty sqrt(I * J), with both factors."""
     _check_dims(rho, h)
-    return engine(rho, alpha).pair(h.mat)
+    return engine(rho).pair(h.mat, alpha)
 
 
 def measurement_uncertainty_terms(rho: DensityMatrix, basis: ProjectiveBasis,
@@ -220,14 +235,15 @@ def measurement_uncertainty_terms(rho: DensityMatrix, basis: ProjectiveBasis,
         raise ShapeError(
             f"basis dimension {basis.dim} x memory {memory_dim} != state "
             f"dimension {rho.dim}")
-    eng = engine(rho, alpha)
-    eye_mem = np.eye(memory_dim)
+    eng = engine(rho)
+    eye_mem = np.eye(memory_dim)[None, :, None, :]
     terms = []
     for k in range(basis.dim):
         v = basis.vector(k)
         p = np.outer(v, v.conj())
-        h = np.kron(p, eye_mem) if memory_dim > 1 else p
-        terms.append(eng.pair(h))
+        # P (x) I by broadcasting: the entries of np.kron, without its overhead
+        h = (p[:, None, :, None] * eye_mem).reshape(rho.dim, rho.dim)
+        terms.append(eng.pair(h, alpha))
     return terms
 
 
@@ -259,11 +275,11 @@ def compat_L(rho_a: DensityMatrix, phi: HermitianOperator, psi: HermitianOperato
     _check_dims(rho_a, psi)
     _check_rank1_projector(phi, "phi")
     _check_rank1_projector(psi, "psi")
-    eng = engine(rho_a, alpha)
-    alpha = eng.alpha
+    eng = engine(rho_a)
+    alpha = check_alpha(alpha)
     comm = phi.mat @ psi.mat - psi.mat @ phi.mat
     numerator = alpha * (1.0 - alpha) * abs(complex(np.trace(rho_a.mat @ comm)))**2
-    denom_sq = eng.j_value(phi.mat) * eng.j_value(psi.mat)
+    denom_sq = eng.pair(phi.mat, alpha).j_alpha * eng.pair(psi.mat, alpha).j_alpha
     if denom_sq < denom_tol:
         return 0.0
     return float(numerator / np.sqrt(denom_sq))

@@ -34,11 +34,12 @@ _PAULI = {
     "z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
 
-_PAULI_COLUMNS = {
+# built once: a ProjectiveBasis is immutable
+_PAULI_BASES = {
     # columns ordered (+1 eigenvector, -1 eigenvector)
-    "x": np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2),
-    "y": np.array([[1, 1], [1j, -1j]], dtype=np.complex128) / np.sqrt(2),
-    "z": np.eye(2, dtype=np.complex128),
+    "x": ProjectiveBasis(np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)),
+    "y": ProjectiveBasis(np.array([[1, 1], [1j, -1j]], dtype=np.complex128) / np.sqrt(2)),
+    "z": ProjectiveBasis(np.eye(2, dtype=np.complex128)),
 }
 
 
@@ -51,9 +52,9 @@ def pauli(axis: str) -> HermitianOperator:
 
 def pauli_basis(axis: str) -> ProjectiveBasis:
     """Eigenbasis of a Pauli observable, ordered (+1, -1) eigenvectors."""
-    if axis not in _PAULI_COLUMNS:
+    if axis not in _PAULI_BASES:
         raise ValidationError(f"axis must be one of x, y, z, got {axis!r}")
-    return ProjectiveBasis(_PAULI_COLUMNS[axis])
+    return _PAULI_BASES[axis]
 
 
 def werner_swap(p: float) -> BipartiteDensityMatrix:
@@ -89,7 +90,7 @@ def example2_state() -> BipartiteDensityMatrix:
     Classical-quantum with respect to the x eigenbasis on the first factor;
     both marginals are maximally mixed.
     """
-    xcols = _PAULI_COLUMNS["x"]
+    xcols = _PAULI_BASES["x"].columns
     plus, minus = xcols[:, 0], xcols[:, 1]
     p0 = np.zeros((2, 2), dtype=np.complex128); p0[0, 0] = 1.0
     p1 = np.zeros((2, 2), dtype=np.complex128); p1[1, 1] = 1.0

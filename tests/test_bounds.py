@@ -6,6 +6,7 @@ import pytest
 from skewunc.bounds import (
     example_closed_forms,
     heisenberg_type_check,
+    heisenberg_type_checks,
     product_bound_check,
     sum_bound_check,
 )
@@ -62,6 +63,36 @@ def test_heisenberg_report_reconstruction():
         rep.terms["u_alpha_R"] * rep.terms["u_alpha_S"], abs=1e-10)
     assert rep.slack == rep.lhs - rep.rhs
     assert rep.holds == (rep.slack >= -rep.tolerance)
+
+
+# the endpoints, the scalar-sqrt exponent 0.5, and a repeated alpha
+_ALPHAS = (0.0, 0.1, 0.37, 0.5, 0.5, 0.8, 1.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["full_rank", "fixed_rank", "pure"])
+def test_multi_alpha_scoring_equals_one_alpha_scoring(kind, d):
+    from skewunc.skew import (
+        SkewEngine,
+        skew_information_I,
+        skew_information_J,
+        uncertainty_U,
+    )
+
+    rank = d - 1 if kind == "fixed_rank" else None
+    for i in range(4):
+        rho = random_density(EnsembleSpec(kind, d, 71, rank=rank), index=i)
+        r = random_hermitian(d, 72, index=i)
+        s = random_hermitian(d, 73, index=i)
+        # bit-equal: the stacked weights and the batched einsum change no bit
+        stacked = SkewEngine(rho).pairs(r.mat, _ALPHAS)
+        for alpha, pair in zip(_ALPHAS, stacked):
+            assert pair == SkewEngine(rho).pair(r.mat, alpha)
+            assert pair.i_alpha == skew_information_I(rho, r, alpha)
+            assert pair.j_alpha == skew_information_J(rho, r, alpha)
+            assert pair == uncertainty_U(rho, r, alpha)
+        reports = heisenberg_type_checks(rho, r, s, _ALPHAS)
+        assert reports == [heisenberg_type_check(rho, r, s, a) for a in _ALPHAS]
 
 
 # --- closed forms ------------------------------------------------------------
@@ -228,9 +259,9 @@ def test_product_chain_links_random():
         d = brute_force_D_qubit(rho, alpha)
         rep = product_bound_check(rho, phi, psi, alpha, d)
         mid = sum(rep.terms["per_k_I_phi"]) * sum(rep.terms["per_k_I_psi"])
-        eng_a = SkewEngine(partial_trace(rho, "A"), alpha)
-        ia_phi = [eng_a.i_value(phi.projector(k).mat) for k in range(2)]
-        ia_psi = [eng_a.i_value(psi.projector(k).mat) for k in range(2)]
+        eng_a = SkewEngine(partial_trace(rho, "A"))
+        ia_phi = [eng_a.pair(phi.projector(k).mat, alpha).i_alpha for k in range(2)]
+        ia_psi = [eng_a.pair(psi.projector(k).mat, alpha).i_alpha for k in range(2)]
         mid2 = (d + sum(ia_phi)) * (d + sum(ia_psi))
         mid3 = d**2 + sum(a * b for a, b in zip(ia_phi, ia_psi))
         assert rep.lhs >= mid - 1e-9
@@ -239,7 +270,7 @@ def test_product_chain_links_random():
         assert mid3 >= rep.rhs - 1e-9
 
 
-# --- shared engines per (state, alpha) --------------------------------------
+# --- shared engines per state -----------------------------------------------
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
 def test_shared_context_reports_equal_standalone_checkers(dims):

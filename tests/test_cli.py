@@ -257,6 +257,39 @@ def test_unwritable_witness_exits_2(tmp_path, capsys, monkeypatch):
     assert "configuration error" in capsys.readouterr().err
 
 
+def _forced_properties(monkeypatch, slack):
+    import skewunc.checks as checks_mod
+
+    @checks_mod._property("forced", 0.0)
+    def prop_forced(cfg):
+        yield slack, {"alpha": 0.1}
+
+    monkeypatch.setattr(checks_mod, "ALL_PROPERTIES", (prop_forced,))
+
+
+@pytest.mark.parametrize("slack", [-1.0, 1.0], ids=["failing", "passing"])
+def test_check_into_missing_directory_exits_2(tmp_path, capsys, monkeypatch, slack):
+    # neither the witness nor the report writer creates a directory
+    _forced_properties(monkeypatch, slack)
+    missing = tmp_path / "missing"
+    assert run_cli("check", "--out", str(missing / "r.json")) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_nan_slack_is_written_as_null(tmp_path, monkeypatch):
+    _forced_properties(monkeypatch, float("nan"))
+    out = tmp_path / "r.json"
+    assert run_cli("check", "--out", str(out)) == 1
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    entry = doc["properties"][0]
+    assert entry["worst_slack"] is None and entry["pass"] is False
+
+
 def test_reproduce_rejects_negative_seed_flag(tmp_path, capsys):
     assert run_cli("reproduce", "--example", "2", "--alpha", "0.5",
                    "--oracle", "optimizer", "--seed", "-1",

@@ -206,19 +206,22 @@ def test_i_weights_symmetric_and_exactly_zero_at_alpha_endpoints(alpha):
     # cancel exactly, not up to rounding
     for i in range(12):
         rho = random_density(EnsembleSpec("full_rank", (2, 3, 4)[i % 3], 61), index=i)
-        w = SkewEngine(rho, alpha).i_weights
+        (w,), _ = SkewEngine(rho).weights((alpha,))
         assert np.array_equal(w, w.T)
         assert not np.any(w)
         assert skew_information_I(rho, random_hermitian(rho.dim, 62, index=i), alpha) == 0.0
 
 
 def test_engine_is_shared_per_state_and_alpha():
+    # one engine per state; its weights are kept per alpha tuple
     rho = random_density(EnsembleSpec("full_rank", 3, 63))
-    assert engine(rho, 0.3) is engine(rho, 0.3)
-    assert engine(rho, 0.3) is not engine(rho, 0.7)
-    assert engine(rho, 0.3) is not engine(DensityMatrix(rho.mat), 0.3)
-    with pytest.raises(ValueError):
-        engine(rho, 0.3).i_weights[0, 0] = 1.0
+    assert engine(rho) is engine(rho)
+    assert engine(rho) is not engine(DensityMatrix(rho.mat))
+    assert engine(rho).weights((0.3,)) is engine(rho).weights((0.3,))
+    assert engine(rho).weights((0.3,)) is not engine(rho).weights((0.7,))
+    for w in engine(rho).weights((0.3, 0.7)):
+        with pytest.raises(ValueError):
+            w[0, 0, 0] = 1.0
 
 
 def test_agrees_with_sqrtm_route_at_half():

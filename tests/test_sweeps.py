@@ -1,11 +1,12 @@
-"""Sweep rows and single-state evaluation: one set of engines per (state,
-alpha), one row schema."""
+"""Sweep rows, single-state evaluation and the Heisenberg campaign: one set
+of engines per state, one row schema."""
 
 import sys
 
 import pytest
 
 from skewunc import linalg, skew
+from skewunc.checks import DEFAULT_ALPHAS, CheckConfig, prop_heisenberg
 from skewunc.cli import main
 from skewunc.serialize import save_state
 from skewunc.states import EnsembleSpec, random_density
@@ -50,6 +51,16 @@ def test_eval_builds_each_spectral_object_once(monkeypatch, tmp_path, capsys):
     # D, both memory bounds and the Heisenberg check share the joint engine
     assert counts == {"__init__": 2, "herm_eig": 2, "partial_trace": 1}
     assert '"holds": true' in capsys.readouterr().out
+
+
+def test_heisenberg_campaign_builds_one_engine_per_state(monkeypatch):
+    counts = {"__init__": 0, "herm_eig": 0}
+    _count_calls(monkeypatch, skew.SkewEngine, "__init__", counts)
+    _count_calls(monkeypatch, linalg, "herm_eig", counts)
+    res, _ = prop_heisenberg(CheckConfig(n_samples=4, dims=(2, 3)))
+    # 4 states per dimension, each checked at every alpha from one engine
+    assert res.samples == 8 * len(DEFAULT_ALPHAS)
+    assert counts == {"__init__": 8, "herm_eig": 8}
 
 
 @pytest.mark.parametrize("example_id, p", [(1, -0.4), (2, None), (3, 0.6)])
