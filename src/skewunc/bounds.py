@@ -11,11 +11,12 @@ terms, and a holds flag at an explicit tolerance. The quantum correlation
 enters as an explicit argument so callers control its certification level
 (exact qubit oracle, optimizer, or an analytically known value).
 
-Both memory bounds share their terms: ``memory_bounds`` scores them once
-(against the engines ``skew.engine`` keeps for the joint and the reduced
-state) and returns both reports. ``heisenberg_type_checks`` checks the
-memoryless bound at many alphas from one engine. ``product_bound_check`` and
-``sum_bound_check`` return one of the two.
+Both memory bounds share their terms: ``memory_bounds`` scores them once,
+both bases in one stacked call on each of the engines ``skew.engine`` keeps
+for the joint and the reduced state, and returns both reports.
+``heisenberg_type_checks`` checks the memoryless bound at many alphas from
+one engine. ``product_bound_check`` and ``sum_bound_check`` return one of
+the two.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from .linalg import (
 from .skew import (
     NEG_CLIP,
     ProjectiveBasis,
-    compat_L,
+    _check_dims,
+    compat_terms,
+    embedded,
     engine,
-    measurement_uncertainty_terms,
 )
 
 # Default holds-tolerances: tight when every input is exact, looser when the
@@ -75,13 +77,13 @@ def heisenberg_type_checks(rho: DensityMatrix, r: HermitianOperator,
                            tolerance: float = HEISENBERG_TOL) -> list[BoundReport]:
     """Memoryless bound at each of ``alphas``: product of the two
     geometric-mean uncertainties against a(1-a) |Tr rho [R, S]|^2. Both
-    observables are scored at every alpha from one rotation each, and the
+    observables are scored at every alpha from one stacked rotation, and the
     commutator trace is computed once."""
-    eng = engine(rho)
+    _check_dims(rho, r, s)
     comm = r.mat @ s.mat - s.mat @ r.mat
     comm_sq = abs(complex(np.trace(rho.mat @ comm)))**2
     reports = []
-    for pr, ps in zip(eng.pairs(r.mat, alphas), eng.pairs(s.mat, alphas)):
+    for pr, ps in zip(*engine(rho).stacked_pairs(np.stack((r.mat, s.mat)), alphas)):
         alpha_factor = pr.alpha * (1.0 - pr.alpha)
         terms = {
             "u_alpha_R": pr.u_alpha,
@@ -119,11 +121,13 @@ def _memory_terms(rho_ab: BipartiteDensityMatrix, phi: ProjectiveBasis,
         raise ValidationError(
             f"both bases must live on the measured subsystem "
             f"(dimension {rho_ab.d_A})")
-    un_phi = measurement_uncertainty_terms(rho_ab, phi, alpha, memory_dim=rho_ab.d_B)
-    un_psi = measurement_uncertainty_terms(rho_ab, psi, alpha, memory_dim=rho_ab.d_B)
-    rho_a = rho_ab.reduced()
-    per_k_l = [compat_L(rho_a, phi.projector(k), psi.projector(k), alpha)
-               for k in range(phi.dim)]
+    # both bases in one scoring per engine: P (x) I on the joint state for
+    # the uncertainties, P on the reduced state for the compatibility terms
+    joint = embedded(np.concatenate((phi.projector_stack, psi.projector_stack)), rho_ab.d_B)
+    un = [t for [t] in engine(rho_ab).stacked_pairs(joint, (alpha,))]
+    un_phi, un_psi = un[:phi.dim], un[phi.dim:]
+    per_k_l = compat_terms(rho_ab.reduced(), phi.projector_stack, psi.projector_stack,
+                           alpha)
     return {
         "un_phi": float(sum(t.u_alpha for t in un_phi)),
         "un_psi": float(sum(t.u_alpha for t in un_psi)),

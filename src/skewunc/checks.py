@@ -406,9 +406,9 @@ def prop_theorems_with_oracle(cfg: CheckConfig):
         sum_i_phi = float(sum(prod.terms["per_k_I_phi"]))
         sum_i_psi = float(sum(prod.terms["per_k_I_psi"]))
         mid = sum_i_phi * sum_i_psi
-        eng_a = engine(rho.reduced())
-        i_a_phi = [eng_a.pair(phi.projector(k).mat, alpha).i_alpha for k in range(2)]
-        i_a_psi = [eng_a.pair(psi.projector(k).mat, alpha).i_alpha for k in range(2)]
+        both = np.concatenate((phi.projector_stack, psi.projector_stack))
+        i_a = [p.i_alpha for [p] in engine(rho.reduced()).stacked_pairs(both, (alpha,))]
+        i_a_phi, i_a_psi = i_a[:2], i_a[2:]
         mid2 = (d_val + sum(i_a_phi)) * (d_val + sum(i_a_psi))
         mid3 = d_val**2 + sum(a * b for a, b in zip(i_a_phi, i_a_psi))
         tight = min(prod.lhs - mid, mid2 - mid3, mid3 - prod.rhs)

@@ -315,6 +315,8 @@ def cmd_check(args) -> int:
     out = settings.pop("out")
     cfg = CheckConfig(**settings)
     witness_dir = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(witness_dir):  # fail before the campaign, not after
+        raise ConfigError(f"cannot write {out}: {witness_dir} is not a directory")
     report = run_checks(cfg, witness_dir=witness_dir,
                         progress=lambda r: print(
                             f"{'PASS' if r.passed else 'FAIL'} {r.name}: "

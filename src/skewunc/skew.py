@@ -55,38 +55,36 @@ class ProjectiveBasis:
     """Ordered complete set of orthonormal rank-1 measurement directions.
 
     ``columns`` holds one unit vector per column; projector k is the outer
-    product of column k with itself.
+    product of column k with itself, and ``projector_stack`` holds all of
+    them as one read-only (d, d, d) array.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "projector_stack")
 
     def __init__(self, columns, tol: float = 1e-10):
         cols = np.array(columns, dtype=np.complex128, copy=True)
         if cols.ndim != 2 or cols.shape[0] != cols.shape[1]:
             raise ShapeError(f"expected a square column matrix, got {cols.shape}")
+        if not np.all(np.isfinite(cols)):
+            raise ValidationError("basis vectors contain NaN or Inf entries")
         d = cols.shape[0]
         gram = cols.conj().T @ cols
-        if float(np.max(np.abs(gram - np.eye(d)))) > tol:
+        if not float(np.max(np.abs(gram - np.eye(d)))) <= tol:
             raise ValidationError("basis vectors are not orthonormal within tolerance")
         resolution = cols @ cols.conj().T
-        if float(np.max(np.abs(resolution - np.eye(d)))) > tol:
+        if not float(np.max(np.abs(resolution - np.eye(d)))) <= tol:
             raise ValidationError("basis projectors do not sum to the identity")
-        cols.flags.writeable = False
+        stack = cols.T[:, :, None] * cols.conj().T[:, None, :]
+        cols.flags.writeable = stack.flags.writeable = False
         self.columns = cols
+        self.projector_stack = stack
 
     @property
     def dim(self) -> int:
         return self.columns.shape[0]
 
-    def vector(self, k: int) -> np.ndarray:
-        return self.columns[:, k]
-
     def projector(self, k: int) -> HermitianOperator:
-        v = self.columns[:, k]
-        return HermitianOperator(np.outer(v, v.conj()))
-
-    def projectors(self) -> list[HermitianOperator]:
-        return [self.projector(k) for k in range(self.dim)]
+        return HermitianOperator(self.projector_stack[k])
 
     def __repr__(self):
         return f"ProjectiveBasis(dim={self.dim})"
@@ -107,6 +105,12 @@ def _clip_value(value: float, what: str) -> float:
         raise NumericalConsistencyError(
             f"{what} = {value:.3e} is negative beyond the {NEG_CLIP:.0e} noise floor")
     return max(value, 0.0)
+
+
+def _skew_pair(alpha: float, i: float, j: float) -> SkewPair:
+    i = _clip_value(float(i), "skew information")
+    j = _clip_value(float(j), "dual skew information")
+    return SkewPair(i_alpha=i, j_alpha=j, u_alpha=float(np.sqrt(i * j)), alpha=float(alpha))
 
 
 class SkewEngine:
@@ -161,24 +165,25 @@ class SkewEngine:
             self._weights[alphas] = (w_i, w_j)
         return self._weights[alphas]
 
-    def pairs(self, h: np.ndarray, alphas: tuple[float, ...]) -> list[SkewPair]:
-        """Skew information, dual and their geometric mean of the cached
-        state against observable ``h`` at each of ``alphas``. The dual is
-        evaluated on the centered observable."""
+    def stacked_pairs(self, hs: np.ndarray,
+                      alphas: tuple[float, ...]) -> list[list[SkewPair]]:
+        """Skew information, dual (of the centered observable) and their
+        geometric mean of the cached state against each observable of the
+        (m, d, d) stack ``hs`` at each of ``alphas``, from one rotation into
+        the eigenbasis: one list of pairs per observable."""
         w_i, w_j = self.weights(alphas)
         v = self.eigenvectors
-        ht = v.conj().T @ h @ v
-        mean = float(np.sum(self.eigenvalues * ht.diagonal().real))
-        hc = ht - mean * np.eye(self.dim)
-        i_raw = np.einsum('ajk,jk->a', w_i, ht.real**2 + ht.imag**2)
-        j_raw = np.einsum('ajk,jk->a', w_j, hc.real**2 + hc.imag**2)
-        out = []
-        for alpha, i, j in zip(alphas, i_raw, j_raw):
-            i = _clip_value(float(i), "skew information")
-            j = _clip_value(float(j), "dual skew information")
-            out.append(SkewPair(i_alpha=i, j_alpha=j, u_alpha=float(np.sqrt(i * j)),
-                                alpha=float(alpha)))
-        return out
+        ht = v.conj().T @ hs @ v
+        mean = np.sum(self.eigenvalues * np.diagonal(ht, axis1=1, axis2=2).real, axis=1)
+        hc = ht - mean[:, None, None] * np.eye(self.dim)
+        i_raw = np.einsum('ajk,njk->na', w_i, ht.real**2 + ht.imag**2)
+        j_raw = np.einsum('ajk,njk->na', w_j, hc.real**2 + hc.imag**2)
+        return [[_skew_pair(alpha, i, j) for alpha, i, j in zip(alphas, i_row, j_row)]
+                for i_row, j_row in zip(i_raw, j_raw)]
+
+    def pairs(self, h: np.ndarray, alphas: tuple[float, ...]) -> list[SkewPair]:
+        """``stacked_pairs`` of one observable."""
+        return self.stacked_pairs(h[None], alphas)[0]
 
     def pair(self, h: np.ndarray, alpha: float) -> SkewPair:
         """``pairs`` at one alpha."""
@@ -193,9 +198,10 @@ def engine(rho: DensityMatrix) -> SkewEngine:
     return SkewEngine(rho)
 
 
-def _check_dims(rho: DensityMatrix, h: HermitianOperator) -> None:
-    if rho.dim != h.dim:
-        raise ShapeError(f"state dimension {rho.dim} != observable dimension {h.dim}")
+def _check_dims(rho: DensityMatrix, *observables: HermitianOperator) -> None:
+    for h in observables:
+        if rho.dim != h.dim:
+            raise ShapeError(f"state dimension {rho.dim} != observable dimension {h.dim}")
 
 
 def skew_information_I(rho: DensityMatrix, h: HermitianOperator, alpha: float) -> float:
@@ -221,6 +227,14 @@ def uncertainty_U(rho: DensityMatrix, h: HermitianOperator, alpha: float) -> Ske
     return engine(rho).pair(h.mat, alpha)
 
 
+def embedded(ps: np.ndarray, memory_dim: int) -> np.ndarray:
+    """Each P of the (m, d, d) stack ``ps`` as P (x) I, I of dimension
+    ``memory_dim``: the entries of np.kron by broadcasting, without its overhead."""
+    m, d, _ = ps.shape
+    eye = np.eye(memory_dim)[None, None, :, None, :]
+    return (ps[:, :, None, :, None] * eye).reshape(m, d * memory_dim, d * memory_dim)
+
+
 def measurement_uncertainty_terms(rho: DensityMatrix, basis: ProjectiveBasis,
                                   alpha: float, memory_dim: int = 1) -> list[SkewPair]:
     """Per-projector uncertainty pairs for a projective measurement.
@@ -235,16 +249,8 @@ def measurement_uncertainty_terms(rho: DensityMatrix, basis: ProjectiveBasis,
         raise ShapeError(
             f"basis dimension {basis.dim} x memory {memory_dim} != state "
             f"dimension {rho.dim}")
-    eng = engine(rho)
-    eye_mem = np.eye(memory_dim)[None, :, None, :]
-    terms = []
-    for k in range(basis.dim):
-        v = basis.vector(k)
-        p = np.outer(v, v.conj())
-        # P (x) I by broadcasting: the entries of np.kron, without its overhead
-        h = (p[:, None, :, None] * eye_mem).reshape(rho.dim, rho.dim)
-        terms.append(eng.pair(h, alpha))
-    return terms
+    hs = embedded(basis.projector_stack, memory_dim)
+    return [t for [t] in engine(rho).stacked_pairs(hs, (alpha,))]
 
 
 def measurement_uncertainty_UN(rho: DensityMatrix, basis: ProjectiveBasis,
@@ -254,12 +260,30 @@ def measurement_uncertainty_UN(rho: DensityMatrix, basis: ProjectiveBasis,
     return float(sum(t.u_alpha for t in terms))
 
 
-def _check_rank1_projector(p: HermitianOperator, name: str) -> None:
-    m = p.mat
-    if float(np.max(np.abs(m @ m - m))) > PROJECTOR_TOL:
+def _check_rank1_projectors(ps: np.ndarray, name: str) -> None:
+    if not float(np.abs(ps @ ps - ps).max()) <= PROJECTOR_TOL:
         raise ValidationError(f"{name} is not idempotent within {PROJECTOR_TOL:.0e}")
-    if abs(complex(np.trace(m)) - 1.0) > PROJECTOR_TOL:
+    if not float(np.abs(ps.trace(axis1=1, axis2=2) - 1.0).max()) <= PROJECTOR_TOL:
         raise ValidationError(f"{name} does not have unit trace (not rank 1)")
+
+
+def compat_terms(rho_a: DensityMatrix, phis: np.ndarray, psis: np.ndarray,
+                 alpha: float, denom_tol: float = DENOM_TOL) -> list[float]:
+    """``compat_L`` of each pair phis[k], psis[k] of two (m, d, d) stacks of
+    rank-1 projectors, with their 2m dual quantities from one scoring."""
+    _check_rank1_projectors(phis, "phi")
+    _check_rank1_projectors(psis, "psi")
+    alpha = check_alpha(alpha)
+    duals = [p.j_alpha for [p] in engine(rho_a).stacked_pairs(
+        np.concatenate((phis, psis)), (alpha,))]
+    comm = phis @ psis - psis @ phis
+    traces = np.trace(rho_a.mat @ comm, axis1=1, axis2=2)
+    out = []
+    for tr, j_phi, j_psi in zip(traces, duals[:len(phis)], duals[len(phis):]):
+        numerator = alpha * (1.0 - alpha) * abs(complex(tr))**2
+        denom_sq = j_phi * j_psi
+        out.append(0.0 if denom_sq < denom_tol else float(numerator / np.sqrt(denom_sq)))
+    return out
 
 
 def compat_L(rho_a: DensityMatrix, phi: HermitianOperator, psi: HermitianOperator,
@@ -271,18 +295,8 @@ def compat_L(rho_a: DensityMatrix, phi: HermitianOperator, psi: HermitianOperato
     ``denom_tol``: a vanishing factor forces the numerator to vanish as well,
     so 0 is the continuous completion at boundary states.
     """
-    _check_dims(rho_a, phi)
-    _check_dims(rho_a, psi)
-    _check_rank1_projector(phi, "phi")
-    _check_rank1_projector(psi, "psi")
-    eng = engine(rho_a)
-    alpha = check_alpha(alpha)
-    comm = phi.mat @ psi.mat - psi.mat @ phi.mat
-    numerator = alpha * (1.0 - alpha) * abs(complex(np.trace(rho_a.mat @ comm)))**2
-    denom_sq = eng.pair(phi.mat, alpha).j_alpha * eng.pair(psi.mat, alpha).j_alpha
-    if denom_sq < denom_tol:
-        return 0.0
-    return float(numerator / np.sqrt(denom_sq))
+    _check_dims(rho_a, phi, psi)
+    return compat_terms(rho_a, phi.mat[None], psi.mat[None], alpha, denom_tol)[0]
 
 
 def variance(rho: DensityMatrix, h: HermitianOperator) -> float:

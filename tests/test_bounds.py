@@ -11,8 +11,8 @@ from skewunc.bounds import (
     sum_bound_check,
 )
 from skewunc.correlation import brute_force_D_qubit
-from skewunc.errors import ValidationError
-from skewunc.linalg import HermitianOperator, kron
+from skewunc.errors import ShapeError, ValidationError
+from skewunc.linalg import DensityMatrix, HermitianOperator, kron
 from skewunc.states import (
     EnsembleSpec,
     example2_state,
@@ -65,8 +65,43 @@ def test_heisenberg_report_reconstruction():
     assert rep.holds == (rep.slack >= -rep.tolerance)
 
 
+@pytest.mark.parametrize("dims", [(4, 2, 2), (2, 2, 4)],
+                         ids=["state_vs_observables", "r_vs_s"])
+def test_heisenberg_rejects_mismatched_dimensions(dims):
+    d_rho, d_r, d_s = dims
+    rho = DensityMatrix(np.eye(d_rho) / d_rho)
+    r, s = random_hermitian(d_r, 7), random_hermitian(d_s, 8)
+    with pytest.raises(ShapeError):
+        heisenberg_type_check(rho, r, s, 0.3)
+    with pytest.raises(ShapeError):
+        heisenberg_type_checks(rho, r, s, (0.2, 0.7))
+
+
 # the endpoints, the scalar-sqrt exponent 0.5, and a repeated alpha
 _ALPHAS = (0.0, 0.1, 0.37, 0.5, 0.5, 0.8, 1.0)
+
+
+def _one_observable_scores(eng, h, alphas):
+    """I and J of one observable at each alpha, by the one-observable
+    arithmetic (one rotation, one einsum each), clipped as the engine clips."""
+    w_i, w_j = eng.weights(alphas)
+    v = eng.eigenvectors
+    ht = v.conj().T @ h @ v
+    mean = float(np.sum(eng.eigenvalues * ht.diagonal().real))
+    hc = ht - mean * np.eye(eng.dim)
+    i_raw = np.einsum('ajk,jk->a', w_i, ht.real**2 + ht.imag**2)
+    j_raw = np.einsum('ajk,jk->a', w_j, hc.real**2 + hc.imag**2)
+    return [(max(float(i), 0.0), max(float(j), 0.0)) for i, j in zip(i_raw, j_raw)]
+
+
+def _assert_stack_bit_equal(eng, hs, alphas):
+    stacked = eng.stacked_pairs(hs, alphas)
+    assert len(stacked) == len(hs)
+    for h, pairs in zip(hs, stacked):
+        assert pairs == eng.pairs(h, alphas)
+        for pair, (i, j) in zip(pairs, _one_observable_scores(eng, h, alphas)):
+            assert (pair.i_alpha, pair.j_alpha) == (i, j)
+            assert pair.u_alpha == float(np.sqrt(i * j))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -74,6 +109,7 @@ _ALPHAS = (0.0, 0.1, 0.37, 0.5, 0.5, 0.8, 1.0)
 def test_multi_alpha_scoring_equals_one_alpha_scoring(kind, d):
     from skewunc.skew import (
         SkewEngine,
+        embedded as skew_embedded,
         skew_information_I,
         skew_information_J,
         uncertainty_U,
@@ -93,6 +129,16 @@ def test_multi_alpha_scoring_equals_one_alpha_scoring(kind, d):
             assert pair == uncertainty_U(rho, r, alpha)
         reports = heisenberg_type_checks(rho, r, s, _ALPHAS)
         assert reports == [heisenberg_type_check(rho, r, s, a) for a in _ALPHAS]
+        # a stack of observables changes no bit either: the R/S stack, and
+        # the embedded Pauli projectors of a 2 x d state
+        _assert_stack_bit_equal(SkewEngine(rho), np.stack((r.mat, s.mat)), _ALPHAS)
+        rho_ab = random_density(EnsembleSpec(kind, (2, d), 74, rank=rank), index=i)
+        bases = [pauli_basis(axis) for axis in "xyz"]
+        embedded = np.stack([kron(p, np.eye(d)) for b in bases for p in b.projector_stack])
+        assert np.array_equal(embedded, skew_embedded(
+            np.concatenate([b.projector_stack for b in bases]), d))
+        _assert_stack_bit_equal(SkewEngine(rho_ab), embedded, _ALPHAS)
+        _assert_stack_bit_equal(SkewEngine(rho_ab), embedded, (0.3,))
 
 
 # --- closed forms ------------------------------------------------------------

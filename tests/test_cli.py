@@ -258,23 +258,31 @@ def test_unwritable_witness_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def _forced_properties(monkeypatch, slack):
+    """Replace the campaign by one property of the given slack; the returned
+    list records each run of it."""
     import skewunc.checks as checks_mod
+
+    runs = []
 
     @checks_mod._property("forced", 0.0)
     def prop_forced(cfg):
+        runs.append(cfg)
         yield slack, {"alpha": 0.1}
 
     monkeypatch.setattr(checks_mod, "ALL_PROPERTIES", (prop_forced,))
+    return runs
 
 
 @pytest.mark.parametrize("slack", [-1.0, 1.0], ids=["failing", "passing"])
 def test_check_into_missing_directory_exits_2(tmp_path, capsys, monkeypatch, slack):
-    # neither the witness nor the report writer creates a directory
-    _forced_properties(monkeypatch, slack)
+    # neither the witness nor the report writer creates a directory, and the
+    # campaign does not start when the report cannot be written
+    runs = _forced_properties(monkeypatch, slack)
     missing = tmp_path / "missing"
     assert run_cli("check", "--out", str(missing / "r.json")) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not missing.exists()
+    assert runs == []
 
 
 def test_nan_slack_is_written_as_null(tmp_path, monkeypatch):

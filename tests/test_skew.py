@@ -142,9 +142,16 @@ def test_basis_validates_orthonormality():
         ProjectiveBasis(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "nan_imag"])
+def test_basis_rejects_non_finite_entries(entry):
+    with pytest.raises(ValidationError):
+        ProjectiveBasis(np.array([[entry, 0.0], [0.0, 1.0]]))
+
+
 def test_basis_projectors_resolve_identity():
     b = pauli_basis("y")
-    total = sum(p.mat for p in b.projectors())
+    total = b.projector_stack.sum(axis=0)
     assert np.allclose(total, np.eye(2))
 
 
