@@ -11,12 +11,12 @@ terms, and a holds flag at an explicit tolerance. The quantum correlation
 enters as an explicit argument so callers control its certification level
 (exact qubit oracle, optimizer, or an analytically known value).
 
-Both memory bounds share their terms: ``memory_bounds`` scores them once,
-both bases in one stacked call on each of the engines ``skew.engine`` keeps
-for the joint and the reduced state, and returns both reports.
-``heisenberg_type_checks`` checks the memoryless bound at many alphas from
-one engine. ``product_bound_check`` and ``sum_bound_check`` return one of
-the two.
+Both memory bounds share their terms: ``memory_bounds`` scores them once
+(each basis in one stacked call on the engine ``skew.engine`` keeps for the
+joint state, both bases in one on the reduced state's) and returns both
+reports. ``heisenberg_type_checks`` checks the memoryless bound at many
+alphas from one engine. ``product_bound_check`` and ``sum_bound_check``
+return one of the two.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .skew import (
     ProjectiveBasis,
     _check_dims,
     compat_terms,
-    embedded,
     engine,
+    measurement_uncertainty_terms,
 )
 
 # Default holds-tolerances: tight when every input is exact, looser when the
@@ -121,11 +121,8 @@ def _memory_terms(rho_ab: BipartiteDensityMatrix, phi: ProjectiveBasis,
         raise ValidationError(
             f"both bases must live on the measured subsystem "
             f"(dimension {rho_ab.d_A})")
-    # both bases in one scoring per engine: P (x) I on the joint state for
-    # the uncertainties, P on the reduced state for the compatibility terms
-    joint = embedded(np.concatenate((phi.projector_stack, psi.projector_stack)), rho_ab.d_B)
-    un = [t for [t] in engine(rho_ab).stacked_pairs(joint, (alpha,))]
-    un_phi, un_psi = un[:phi.dim], un[phi.dim:]
+    un_phi = measurement_uncertainty_terms(rho_ab, phi, alpha, memory_dim=rho_ab.d_B)
+    un_psi = measurement_uncertainty_terms(rho_ab, psi, alpha, memory_dim=rho_ab.d_B)
     per_k_l = compat_terms(rho_ab.reduced(), phi.projector_stack, psi.projector_stack,
                            alpha)
     return {

@@ -25,7 +25,7 @@ from scipy.optimize import minimize
 
 from .errors import NumericalConsistencyError, OptimizerError, ShapeError, ValidationError
 from .linalg import BipartiteDensityMatrix, check_alpha
-from .skew import NEG_CLIP, ProjectiveBasis, engine
+from .skew import NEG_CLIP, ProjectiveBasis, embedded, engine
 from .states import pauli
 
 # Restarts stop early once the best value reaches this floor; the deficit is
@@ -80,9 +80,9 @@ _PAULI_STACK = np.stack([pauli(axis).mat for axis in "xyz"])
 @lru_cache(maxsize=16)
 def _embedded_paulis(d_b: int) -> np.ndarray:
     """The Pauli matrices embedded as s (x) I on a memory of dimension d_b."""
-    embedded = np.stack([np.kron(s, np.eye(d_b)) for s in _PAULI_STACK])
-    embedded.flags.writeable = False
-    return embedded
+    paulis = embedded(_PAULI_STACK, d_b)
+    paulis.flags.writeable = False
+    return paulis
 
 
 class DeficitEvaluator:

@@ -268,7 +268,7 @@ def _check_rank1_projectors(ps: np.ndarray, name: str) -> None:
 
 
 def compat_terms(rho_a: DensityMatrix, phis: np.ndarray, psis: np.ndarray,
-                 alpha: float, denom_tol: float = DENOM_TOL) -> list[float]:
+                 alpha: float) -> list[float]:
     """``compat_L`` of each pair phis[k], psis[k] of two (m, d, d) stacks of
     rank-1 projectors, with their 2m dual quantities from one scoring."""
     _check_rank1_projectors(phis, "phi")
@@ -282,21 +282,21 @@ def compat_terms(rho_a: DensityMatrix, phis: np.ndarray, psis: np.ndarray,
     for tr, j_phi, j_psi in zip(traces, duals[:len(phis)], duals[len(phis):]):
         numerator = alpha * (1.0 - alpha) * abs(complex(tr))**2
         denom_sq = j_phi * j_psi
-        out.append(0.0 if denom_sq < denom_tol else float(numerator / np.sqrt(denom_sq)))
+        out.append(0.0 if denom_sq < DENOM_TOL else float(numerator / np.sqrt(denom_sq)))
     return out
 
 
 def compat_L(rho_a: DensityMatrix, phi: HermitianOperator, psi: HermitianOperator,
-             alpha: float, denom_tol: float = DENOM_TOL) -> float:
+             alpha: float) -> float:
     """Compatibility term of two rank-1 projectors on the reduced state:
     a(1-a) |Tr rho [phi, psi]|^2 / sqrt(J(rho, phi) J(rho, psi)).
 
     Returns 0 when the product of the two dual quantities falls below
-    ``denom_tol``: a vanishing factor forces the numerator to vanish as well,
+    ``DENOM_TOL``: a vanishing factor forces the numerator to vanish as well,
     so 0 is the continuous completion at boundary states.
     """
     _check_dims(rho_a, phi, psi)
-    return compat_terms(rho_a, phi.mat[None], psi.mat[None], alpha, denom_tol)[0]
+    return compat_terms(rho_a, phi.mat[None], psi.mat[None], alpha)[0]
 
 
 def variance(rho: DensityMatrix, h: HermitianOperator) -> float:

@@ -86,6 +86,21 @@ def test_nan_slack_fails_and_writes_its_witness(tmp_path):
     assert doc == {"property": "injected_nan", "alpha": 0.2}
 
 
+
+@pytest.mark.parametrize("target", ["missing", "afile"])
+def test_unwritable_witness_dir_is_a_config_error(tmp_path, target):
+    # the witness writer turns an OSError into a ConfigError and creates no
+    # directory, whether the target is missing or is a regular file
+    @_property("injected_failure", 0.0)
+    def prop_fail(cfg):
+        yield -1.0, {"alpha": 0.1}
+
+    (tmp_path / "afile").write_text("not a directory\n")
+    with pytest.raises(ConfigError, match="cannot write witness"):
+        run_checks(SMALL, witness_dir=str(tmp_path / target), properties=(prop_fail,))
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").is_file()
+
 class _NegativeDeficit:
     def __init__(self, rho, alpha):
         pass

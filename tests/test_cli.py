@@ -242,19 +242,15 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command):
 
 
 def test_unwritable_witness_exits_2(tmp_path, capsys, monkeypatch):
-    import skewunc.checks as checks_mod
-    from skewunc.checks import PropertyResult
-
-    def failing_property(cfg):
-        return (PropertyResult(name="forced_failure", samples=1,
-                               worst_slack=-1.0, tol=0.0, passed=False),
-                {"alpha": 0.1})
-
-    monkeypatch.setattr(checks_mod, "ALL_PROPERTIES", (failing_property,))
+    # a report (and witness) path under a regular file is refused by the
+    # pre-check in cmd_check before the failing property runs; the witness
+    # writer's own error is covered in test_checks.py
+    runs = _forced_properties(monkeypatch, -1.0)
     afile = tmp_path / "afile"
     afile.write_text("not a directory\n")
     assert run_cli("check", "--out", str(afile / "r.json")) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert runs == []
 
 
 def _forced_properties(monkeypatch, slack):

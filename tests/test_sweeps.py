@@ -53,16 +53,16 @@ def test_eval_builds_each_spectral_object_once(monkeypatch, tmp_path, capsys):
     assert '"holds": true' in capsys.readouterr().out
 
 
-def test_sweep_row_scores_both_bases_once_per_engine(monkeypatch):
+def test_sweep_row_scores_each_basis_in_one_call(monkeypatch):
     counts = {"__init__": 0, "herm_eig": 0, "stacked_pairs": 0, "pair": 0}
     _count_calls(monkeypatch, skew.SkewEngine, "__init__", counts)
     _count_calls(monkeypatch, linalg, "herm_eig", counts)
     _count_calls(monkeypatch, skew.SkewEngine, "stacked_pairs", counts)
     _count_calls(monkeypatch, skew.SkewEngine, "pair", counts)
     sweep_row(1, 0.3, 0.5, "grid")
-    # one stacked scoring per engine: the embedded projectors of both bases
-    # on the joint state, their unembedded projectors on the reduced state
-    assert counts == {"__init__": 2, "herm_eig": 2, "stacked_pairs": 2, "pair": 0}
+    # one stacked scoring per basis on the joint state (its embedded
+    # projectors), one for both bases' projectors on the reduced state
+    assert counts == {"__init__": 2, "herm_eig": 2, "stacked_pairs": 3, "pair": 0}
 
 
 def test_heisenberg_campaign_builds_one_engine_per_state(monkeypatch):
