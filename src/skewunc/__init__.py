@@ -16,7 +16,6 @@ from .bounds import (
 from .correlation import (
     CorrelationResult,
     OptimizerConfig,
-    basis_from_unitary,
     brute_force_D_qubit,
     correlation_deficit,
     quantum_correlation_D,
@@ -89,7 +88,6 @@ __all__ = [
     "SpectralDecomposition",
     "ValidationError",
     "anticommutator",
-    "basis_from_unitary",
     "brute_force_D_qubit",
     "commutator",
     "compat_L",

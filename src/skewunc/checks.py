@@ -26,7 +26,6 @@ from .bounds import heisenberg_type_checks, memory_bounds
 from .correlation import (
     DeficitEvaluator,
     OptimizerConfig,
-    basis_from_unitary,
     brute_force_D_qubit,
     quantum_correlation_D,
 )
@@ -41,6 +40,7 @@ from .linalg import (
 )
 from .serialize import matrix_to_pairs
 from .skew import (
+    ProjectiveBasis,
     engine,
     skew_information_I,
     skew_information_via_powers,
@@ -303,7 +303,7 @@ def prop_deficit_nonnegative(cfg: CheckConfig):
         da, db = dims[i % len(dims)]
         rho = random_density(EnsembleSpec("full_rank", (da, db), seed), index=i)
         alpha = cfg.alphas[i % len(cfg.alphas)]
-        basis = basis_from_unitary(random_unitary(da, seed + 1, index=i))
+        basis = ProjectiveBasis(random_unitary(da, seed + 1, index=i))
         total, _ = DeficitEvaluator(rho, alpha).basis_deficit(basis.columns)
         yield total, {"state": rho, "alpha": alpha, "basis": basis.columns}
 
@@ -384,8 +384,8 @@ def prop_heisenberg(cfg: CheckConfig):
 
 def _random_two_qubit_pair(seed: int, i: int):
     rho = random_density(EnsembleSpec("full_rank", (2, 2), seed), index=i)
-    phi = basis_from_unitary(random_unitary(2, seed + 1, index=i))
-    psi = basis_from_unitary(random_unitary(2, seed + 2, index=i))
+    phi = ProjectiveBasis(random_unitary(2, seed + 1, index=i))
+    psi = ProjectiveBasis(random_unitary(2, seed + 2, index=i))
     return rho, phi, psi
 
 

@@ -58,6 +58,12 @@ class OptimizerConfig:
     max_iters: int = 2000   # per-restart iteration cap
     seed: int = 0
 
+    def __post_init__(self):
+        for name, minimum in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
+            if getattr(self, name) < minimum:
+                raise ValidationError(
+                    f"{name} must be >= {minimum}, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class CorrelationResult:
@@ -67,11 +73,6 @@ class CorrelationResult:
     argmin_basis: ProjectiveBasis
     deficit_per_k: list[float]
     optimizer_trace: list[tuple[int, float]] = field(default_factory=list)
-
-
-def basis_from_unitary(u: np.ndarray, tol: float = 1e-9) -> ProjectiveBasis:
-    """Wrap the columns of a unitary as a projective measurement basis."""
-    return ProjectiveBasis(u, tol=tol)
 
 
 _PAULI_STACK = np.stack([pauli(axis).mat for axis in "xyz"])
@@ -105,7 +106,6 @@ class DeficitEvaluator:
         (self._w_ab,), _ = self._eng_ab.weights((self.alpha,))
         self._w_ab_flat = self._w_ab.ravel()
         (self._w_a,), _ = self._eng_a.weights((self.alpha,))
-        self._bloch = None
 
     def _deficit_terms(self, v: np.ndarray):
         """Per-row deficits of the unit vectors ``v`` and the intermediates
@@ -167,21 +167,14 @@ class DeficitEvaluator:
         """
         if self.d_A != 2:
             raise ValidationError("Bloch parameterization needs d_A = 2")
-        if self._bloch is None:
-            u = self._eng_ab.eigenvectors
-            st = np.einsum('ja,iab,bk->ijk', u.conj().T, _embedded_paulis(self.d_B), u)
-            q_ab = np.einsum('jk,ijk,ljk->il', self._w_ab, st, st.conj()).real
-            ua = self._ua_conj.conj()
-            st_a = np.einsum('ja,iab,bk->ijk', ua.conj().T, _PAULI_STACK, ua)
-            q_a = np.einsum('jk,ijk,ljk->il', self._w_a, st_a, st_a.conj()).real
-            q = q_ab - q_a
-            self._bloch = 0.5 * (q + q.T)
-        return self._bloch
-
-    def bloch_basis_deficits(self, nvecs: np.ndarray) -> np.ndarray:
-        """Whole-basis deficit for unit Bloch vectors as rows of ``nvecs``."""
-        q = self.bloch_quadratic()
-        return 0.5 * ((nvecs @ q) * nvecs).sum(axis=1)
+        u = self._eng_ab.eigenvectors
+        st = np.einsum('ja,iab,bk->ijk', u.conj().T, _embedded_paulis(self.d_B), u)
+        q_ab = np.einsum('jk,ijk,ljk->il', self._w_ab, st, st.conj()).real
+        ua = self._ua_conj.conj()
+        st_a = np.einsum('ja,iab,bk->ijk', ua.conj().T, _PAULI_STACK, ua)
+        q_a = np.einsum('jk,ijk,ljk->il', self._w_a, st_a, st_a.conj()).real
+        q = q_ab - q_a
+        return 0.5 * (q + q.T)
 
 
 def correlation_deficit(rho_ab: BipartiteDensityMatrix, basis: ProjectiveBasis,
@@ -270,8 +263,6 @@ def quantum_correlation_D(rho_ab: BipartiteDensityMatrix, alpha: float,
     Deterministic for a fixed ``cfg.seed``.
     """
     cfg = cfg or OptimizerConfig()
-    if cfg.restarts < 1:
-        raise ValidationError(f"restarts must be >= 1, got {cfg.restarts}")
     ev = DeficitEvaluator(rho_ab, alpha)
     d = ev.d_A
     nparams = d * d
@@ -304,7 +295,7 @@ def quantum_correlation_D(rho_ab: BipartiteDensityMatrix, alpha: float,
             best_value=best_val if np.isfinite(best_val) else None)
 
     u_best = _unitary_from_params(best_x, d)
-    basis = basis_from_unitary(u_best)
+    basis = ProjectiveBasis(u_best)
     total, per_k = ev.basis_deficit(basis.columns)
     return CorrelationResult(value=max(total, 0.0), argmin_basis=basis,
                              deficit_per_k=per_k, optimizer_trace=trace)

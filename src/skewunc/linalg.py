@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import InvalidStateError, ShapeError, SolverError, ValidationError
 
-# Default tolerances. Constructors accept per-call overrides.
+# Validation tolerances. Only the PSD one is per call (``partial_trace``
+# loosens it for reduced states).
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -58,13 +59,13 @@ class HermitianOperator:
 
     __slots__ = ("mat", "_spectral")
 
-    def __init__(self, mat, herm_tol: float = HERM_TOL):
+    def __init__(self, mat):
         m = as_complex_matrix(mat)
         drift = _max_abs(m - m.conj().T)
-        if drift > herm_tol:
+        if drift > HERM_TOL:
             raise ValidationError(
                 f"matrix is not Hermitian: max |A - A^dag| = {drift:.3e} "
-                f"> {herm_tol:.3e}")
+                f"> {HERM_TOL:.3e}")
         self.mat = m
         self._spectral: SpectralDecomposition | None = None
 
@@ -83,15 +84,18 @@ class HermitianOperator:
 
 
 class DensityMatrix(HermitianOperator):
-    """Hermitian, positive-semidefinite, unit-trace operator."""
+    """Hermitian, positive-semidefinite, unit-trace operator.
+
+    Its spectrum is checked here, once: eigenvalues down to -psd_tol are
+    accepted, and everything computed from the state clips them to 0.
+    """
 
     __slots__ = ()
 
-    def __init__(self, mat, herm_tol: float = HERM_TOL,
-                 trace_tol: float = TRACE_TOL, psd_tol: float = PSD_TOL):
-        super().__init__(mat, herm_tol=herm_tol)
+    def __init__(self, mat, psd_tol: float = PSD_TOL):
+        super().__init__(mat)
         tr = complex(np.trace(self.mat))
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidStateError(f"trace is {tr:.12g}, expected 1")
         lo = float(self.spectral().eigenvalues[0])
         if lo < -psd_tol:
@@ -104,8 +108,8 @@ class BipartiteDensityMatrix(DensityMatrix):
 
     __slots__ = ("d_A", "d_B", "_reduced")
 
-    def __init__(self, mat, d_A: int, d_B: int, **tols):
-        super().__init__(mat, **tols)
+    def __init__(self, mat, d_A: int, d_B: int):
+        super().__init__(mat)
         if d_A < 1 or d_B < 1 or d_A * d_B != self.dim:
             raise ShapeError(
                 f"declared factors {d_A}x{d_B} do not match dimension {self.dim}")
@@ -201,16 +205,13 @@ def herm_eig(op: HermitianOperator) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def clipped_spectrum(dec: SpectralDecomposition, psd_tol: float = PSD_TOL) -> np.ndarray:
-    """Eigenvalues with [-psd_tol, 0) clipped to 0; below -psd_tol is an
-    error. Positive values under SPECTRUM_FLOOR times the spectral radius are
+def clipped_spectrum(rho: DensityMatrix) -> np.ndarray:
+    """Eigenvalues of a validated state with its accepted negatives clipped
+    to 0. Positive values under SPECTRUM_FLOOR times the spectral radius are
     snapped to exact zeros as well (roundoff, not rank)."""
-    w = dec.eigenvalues
-    if float(w[0]) < -psd_tol:
-        raise InvalidStateError(
-            f"eigenvalue {float(w[0]):.3e} below -{psd_tol:.3e}; "
-            "not a valid (sub)normalized state")
-    w = np.maximum(w, 0.0)
+    if not isinstance(rho, DensityMatrix):
+        raise ValidationError(f"expected a validated state, got {type(rho).__name__}")
+    w = np.maximum(rho.spectral().eigenvalues, 0.0)
     top = float(w[-1])
     if top > 0.0:
         w[w < SPECTRUM_FLOOR * top] = 0.0
@@ -231,18 +232,16 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
-def fractional_power(rho: DensityMatrix, alpha: float,
-                     psd_tol: float = PSD_TOL) -> HermitianOperator:
+def fractional_power(rho: DensityMatrix, alpha: float) -> HermitianOperator:
     """rho**alpha through the spectral decomposition.
 
-    Eigenvalues in [-psd_tol, 0) are clipped to 0 before powering; zero
-    eigenvalues stay zero for every alpha (so rho**0 is the support
+    Negative eigenvalues the state accepted are clipped to 0 before powering;
+    zero eigenvalues stay zero for every alpha (so rho**0 is the support
     projector, not the identity).
     """
     alpha = check_alpha(alpha)
-    dec = rho.spectral()
-    w = powered_spectrum(clipped_spectrum(dec, psd_tol=psd_tol), alpha)
-    v = dec.eigenvectors
+    w = powered_spectrum(clipped_spectrum(rho), alpha)
+    v = rho.spectral().eigenvectors
     m = (v * w) @ v.conj().T
     return HermitianOperator(0.5 * (m + m.conj().T))
 
@@ -261,7 +260,7 @@ def partial_trace(rho: BipartiteDensityMatrix, keep: str) -> DensityMatrix:
     reduced = np.einsum('ijkj->ik', t) if keep == "A" else np.einsum('ijil->jl', t)
     # Reduction of a valid state is a valid state; loosen the PSD guard only
     # enough to absorb the einsum rounding.
-    return DensityMatrix(reduced, psd_tol=max(PSD_TOL, 1e-9))
+    return DensityMatrix(reduced, psd_tol=1e-9)
 
 
 def _check_same_dim(a: HermitianOperator, b: HermitianOperator) -> None:

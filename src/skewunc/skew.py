@@ -44,6 +44,9 @@ PAIR_DEGENERACY_TOL = 1e-14
 # Rank-1 projector validation (idempotency and unit trace).
 PROJECTOR_TOL = 1e-9
 
+# Orthonormality and completeness of a measurement basis.
+BASIS_TOL = 1e-10
+
 # Zero-denominator rule for the compatibility term.
 DENOM_TOL = 1e-12
 
@@ -61,18 +64,18 @@ class ProjectiveBasis:
 
     __slots__ = ("columns", "projector_stack")
 
-    def __init__(self, columns, tol: float = 1e-10):
+    def __init__(self, columns):
         cols = np.array(columns, dtype=np.complex128, copy=True)
-        if cols.ndim != 2 or cols.shape[0] != cols.shape[1]:
-            raise ShapeError(f"expected a square column matrix, got {cols.shape}")
+        if cols.ndim != 2 or cols.shape[0] != cols.shape[1] or cols.size == 0:
+            raise ShapeError(f"expected a nonempty square column matrix, got {cols.shape}")
         if not np.all(np.isfinite(cols)):
             raise ValidationError("basis vectors contain NaN or Inf entries")
         d = cols.shape[0]
         gram = cols.conj().T @ cols
-        if not float(np.max(np.abs(gram - np.eye(d)))) <= tol:
+        if not float(np.max(np.abs(gram - np.eye(d)))) <= BASIS_TOL:
             raise ValidationError("basis vectors are not orthonormal within tolerance")
         resolution = cols @ cols.conj().T
-        if not float(np.max(np.abs(resolution - np.eye(d)))) <= tol:
+        if not float(np.max(np.abs(resolution - np.eye(d)))) <= BASIS_TOL:
             raise ValidationError("basis projectors do not sum to the identity")
         stack = cols.T[:, :, None] * cols.conj().T[:, None, :]
         cols.flags.writeable = stack.flags.writeable = False
@@ -126,10 +129,9 @@ class SkewEngine:
 
     def __init__(self, rho: DensityMatrix):
         self.dim = rho.dim
-        dec = rho.spectral()
-        lam = clipped_spectrum(dec)
+        lam = clipped_spectrum(rho)
         self.eigenvalues = lam
-        self.eigenvectors = dec.eigenvectors
+        self.eigenvectors = rho.spectral().eigenvectors
         avg = 0.5 * (lam[:, None] + lam[None, :])
         scale = max(float(lam[-1]), np.finfo(float).tiny)
         degenerate = np.abs(lam[:, None] - lam[None, :]) <= PAIR_DEGENERACY_TOL * scale

@@ -294,14 +294,14 @@ def test_example2_product_components_trivial():
 def test_product_chain_links_random():
     from skewunc.linalg import partial_trace
     from skewunc.skew import SkewEngine
-    from skewunc.correlation import basis_from_unitary
+    from skewunc.skew import ProjectiveBasis
     from skewunc.states import random_unitary
 
     for i in range(25):
         rho = random_density(EnsembleSpec("full_rank", (2, 2), 8), index=i)
         alpha = (0.2, 0.5, 0.8)[i % 3]
-        phi = basis_from_unitary(random_unitary(2, 9, index=i))
-        psi = basis_from_unitary(random_unitary(2, 10, index=i))
+        phi = ProjectiveBasis(random_unitary(2, 9, index=i))
+        psi = ProjectiveBasis(random_unitary(2, 10, index=i))
         d = brute_force_D_qubit(rho, alpha)
         rep = product_bound_check(rho, phi, psi, alpha, d)
         mid = sum(rep.terms["per_k_I_phi"]) * sum(rep.terms["per_k_I_psi"])
@@ -321,21 +321,17 @@ def test_product_chain_links_random():
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
 def test_shared_context_reports_equal_standalone_checkers(dims):
     from skewunc.bounds import memory_bounds
-    from skewunc.correlation import (
-        OptimizerConfig,
-        basis_from_unitary,
-        quantum_correlation_D,
-    )
+    from skewunc.correlation import OptimizerConfig, quantum_correlation_D
     from skewunc.linalg import partial_trace
-    from skewunc.skew import compat_L, engine, skew_information_I
+    from skewunc.skew import ProjectiveBasis, compat_L, engine, skew_information_I
     from skewunc.states import random_unitary
 
     d_a, d_b = dims
     for i in range(4):
         rho = random_density(EnsembleSpec("full_rank", dims, 31), index=i)
         alpha = (0.2, 0.5, 0.7, 0.9)[i]
-        phi = basis_from_unitary(random_unitary(d_a, 32, index=i))
-        psi = basis_from_unitary(random_unitary(d_a, 33, index=i))
+        phi = ProjectiveBasis(random_unitary(d_a, 32, index=i))
+        psi = ProjectiveBasis(random_unitary(d_a, 33, index=i))
         oracle = (brute_force_D_qubit(rho, alpha) if d_a == 2 else
                   quantum_correlation_D(rho, alpha, OptimizerConfig(restarts=2)).value)
         for d_value in (0.0, oracle):

@@ -17,10 +17,10 @@ from skewunc.checks import (
     prop_heisenberg,
     run_checks,
 )
-from skewunc.correlation import basis_from_unitary
 from skewunc.errors import ConfigError
 from skewunc.linalg import BipartiteDensityMatrix, DensityMatrix, HermitianOperator
 from skewunc.serialize import pairs_to_matrix
+from skewunc.skew import ProjectiveBasis
 
 SMALL = CheckConfig(seed=42, n_samples=24, n_optimizer=2, n_theorem=3,
                     alphas=(0.2, 0.5, 0.8), dims=(2, 3))
@@ -65,7 +65,8 @@ def test_injected_failure_writes_witness(tmp_path):
     assert not report.all_pass
     res = report.results[0]
     assert res.witness is not None
-    doc = json.loads(open(res.witness).read())
+    with open(res.witness) as fh:
+        doc = json.load(fh)
     assert doc["property"] == "injected_failure"
     assert doc["alpha"] == 0.5
 
@@ -82,7 +83,8 @@ def test_nan_slack_fails_and_writes_its_witness(tmp_path):
     res = report.results[0]
     assert not report.all_pass and not res.passed
     assert res.samples == 4 and math.isnan(res.worst_slack)
-    doc = json.loads(open(res.witness).read())
+    with open(res.witness) as fh:
+        doc = json.load(fh)
     assert doc == {"property": "injected_nan", "alpha": 0.2}
 
 
@@ -122,7 +124,8 @@ def test_real_runner_witness_decodes(tmp_path, monkeypatch, prop, patch, keys):
     cfg = CheckConfig(seed=5, n_samples=4, alphas=(0.3, 0.7), dims=(3, 2))
     res = run_checks(cfg, witness_dir=str(tmp_path), properties=(prop,)).results[0]
     assert not res.passed and res.worst_slack == -1.0
-    doc = json.loads(open(res.witness).read())
+    with open(res.witness) as fh:
+        doc = json.load(fh)
     assert list(doc) == keys
     # the first sample is the worst: the first alpha, and dims[0] or (2, 2)
     assert doc["alpha"] == 0.3
@@ -134,7 +137,7 @@ def test_real_runner_witness_decodes(tmp_path, monkeypatch, prop, patch, keys):
     else:
         assert (doc["d_A"], doc["d_B"]) == (2, 2)
         BipartiteDensityMatrix(pairs_to_matrix(doc["matrix"], 4), 2, 2)
-        basis_from_unitary(pairs_to_matrix(doc["basis"], 2))
+        ProjectiveBasis(pairs_to_matrix(doc["basis"], 2))
 
 
 def test_report_dict_shape():

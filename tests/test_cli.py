@@ -2,11 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from skewunc.bounds import memory_bounds
 from skewunc.cli import EXAMPLE2_NOTE, main
+from skewunc.correlation import brute_force_D_qubit
+from skewunc.linalg import PSD_TOL, BipartiteDensityMatrix, kron
 from skewunc.serialize import save_state
-from skewunc.states import EnsembleSpec, random_density, werner_isotropic
+from skewunc.states import EnsembleSpec, pauli_basis, random_density, werner_isotropic
 from skewunc.sweeps import ROW_COLUMNS
 
 
@@ -359,6 +363,27 @@ def test_eval_bell_state(tmp_path, capsys):
     assert doc["sum"]["lhs"] == pytest.approx(1.0, abs=1e-8)
     assert doc["d_tilde"] == pytest.approx(0.5, abs=1e-8)
     assert doc["heisenberg"]["holds"]
+
+
+def test_eval_state_whose_reduction_uses_the_reduced_allowance(tmp_path, capsys):
+    # a valid 2x4 state (smallest eigenvalue -9e-11) reduces to rho_A with
+    # eigenvalue -3.6e-10, inside partial_trace's 1e-9 allowance; the spectrum
+    # is checked once, when each state is built, so everything scores both
+    e = 9e-11
+    mat = ((1 + 4 * e) * kron(np.diag([1.0, 0.0]), np.eye(4) / 4)
+           - e * kron(np.diag([0.0, 1.0]), np.eye(4)))
+    rho = BipartiteDensityMatrix(mat, 2, 4)
+    assert rho.reduced().spectral().eigenvalues[0] < -PSD_TOL
+    d_value = brute_force_D_qubit(rho, 0.5)
+    assert d_value == pytest.approx(0.0, abs=1e-12)
+    prod, summ = memory_bounds(rho, pauli_basis("x"), pauli_basis("z"), 0.5, d_value)
+    assert prod.holds and summ.holds
+    path = tmp_path / "probe.json"
+    save_state(str(path), rho)
+    assert run_cli("eval", str(path), "--alpha", "0.5") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["d_tilde"] == d_value
+    assert doc["product"]["holds"] and doc["sum"]["holds"]
 
 
 def test_eval_maximally_mixed_all_zero(tmp_path, capsys):

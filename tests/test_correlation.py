@@ -10,14 +10,13 @@ from skewunc.correlation import (
     _deficit_and_param_gradient,
     _qubit_vectors,
     _unitary_from_params,
-    basis_from_unitary,
     brute_force_D_qubit,
     correlation_deficit,
     quantum_correlation_D,
 )
 from skewunc.errors import ShapeError, ValidationError
 from skewunc.linalg import BipartiteDensityMatrix, kron, partial_trace
-from skewunc.skew import skew_information_I
+from skewunc.skew import ProjectiveBasis, skew_information_I
 from skewunc.states import (
     EnsembleSpec,
     example2_state,
@@ -40,25 +39,25 @@ def _bloch_from_angles(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # --- basis construction ------------------------------------------------------
 
 def test_basis_from_identity():
-    assert np.array_equal(basis_from_unitary(np.eye(2)).columns, np.eye(2))
+    assert np.array_equal(ProjectiveBasis(np.eye(2)).columns, np.eye(2))
 
 
 def test_basis_from_hadamard():
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    cols = basis_from_unitary(h).columns
+    cols = ProjectiveBasis(h).columns
     assert np.allclose(cols[:, 0], [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def test_basis_from_random_unitary():
     for i in range(20):
-        basis = basis_from_unitary(random_unitary(3, 71, index=i))
+        basis = ProjectiveBasis(random_unitary(3, 71, index=i))
         gram = basis.columns.conj().T @ basis.columns
         assert np.max(np.abs(gram - np.eye(3))) < 1e-10
 
 
 def test_basis_rejects_non_unitary():
     with pytest.raises(ValidationError):
-        basis_from_unitary(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        ProjectiveBasis(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
 def test_unitary_from_params_is_unitary():
@@ -73,7 +72,7 @@ def test_unitary_from_params_is_unitary():
 def test_deficit_product_state_vanishes():
     rho = random_density(EnsembleSpec("product", (2, 3), 5))
     for alpha in (0.2, 0.5, 0.8):
-        basis = basis_from_unitary(random_unitary(2, 6))
+        basis = ProjectiveBasis(random_unitary(2, 6))
         assert correlation_deficit(rho, basis, alpha) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -102,7 +101,7 @@ def test_evaluator_matches_reference_skew_calls():
     for i in range(25):
         rho = random_density(EnsembleSpec("full_rank", (2, 2), 9), index=i)
         alpha = (0.15, 0.5, 0.85)[i % 3]
-        basis = basis_from_unitary(random_unitary(2, 10, index=i))
+        basis = ProjectiveBasis(random_unitary(2, 10, index=i))
         total, per_k = DeficitEvaluator(rho, alpha).basis_deficit(basis.columns)
         rho_a = partial_trace(rho, "A")
         from skewunc.linalg import HermitianOperator
@@ -125,7 +124,8 @@ def test_bloch_quadratic_matches_vector_path():
     ph = rng.uniform(0, 2 * np.pi, 40)
     v, w = _qubit_vectors(th, ph)
     direct = ev.vector_deficits(v) + ev.vector_deficits(w)
-    quad = ev.bloch_basis_deficits(_bloch_from_angles(th, ph))
+    n = _bloch_from_angles(th, ph)
+    quad = 0.5 * ((n @ ev.bloch_quadratic()) * n).sum(axis=1)
     assert np.max(np.abs(direct - quad)) < 1e-12
 
 
@@ -189,6 +189,14 @@ def test_optimizer_bad_restarts():
     rho = random_density(EnsembleSpec("full_rank", (2, 2), 18))
     with pytest.raises(ValidationError):
         quantum_correlation_D(rho, 0.5, OptimizerConfig(restarts=0))
+
+
+@pytest.mark.parametrize("setting", [{"max_iters": 0}, {"seed": -1}],
+                         ids=["max_iters", "seed"])
+def test_optimizer_config_rejects_values_it_cannot_run(setting):
+    rho = random_density(EnsembleSpec("full_rank", (2, 2), 18))
+    with pytest.raises(ValidationError, match=next(iter(setting))):
+        quantum_correlation_D(rho, 0.5, OptimizerConfig(**setting))
 
 
 def test_optimizer_failure_carries_best_value():
@@ -273,7 +281,8 @@ def test_oracle_not_above_dense_grid():
         for i in range(4):
             rho = random_density(EnsembleSpec("full_rank", dims, 31), index=i)
             alpha = (0.2, 0.5, 0.8, 0.35)[i]
-            grid_min = float(DeficitEvaluator(rho, alpha).bloch_basis_deficits(nvecs).min())
+            q = DeficitEvaluator(rho, alpha).bloch_quadratic()
+            grid_min = float((0.5 * ((nvecs @ q) * nvecs).sum(axis=1)).min())
             assert brute_force_D_qubit(rho, alpha) <= grid_min + 1e-12
 
 
@@ -288,7 +297,7 @@ def test_oracle_argmin_basis_reproduces_value():
             assert value == pytest.approx(w[0] / 2, abs=1e-12)
             # the eigenbasis of n.sigma measures along the minimizing direction
             _, cols = np.linalg.eigh(np.einsum("i,ijk->jk", vecs[:, 0], pauli))
-            assert correlation_deficit(rho, basis_from_unitary(cols), alpha) == \
+            assert correlation_deficit(rho, ProjectiveBasis(cols), alpha) == \
                 pytest.approx(value, abs=1e-12)
 
 
@@ -320,10 +329,11 @@ def test_oracle_werner_flat_landscape():
     rng = np.random.default_rng(1)
     th = rng.uniform(0, np.pi / 2, 200)
     ph = rng.uniform(0, 2 * np.pi, 200)
-    vals = ev.bloch_basis_deficits(_bloch_from_angles(th, ph))
+    n = _bloch_from_angles(th, ph)
+    q = ev.bloch_quadratic()
+    vals = 0.5 * ((n @ q) * n).sum(axis=1)
     assert float(vals.max() - vals.min()) < 1e-8
     # Q is a multiple of the identity, so every direction is an eigenvector
-    q = ev.bloch_quadratic()
     assert np.max(np.abs(q - q[0, 0] * np.eye(3))) < 1e-12
     # closed form of test_oracle_werner_closed_form_spot at p = 0.2
     t = 2.4**0.4 * 1.2**0.6 + 1.2**0.4 * 2.4**0.6

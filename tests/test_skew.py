@@ -73,6 +73,13 @@ def test_dimension_mismatch():
         skew_information_I(RHO_D, HermitianOperator(np.eye(3)), 0.5)
 
 
+def test_unvalidated_operator_is_not_scored_as_a_state():
+    # the spectrum is checked once, by DensityMatrix; an operator that skipped
+    # that check is refused, not clipped
+    with pytest.raises(ValidationError):
+        skew_information_I(HermitianOperator(np.diag([1.5, -0.5])), pauli("x"), 0.5)
+
+
 def test_alpha_out_of_range():
     with pytest.raises(ValidationError):
         skew_information_I(RHO_D, pauli("x"), -0.1)
@@ -147,6 +154,11 @@ def test_basis_validates_orthonormality():
 def test_basis_rejects_non_finite_entries(entry):
     with pytest.raises(ValidationError):
         ProjectiveBasis(np.array([[entry, 0.0], [0.0, 1.0]]))
+
+
+def test_basis_rejects_empty_input():
+    with pytest.raises(ShapeError):
+        ProjectiveBasis(np.zeros((0, 0)))
 
 
 def test_basis_projectors_resolve_identity():

@@ -192,9 +192,9 @@ def test_random_unitary_is_unitary_and_deterministic():
 
 
 def test_random_unitary_feeds_projective_basis():
-    from skewunc.correlation import basis_from_unitary
+    from skewunc.skew import ProjectiveBasis
 
-    basis = basis_from_unitary(random_unitary(4, 5))
+    basis = ProjectiveBasis(random_unitary(4, 5))
     assert basis.dim == 4
 
 
