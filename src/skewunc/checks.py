@@ -20,7 +20,6 @@ import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .bounds import heisenberg_type_checks, memory_bounds
 from .correlation import (
@@ -262,6 +261,8 @@ def prop_alpha_symmetry(cfg: CheckConfig):
 
 @_property("skew_half_alpha_agreement", 1e-10)
 def prop_half_alpha_agreement(cfg: CheckConfig):
+    import scipy.linalg   # the only scipy user here; loaded on first use
+
     seed = _tag_seed(cfg.seed, "half_alpha")
     for i in range(cfg.n_samples):
         d = cfg.dims[i % len(cfg.dims)]

@@ -17,11 +17,11 @@ lambda_min(Q) / 2, cross-checked by direct re-evaluation.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NumericalConsistencyError, OptimizerError, ShapeError, ValidationError
 from .linalg import BipartiteDensityMatrix, check_alpha
@@ -60,9 +60,11 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name, minimum in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
-            if getattr(self, name) < minimum:
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < minimum):
                 raise ValidationError(
-                    f"{name} must be >= {minimum}, got {getattr(self, name)}")
+                    f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -242,6 +244,13 @@ def _deficit_and_param_gradient(x: np.ndarray,
     grad[d::2] = (z[iu, ju] + z[ju, iu]).real
     grad[d + 1::2] = (z[iu, ju] - z[ju, iu]).imag
     return value, grad
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call: only this
+    optimizer needs scipy, so the grid oracle never loads it."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 def quantum_correlation_D(rho_ab: BipartiteDensityMatrix, alpha: float,

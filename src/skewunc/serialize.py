@@ -29,13 +29,16 @@ def matrix_to_pairs(mat: np.ndarray) -> list[list[float]]:
 
 
 def pairs_to_matrix(pairs, dim: int) -> np.ndarray:
+    if not isinstance(pairs, (list, tuple)):
+        raise ConfigError(f"matrix must be a list of [re, im] pairs, got {pairs!r}")
     if len(pairs) != dim * dim:
         raise ConfigError(
             f"matrix has {len(pairs)} entries, expected {dim * dim}")
     flat = np.empty(dim * dim, dtype=np.complex128)
     for i, pair in enumerate(pairs):
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                           for v in pair)):
             raise ConfigError(f"matrix entry {i} is not a [re, im] pair: {pair!r}")
         flat[i] = complex(pair[0], pair[1])
     return flat.reshape(dim, dim)
@@ -70,7 +73,7 @@ def load_state(path: str) -> BipartiteDensityMatrix:
     if missing:
         raise ConfigError(f"state file is missing fields: {sorted(missing)}")
     d_a, d_b = doc["d_A"], doc["d_B"]
-    if not isinstance(d_a, int) or not isinstance(d_b, int) or d_a < 1 or d_b < 1:
-        raise ConfigError("d_A and d_B must be positive integers")
+    if any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in (d_a, d_b)):
+        raise ConfigError(f"d_A and d_B must be positive integers, got {d_a!r}, {d_b!r}")
     mat = pairs_to_matrix(doc["matrix"], d_a * d_b)
     return BipartiteDensityMatrix(mat, d_a, d_b)

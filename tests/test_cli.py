@@ -421,6 +421,21 @@ def test_eval_parse_failure_exit_code(tmp_path):
     assert run_cli("eval", str(path)) == 2
 
 
+@pytest.mark.parametrize("d_a, d_b, first, message", [
+    (2, 2, [0.25, False], "matrix entry 0"),
+    (True, 4, [0.25, 0.0], "d_A and d_B"),   # read as 1: "need a qubit subsystem A"
+    (2, True, [0.5, 0.0], "d_A and d_B"),    # read as 1: a valid 2x1 state
+], ids=["matrix_entry", "d_A", "d_B"])
+def test_eval_rejects_booleans_as_numbers(tmp_path, capsys, d_a, d_b, first, message):
+    dim = int(d_a) * int(d_b)
+    matrix = [first] + [[1 / dim if i % (dim + 1) == 0 else 0.0, 0.0]
+                        for i in range(1, dim * dim)]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"d_A": d_a, "d_B": d_b, "matrix": matrix}))
+    assert run_cli("eval", str(path)) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_eval_bad_bases(tmp_path):
     path = tmp_path / "bell.json"
     save_state(str(path), werner_isotropic(1.0))

@@ -191,12 +191,34 @@ def test_optimizer_bad_restarts():
         quantum_correlation_D(rho, 0.5, OptimizerConfig(restarts=0))
 
 
-@pytest.mark.parametrize("setting", [{"max_iters": 0}, {"seed": -1}],
-                         ids=["max_iters", "seed"])
+@pytest.mark.parametrize("setting", [
+    {"max_iters": 0}, {"seed": -1},
+    {"restarts": 2.5}, {"restarts": "3"}, {"seed": 1.5}, {"restarts": True},
+    {"max_iters": 10.5},
+], ids=["max_iters", "seed", "restarts_fraction", "restarts_string",
+        "seed_fraction", "restarts_bool", "max_iters_fraction"])
 def test_optimizer_config_rejects_values_it_cannot_run(setting):
     rho = random_density(EnsembleSpec("full_rank", (2, 2), 18))
     with pytest.raises(ValidationError, match=next(iter(setting))):
         quantum_correlation_D(rho, 0.5, OptimizerConfig(**setting))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+def test_every_restart_calls_the_module_minimize(monkeypatch, dims):
+    # benchmark tracing counts restarts by patching correlation.minimize
+    from skewunc import correlation
+
+    calls = []
+    original = correlation.minimize
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(correlation, "minimize", spy)
+    rho = random_density(EnsembleSpec("full_rank", dims, 31))
+    res = quantum_correlation_D(rho, 0.4, OptimizerConfig(seed=2))
+    assert len(calls) == len(res.optimizer_trace) >= 1
 
 
 def test_optimizer_failure_carries_best_value():

@@ -1,0 +1,54 @@
+"""Grid-oracle runs never load scipy; the basis optimizer loads it on use."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CHILD = """
+import json, sys
+from pathlib import Path
+
+tmp = Path(sys.argv[1])
+steps = []
+
+def record(step):
+    steps.append([step, "scipy" in sys.modules])
+
+import skewunc
+record("import skewunc")
+import skewunc.cli as cli
+record("import skewunc.cli")
+code = cli.main(["reproduce", "--example", "1", "--alpha", "0.3", "--p-start", "0",
+                 "--p-stop", "0", "--p-step", "1", "--out", str(tmp / "row.csv")])
+record(f"grid reproduce (exit {code})")
+from skewunc.serialize import save_state
+from skewunc.states import werner_isotropic
+save_state(str(tmp / "state.json"), werner_isotropic(0.5))
+code = cli.main(["eval", str(tmp / "state.json"), "--oracle", "grid",
+                 "--out", str(tmp / "eval.json")])
+record(f"grid eval (exit {code})")
+skewunc.quantum_correlation_D(werner_isotropic(0.5), 0.5)
+record("quantum_correlation_D")
+print(json.dumps(steps))
+"""
+
+
+def test_grid_oracle_runs_load_no_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert steps == [
+        ["import skewunc", False],
+        ["import skewunc.cli", False],
+        ["grid reproduce (exit 0)", False],
+        ["grid eval (exit 0)", False],
+        ["quantum_correlation_D", True],
+    ]

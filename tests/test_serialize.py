@@ -63,6 +63,14 @@ def test_load_rejects_wrong_entry_count(tmp_path):
         load_state(str(path))
 
 
+@pytest.mark.parametrize("matrix", ["5", "null", '{"re": 1}'])
+def test_load_rejects_matrix_that_is_not_a_list(tmp_path, matrix):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"d_A": 1, "d_B": 1, "matrix": {matrix}}}')
+    with pytest.raises(ConfigError, match="list of"):
+        load_state(str(path))
+
+
 def test_load_rejects_malformed_pair(tmp_path):
     path = tmp_path / "bad.json"
     entries = ",".join(["[0.25, 0.0]"] * 15 + ['"x"'])
