@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import os
 import zlib
 from dataclasses import dataclass, replace
@@ -84,16 +85,23 @@ class CheckConfig:
     ensembles: tuple[EnsembleRun, ...] = ()
 
     def validate(self) -> None:
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.n_samples < 1 or self.n_optimizer < 1 or self.n_theorem < 1:
-            raise ConfigError("sample counts must be >= 1")
-        if self.bound_tol <= 0:
-            raise ConfigError("bound_tol must be positive")
-        if not self.alphas or any(not (0.0 <= a <= 1.0) for a in self.alphas):
+        for name, minimum in (("seed", 0), ("n_samples", 1), ("n_optimizer", 1),
+                              ("n_theorem", 1)):
+            value = getattr(self, name)
+            if not _is_a(numbers.Integral, value) or value < minimum:
+                raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        if not _is_a(numbers.Real, self.bound_tol) or not 0 < self.bound_tol < math.inf:
+            raise ConfigError(f"bound_tol must be positive and finite, got {self.bound_tol!r}")
+        if not self.alphas or not all(_is_a(numbers.Real, a) and 0 <= a <= 1
+                                      for a in self.alphas):
             raise ConfigError("alphas must be a nonempty subset of [0, 1]")
-        if not self.dims or any(d < 2 for d in self.dims):
+        if not self.dims or not all(_is_a(numbers.Integral, d) and d >= 2 for d in self.dims):
             raise ConfigError("dims must contain integers >= 2")
+
+
+def _is_a(kind: type, value) -> bool:
+    """``value`` is a ``kind`` number; a bool is not a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -155,6 +163,18 @@ def _bipartite_dims(cfg: CheckConfig) -> list[tuple[int, int]]:
     return [(2, 2), (2, 3)] if max(cfg.dims) >= 3 else [(2, 2)]
 
 
+def _draws(cfg: CheckConfig, tag: str, n: int, dims, kind: str = "full_rank",
+           alphas=None):
+    """Yield ``(i, seed, state, alpha)`` for each of ``n`` samples: ``seed`` is
+    the property's seed for ``tag``, ``state`` is draw ``i`` of ``kind`` at the
+    next of ``dims``, and ``alpha`` the next of ``alphas`` (``cfg.alphas``)."""
+    seed = _tag_seed(cfg.seed, tag)
+    alphas = cfg.alphas if alphas is None else alphas
+    for i in range(n):
+        state = random_density(EnsembleSpec(kind, dims[i % len(dims)], seed), index=i)
+        yield i, seed, state, alphas[i % len(alphas)]
+
+
 # ---------------------------------------------------------------------------
 # linalg properties
 # ---------------------------------------------------------------------------
@@ -190,11 +210,8 @@ def prop_fractional_power_pair(cfg: CheckConfig):
 
 @_property("linalg_partial_trace", 1e-9)
 def prop_partial_trace(cfg: CheckConfig):
-    seed = _tag_seed(cfg.seed, "partial_trace")
-    dims = _bipartite_dims(cfg)
-    for i in range(cfg.n_samples):
-        da, db = dims[i % len(dims)]
-        rho = random_density(EnsembleSpec("full_rank", (da, db), seed), index=i)
+    for _, _, rho, _ in _draws(cfg, "partial_trace", cfg.n_samples,
+                               _bipartite_dims(cfg)):
         bad = 0.0
         for keep in ("A", "B"):
             red = partial_trace(rho, keep)
@@ -223,12 +240,8 @@ def prop_kron_roundtrip(cfg: CheckConfig):
 
 @_property("skew_ordering_J_ge_I_ge_0")
 def prop_skew_ordering(cfg: CheckConfig):
-    seed = _tag_seed(cfg.seed, "skew_ordering")
-    for i in range(cfg.n_samples):
-        d = cfg.dims[i % len(cfg.dims)]
-        rho = random_density(EnsembleSpec("full_rank", d, seed), index=i)
-        h = random_hermitian(d, seed + 1, index=i)
-        alpha = cfg.alphas[i % len(cfg.alphas)]
+    for i, seed, rho, alpha in _draws(cfg, "skew_ordering", cfg.n_samples, cfg.dims):
+        h = random_hermitian(rho.dim, seed + 1, index=i)
         pair = engine(rho).pair(h.mat, alpha)
         yield min(pair.j_alpha - pair.i_alpha, pair.i_alpha), {
             "state": rho, "alpha": alpha, "observable": h.mat}
@@ -236,11 +249,9 @@ def prop_skew_ordering(cfg: CheckConfig):
 
 @_property("skew_pure_state_reduction", 1e-9)
 def prop_pure_reduction(cfg: CheckConfig):
-    seed = _tag_seed(cfg.seed, "pure_reduction")
-    for i in range(cfg.n_samples):
-        d = cfg.dims[i % len(cfg.dims)]
-        rho = random_density(EnsembleSpec("pure", d, seed), index=i)
-        h = random_hermitian(d, seed + 1, index=i)
+    for i, seed, rho, _ in _draws(cfg, "pure_reduction", cfg.n_samples, cfg.dims,
+                                  "pure"):
+        h = random_hermitian(rho.dim, seed + 1, index=i)
         v = variance(rho, h)
         err = max(abs(p.i_alpha - v) for p in engine(rho).pairs(h.mat, cfg.alphas))
         yield -err, {"state": rho, "observable": h.mat}
@@ -248,12 +259,8 @@ def prop_pure_reduction(cfg: CheckConfig):
 
 @_property("skew_alpha_symmetry", 1e-10)
 def prop_alpha_symmetry(cfg: CheckConfig):
-    seed = _tag_seed(cfg.seed, "alpha_symmetry")
-    for i in range(cfg.n_samples):
-        d = cfg.dims[i % len(cfg.dims)]
-        rho = random_density(EnsembleSpec("full_rank", d, seed), index=i)
-        h = random_hermitian(d, seed + 1, index=i)
-        alpha = cfg.alphas[i % len(cfg.alphas)]
+    for i, seed, rho, alpha in _draws(cfg, "alpha_symmetry", cfg.n_samples, cfg.dims):
+        h = random_hermitian(rho.dim, seed + 1, index=i)
         at, mirrored = engine(rho).pairs(h.mat, (alpha, 1 - alpha))
         err = max(abs(at.i_alpha - mirrored.i_alpha), abs(at.j_alpha - mirrored.j_alpha))
         yield -err, {"state": rho, "alpha": alpha}
@@ -263,11 +270,8 @@ def prop_alpha_symmetry(cfg: CheckConfig):
 def prop_half_alpha_agreement(cfg: CheckConfig):
     import scipy.linalg   # the only scipy user here; loaded on first use
 
-    seed = _tag_seed(cfg.seed, "half_alpha")
-    for i in range(cfg.n_samples):
-        d = cfg.dims[i % len(cfg.dims)]
-        rho = random_density(EnsembleSpec("full_rank", d, seed), index=i)
-        h = random_hermitian(d, seed + 1, index=i)
+    for i, seed, rho, _ in _draws(cfg, "half_alpha", cfg.n_samples, cfg.dims):
+        h = random_hermitian(rho.dim, seed + 1, index=i)
         main = skew_information_I(rho, h, 0.5)
         root = scipy.linalg.sqrtm(rho.mat)
         direct = float((np.trace(rho.mat @ h.mat @ h.mat)
@@ -279,14 +283,10 @@ def prop_half_alpha_agreement(cfg: CheckConfig):
 
 @_property("skew_local_monotonicity")
 def prop_local_monotonicity(cfg: CheckConfig):
-    seed = _tag_seed(cfg.seed, "local_monotonicity")
-    dims = _bipartite_dims(cfg)
-    for i in range(cfg.n_samples):
-        da, db = dims[i % len(dims)]
-        rho = random_density(EnsembleSpec("full_rank", (da, db), seed), index=i)
-        x = random_hermitian(da, seed + 1, index=i)
-        alpha = cfg.alphas[i % len(cfg.alphas)]
-        embedded = HermitianOperator(kron(x.mat, np.eye(db)))
+    for i, seed, rho, alpha in _draws(cfg, "local_monotonicity", cfg.n_samples,
+                                      _bipartite_dims(cfg)):
+        x = random_hermitian(rho.d_A, seed + 1, index=i)
+        embedded = HermitianOperator(kron(x.mat, np.eye(rho.d_B)))
         slack = (skew_information_I(rho, embedded, alpha)
                  - skew_information_I(partial_trace(rho, "A"), x, alpha))
         yield slack, {"state": rho, "alpha": alpha, "observable": x.mat}
@@ -298,24 +298,17 @@ def prop_local_monotonicity(cfg: CheckConfig):
 
 @_property("correlation_deficit_nonnegative")
 def prop_deficit_nonnegative(cfg: CheckConfig):
-    seed = _tag_seed(cfg.seed, "deficit_nonneg")
-    dims = _bipartite_dims(cfg)
-    for i in range(cfg.n_samples):
-        da, db = dims[i % len(dims)]
-        rho = random_density(EnsembleSpec("full_rank", (da, db), seed), index=i)
-        alpha = cfg.alphas[i % len(cfg.alphas)]
-        basis = ProjectiveBasis(random_unitary(da, seed + 1, index=i))
+    for i, seed, rho, alpha in _draws(cfg, "deficit_nonneg", cfg.n_samples,
+                                      _bipartite_dims(cfg)):
+        basis = ProjectiveBasis(random_unitary(rho.d_A, seed + 1, index=i))
         total, _ = DeficitEvaluator(rho, alpha).basis_deficit(basis.columns)
         yield total, {"state": rho, "alpha": alpha, "basis": basis.columns}
 
 
 @_property("correlation_relabel_invariance", 1e-12)
 def prop_relabel_invariance(cfg: CheckConfig):
-    seed = _tag_seed(cfg.seed, "relabel")
-    for i in range(cfg.n_samples):
-        rho = random_density(EnsembleSpec("full_rank", (2, 2), seed), index=i)
-        alpha = cfg.alphas[i % len(cfg.alphas)]
-        u = random_unitary(2, seed + 1, index=i)
+    for i, seed, rho, alpha in _draws(cfg, "relabel", cfg.n_samples, [(2, 2)]):
+        u = random_unitary(rho.d_A, seed + 1, index=i)
         ev = DeficitEvaluator(rho, alpha)
         t1, _ = ev.basis_deficit(u)
         t2, _ = ev.basis_deficit(u[:, ::-1])
@@ -324,11 +317,8 @@ def prop_relabel_invariance(cfg: CheckConfig):
 
 @_property("correlation_oracle_consistency", 0.0)
 def prop_oracle_consistency(cfg: CheckConfig):
-    seed = _tag_seed(cfg.seed, "oracle_consistency")
-    alphas = (0.3, 0.5, 0.7)
-    for i in range(cfg.n_optimizer):
-        rho = random_density(EnsembleSpec("full_rank", (2, 2), seed), index=i)
-        alpha = alphas[i % len(alphas)]
+    for i, seed, rho, alpha in _draws(cfg, "oracle_consistency", cfg.n_optimizer,
+                                      [(2, 2)], alphas=(0.3, 0.5, 0.7)):
         opt = quantum_correlation_D(rho, alpha, OptimizerConfig(seed=seed + i)).value
         grid = brute_force_D_qubit(rho, alpha)
         # the oracle is the exact minimum, which the optimizer (a true deficit)
@@ -340,12 +330,9 @@ def prop_oracle_consistency(cfg: CheckConfig):
 
 @_property("correlation_local_unitary_covariance", 1e-4)
 def prop_local_unitary_covariance(cfg: CheckConfig):
-    seed = _tag_seed(cfg.seed, "lu_covariance")
-    for i in range(cfg.n_optimizer):
-        rho = random_density(EnsembleSpec("full_rank", (2, 2), seed), index=i)
-        alpha = cfg.alphas[i % len(cfg.alphas)]
-        u = kron(random_unitary(2, seed + 1, index=i), np.eye(2))
-        rotated = BipartiteDensityMatrix(u @ rho.mat @ u.conj().T, 2, 2)
+    for i, seed, rho, alpha in _draws(cfg, "lu_covariance", cfg.n_optimizer, [(2, 2)]):
+        u = kron(random_unitary(rho.d_A, seed + 1, index=i), np.eye(rho.d_B))
+        rotated = BipartiteDensityMatrix(u @ rho.mat @ u.conj().T, rho.d_A, rho.d_B)
         err = abs(brute_force_D_qubit(rho, alpha) - brute_force_D_qubit(rotated, alpha))
         yield -err, {"state": rho, "alpha": alpha}
 
@@ -353,12 +340,9 @@ def prop_local_unitary_covariance(cfg: CheckConfig):
 @_property("correlation_classical_quantum_nullity", ORACLE_TOL)
 def prop_cq_nullity(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "cq_nullity")
-    dims = _bipartite_dims(cfg)
-    states: list[BipartiteDensityMatrix] = [example2_state()]
-    for i in range(cfg.n_optimizer):
-        da, db = dims[i % len(dims)]
-        states.append(random_density(
-            EnsembleSpec("classical_quantum", (da, db), seed), index=i))
+    draws = _draws(cfg, "cq_nullity", cfg.n_optimizer, _bipartite_dims(cfg),
+                   "classical_quantum")
+    states = [example2_state(), *(rho for _, _, rho, _ in draws)]
     for i, rho in enumerate(states):
         alpha = cfg.alphas[i % len(cfg.alphas)]
         value = quantum_correlation_D(rho, alpha, OptimizerConfig(seed=seed + i)).value
@@ -377,28 +361,19 @@ def prop_heisenberg(cfg: CheckConfig):
             rho = random_density(EnsembleSpec("full_rank", d, seed + d), index=i)
             r = random_hermitian(d, seed + 10 * d, index=i)
             s = random_hermitian(d, seed + 20 * d, index=i)
-            reports = heisenberg_type_checks(rho, r, s, cfg.alphas,
-                                             tolerance=cfg.bound_tol)
+            reports = heisenberg_type_checks(rho, r, s, cfg.alphas)
             for alpha, rep in zip(cfg.alphas, reports):
                 yield rep.slack, {"state": rho, "alpha": alpha, "r": r.mat, "s": s.mat}
 
 
-def _random_two_qubit_pair(seed: int, i: int):
-    rho = random_density(EnsembleSpec("full_rank", (2, 2), seed), index=i)
-    phi = ProjectiveBasis(random_unitary(2, seed + 1, index=i))
-    psi = ProjectiveBasis(random_unitary(2, seed + 2, index=i))
-    return rho, phi, psi
-
-
 def prop_theorems_with_oracle(cfg: CheckConfig):
     """Theorem checks and the proof-chain links, sharing one oracle run."""
-    seed = _tag_seed(cfg.seed, "theorems")
     thm, chain = [], []
-    for i in range(cfg.n_theorem):
-        rho, phi, psi = _random_two_qubit_pair(seed, i)
-        alpha = cfg.alphas[i % len(cfg.alphas)]
+    for i, seed, rho, alpha in _draws(cfg, "theorems", cfg.n_theorem, [(2, 2)]):
+        phi = ProjectiveBasis(random_unitary(rho.d_A, seed + 1, index=i))
+        psi = ProjectiveBasis(random_unitary(rho.d_A, seed + 2, index=i))
         d_val = brute_force_D_qubit(rho, alpha)
-        prod, summ = memory_bounds(rho, phi, psi, alpha, d_val, tolerance=ORACLE_TOL)
+        prod, summ = memory_bounds(rho, phi, psi, alpha, d_val)
         inputs = {"state": rho, "alpha": alpha, "d_tilde": d_val,
                   "phi": phi.columns, "psi": psi.columns}
         thm.append((min(prod.slack, summ.slack), inputs))

@@ -252,6 +252,15 @@ def _write_rows(cfg: SweepConfig, rows: list[dict], notes: list[str]) -> str:
     return out
 
 
+def _load_pauli_state(path: str):
+    """Load a state file for the Pauli x/y/z bases, which measure subsystem A
+    and so need ``d_A = 2``; checked before any D is computed."""
+    state = load_state(path)
+    if state.d_A != 2:
+        raise ConfigError("Pauli measurement bases need a qubit subsystem A")
+    return state
+
+
 def cmd_reproduce(cfg: SweepConfig) -> int:
     cfg.validate()
     opt = _optimizer_from_config(cfg.optimizer, cfg.seed)
@@ -262,7 +271,7 @@ def cmd_reproduce(cfg: SweepConfig) -> int:
                 rows.append(sweep_row(cfg.example, p, alpha, cfg.oracle,
                                       optimizer_cfg=opt))
     else:  # example 2 or a custom state file
-        state = example2_state() if cfg.example == 2 else load_state(cfg.state)
+        state = example2_state() if cfg.example == 2 else _load_pauli_state(cfg.state)
         for alpha in cfg.alphas:
             rows.append(state_row(state, alpha, cfg.oracle, optimizer_cfg=opt))
     notes = [EXAMPLE2_NOTE] if cfg.example == 2 else []
@@ -348,10 +357,8 @@ _EVAL_KEYS = {
 
 def cmd_eval(args) -> int:
     settings = _settings(args, _EVAL_KEYS, file_keys={"optimizer"})
-    state = load_state(settings["state"])
+    state = _load_pauli_state(settings["state"])
     axes, alpha = settings["bases"], settings["alpha"]
-    if state.d_A != 2:
-        raise ConfigError("Pauli measurement bases need a qubit subsystem A")
     opt = _optimizer_from_config(settings.get("optimizer"), settings.get("seed", 0))
     d_value = certified_d(state, alpha, settings["oracle"], optimizer_cfg=opt)
     prod, summ = memory_bounds(state, pauli_basis(axes[0]), pauli_basis(axes[1]),

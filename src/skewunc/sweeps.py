@@ -88,5 +88,7 @@ def p_grid(start: float, stop: float, step: float) -> list[float]:
         raise ValidationError(f"step must be positive, got {step}")
     if stop < start:
         raise ValidationError(f"empty grid: stop {stop} < start {start}")
-    n = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return [min(start + i * step, stop) for i in range(n)]
+    n = np.floor((stop - start) / step + 1e-9)
+    if not np.isfinite(n):
+        raise ValidationError(f"step {step} is too small for [{start}, {stop}]")
+    return [min(start + i * step, stop) for i in range(int(n) + 1)]

@@ -3,8 +3,10 @@ validation."""
 
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import skewunc.checks as checks
@@ -21,6 +23,7 @@ from skewunc.errors import ConfigError
 from skewunc.linalg import BipartiteDensityMatrix, DensityMatrix, HermitianOperator
 from skewunc.serialize import pairs_to_matrix
 from skewunc.skew import ProjectiveBasis
+from skewunc.states import EnsembleSpec, random_density
 
 SMALL = CheckConfig(seed=42, n_samples=24, n_optimizer=2, n_theorem=3,
                     alphas=(0.2, 0.5, 0.8), dims=(2, 3))
@@ -35,6 +38,43 @@ def test_config_validation():
         CheckConfig(alphas=(1.2,)).validate()
     with pytest.raises(ConfigError):
         CheckConfig(dims=(1,)).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_samples", 2.5), ("n_optimizer", True), ("n_theorem", 3.0),
+    ("dims", (2.5,)), ("seed", 1.5), ("seed", True), ("alphas", (0.5, True)),
+    ("bound_tol", math.inf), ("bound_tol", math.nan), ("bound_tol", True),
+])
+def test_config_rejects_settings_it_cannot_run(field, value):
+    # the CLI's readers reject each of these; a library caller must not get a
+    # raw TypeError, a truncated seed, a bool run as a number, or a tolerance
+    # under which no property can fail
+    with pytest.raises(ConfigError):
+        run_checks(replace(SMALL, **{field: value}), properties=())
+
+
+@pytest.mark.parametrize("dims, kind, alphas", [
+    (SMALL.dims, "full_rank", None),
+    (checks._bipartite_dims(SMALL), "full_rank", None),
+    ([(2, 2)], "full_rank", None),
+    (SMALL.dims, "pure", None),
+    ([(2, 2)], "full_rank", (0.3, 0.5, 0.7)),
+], ids=["dims", "bipartite", "two_qubit", "pure", "alphas_override"])
+def test_draws_match_the_per_property_loop(dims, kind, alphas):
+    # reference: the loop header each property used to carry
+    seed = checks._tag_seed(SMALL.seed, "probe")
+    cycle = SMALL.alphas if alphas is None else alphas
+    expected = []
+    for i in range(7):
+        d = dims[i % len(dims)]
+        rho = random_density(EnsembleSpec(kind, d, seed), index=i)
+        expected.append((i, seed, rho, cycle[i % len(cycle)]))
+    drawn = list(checks._draws(SMALL, "probe", 7, dims, kind, alphas=alphas))
+    assert len(drawn) == len(expected)
+    for (i, s, rho, a), (ref_i, ref_s, ref_rho, ref_a) in zip(drawn, expected):
+        assert (i, s, a) == (ref_i, ref_s, ref_a)
+        assert type(rho) is type(ref_rho)
+        assert np.array_equal(rho.mat, ref_rho.mat)
 
 
 def test_small_campaign_passes(tmp_path):

@@ -109,6 +109,41 @@ def test_reproduce_custom_state(tmp_path):
     assert doc["rows"][0]["D_tilde"] < 1e-6
 
 
+def test_reproduce_step_too_small_for_its_grid_exits_2(tmp_path, capsys):
+    # 2 / 5e-324 overflows, so the grid has no finite point count
+    out = tmp_path / "x.csv"
+    assert run_cli("reproduce", "--example", "1", "--p-step", "5e-324",
+                   "--out", str(out)) == 2
+    assert "too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, oracle", [
+    ("reproduce", "grid"), ("reproduce", "optimizer"), ("eval", "optimizer"),
+])
+def test_state_without_qubit_A_is_rejected_before_any_D(tmp_path, capsys,
+                                                       monkeypatch, command, oracle):
+    import skewunc.sweeps as sweeps_mod
+
+    def computed_d(*args, **kwargs):
+        raise AssertionError("D computed for a state the bases cannot measure")
+
+    for name in ("quantum_correlation_D", "brute_force_D_qubit"):
+        monkeypatch.setattr(sweeps_mod, name, computed_d)
+    state_path = tmp_path / "qutrit_a.json"
+    save_state(str(state_path), random_density(EnsembleSpec("full_rank", (3, 2), 5)))
+    if command == "reproduce":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"example": "custom", "state": str(state_path)}))
+        argv = ("reproduce", "--config", str(cfg), "--oracle", oracle,
+                "--out", str(tmp_path / "x.csv"))
+    else:
+        argv = ("eval", str(state_path), "--oracle", oracle)
+    assert run_cli(*argv) == 2
+    assert ("configuration error: Pauli measurement bases need a qubit subsystem A"
+            in capsys.readouterr().err)
+
+
 def test_reproduce_optimizer_block_in_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
