@@ -15,7 +15,6 @@ from .bounds import (
 )
 from .correlation import (
     CorrelationResult,
-    OptimizerConfig,
     brute_force_D_qubit,
     correlation_deficit,
     quantum_correlation_D,
@@ -78,7 +77,6 @@ __all__ = [
     "ISOTROPIC_SEPARABLE_MAX_P",
     "InvalidStateError",
     "NumericalConsistencyError",
-    "OptimizerConfig",
     "OptimizerError",
     "ProjectiveBasis",
     "ShapeError",

@@ -7,7 +7,7 @@
   plus twice the quantum correlation.
 
 Each checker returns a BoundReport carrying both sides, the named component
-terms, and a holds flag at an explicit tolerance. The quantum correlation
+terms, and a holds flag at a fixed tolerance. The quantum correlation
 enters as an explicit argument so callers control its certification level
 (exact qubit oracle, optimizer, or an analytically known value).
 
@@ -41,8 +41,8 @@ from .skew import (
     measurement_uncertainty_terms,
 )
 
-# Default holds-tolerances: tight when every input is exact, looser when the
-# quantum correlation comes from an oracle.
+# Holds-tolerances: tight when every input is exact, looser when the quantum
+# correlation comes from an oracle.
 HEISENBERG_TOL = 1e-9
 MEMORY_BOUND_TOL = 1e-6
 
@@ -73,8 +73,8 @@ def _report(kind: str, lhs: float, rhs: float, terms: dict,
 
 
 def heisenberg_type_checks(rho: DensityMatrix, r: HermitianOperator,
-                           s: HermitianOperator, alphas: tuple[float, ...],
-                           tolerance: float = HEISENBERG_TOL) -> list[BoundReport]:
+                           s: HermitianOperator,
+                           alphas: tuple[float, ...]) -> list[BoundReport]:
     """Memoryless bound at each of ``alphas``: product of the two
     geometric-mean uncertainties against a(1-a) |Tr rho [R, S]|^2. Both
     observables are scored at every alpha from one stacked rotation, and the
@@ -96,15 +96,14 @@ def heisenberg_type_checks(rho: DensityMatrix, r: HermitianOperator,
             "commutator_trace_abs_sq": comm_sq,
         }
         reports.append(_report("heisenberg", pr.u_alpha * ps.u_alpha,
-                               alpha_factor * comm_sq, terms, tolerance))
+                               alpha_factor * comm_sq, terms, HEISENBERG_TOL))
     return reports
 
 
 def heisenberg_type_check(rho: DensityMatrix, r: HermitianOperator,
-                          s: HermitianOperator, alpha: float,
-                          tolerance: float = HEISENBERG_TOL) -> BoundReport:
+                          s: HermitianOperator, alpha: float) -> BoundReport:
     """``heisenberg_type_checks`` at one alpha."""
-    return heisenberg_type_checks(rho, r, s, (alpha,), tolerance)[0]
+    return heisenberg_type_checks(rho, r, s, (alpha,))[0]
 
 
 def _check_d_value(d_value: float) -> float:
@@ -140,8 +139,8 @@ def _memory_terms(rho_ab: BipartiteDensityMatrix, phi: ProjectiveBasis,
 
 
 def memory_bounds(rho_ab: BipartiteDensityMatrix, phi: ProjectiveBasis,
-                  psi: ProjectiveBasis, alpha: float, d_value: float,
-                  tolerance: float = MEMORY_BOUND_TOL) -> tuple[BoundReport, BoundReport]:
+                  psi: ProjectiveBasis, alpha: float,
+                  d_value: float) -> tuple[BoundReport, BoundReport]:
     """Product and sum bounds with memory, from one evaluation of their
     shared terms.
 
@@ -152,26 +151,24 @@ def memory_bounds(rho_ab: BipartiteDensityMatrix, phi: ProjectiveBasis,
     d_value = _check_d_value(d_value)
     terms = _memory_terms(rho_ab, phi, psi, alpha, d_value)
     prod = _report("product", terms["un_phi"] * terms["un_psi"],
-                   terms["sum_L_sq"] + d_value * d_value, terms, tolerance)
+                   terms["sum_L_sq"] + d_value * d_value, terms, MEMORY_BOUND_TOL)
     summ = _report("sum", terms["un_phi"] + terms["un_psi"],
-                   2.0 * terms["sum_L"] + 2.0 * d_value, dict(terms), tolerance)
+                   2.0 * terms["sum_L"] + 2.0 * d_value, dict(terms), MEMORY_BOUND_TOL)
     return prod, summ
 
 
 def product_bound_check(rho_ab: BipartiteDensityMatrix, phi: ProjectiveBasis,
-                        psi: ProjectiveBasis, alpha: float, d_value: float,
-                        tolerance: float = MEMORY_BOUND_TOL) -> BoundReport:
+                        psi: ProjectiveBasis, alpha: float, d_value: float) -> BoundReport:
     """Product bound with memory: the product of the two total measurement
     uncertainties against sum_L_sq + D_tilde^2."""
-    return memory_bounds(rho_ab, phi, psi, alpha, d_value, tolerance)[0]
+    return memory_bounds(rho_ab, phi, psi, alpha, d_value)[0]
 
 
 def sum_bound_check(rho_ab: BipartiteDensityMatrix, phi: ProjectiveBasis,
-                    psi: ProjectiveBasis, alpha: float, d_value: float,
-                    tolerance: float = MEMORY_BOUND_TOL) -> BoundReport:
+                    psi: ProjectiveBasis, alpha: float, d_value: float) -> BoundReport:
     """Sum bound with memory: the sum of the two total measurement
     uncertainties against 2 sum_L + 2 D_tilde."""
-    return memory_bounds(rho_ab, phi, psi, alpha, d_value, tolerance)[1]
+    return memory_bounds(rho_ab, phi, psi, alpha, d_value)[1]
 
 
 def _snap(x: float) -> float:

@@ -25,7 +25,6 @@ import numpy as np
 from .bounds import heisenberg_type_checks, memory_bounds
 from .correlation import (
     DeficitEvaluator,
-    OptimizerConfig,
     brute_force_D_qubit,
     quantum_correlation_D,
 )
@@ -35,6 +34,7 @@ from .linalg import (
     HermitianOperator,
     fractional_power,
     herm_eig,
+    is_int,
     kron,
     partial_trace,
 )
@@ -59,6 +59,9 @@ from .sweeps import EXAMPLE_P_RANGES, SWEEP_ERR_TOL, p_grid, sweep_row
 
 DEFAULT_ALPHAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
+# Default property tolerance, also applied to the exact proof-chain links.
+BOUND_TOL = 1e-9
+
 # Theorem checks whose right side carries an oracle correlation value are held
 # to this tolerance, not machine precision. The qubit oracle is exact
 # (lambda_min(Q) / 2, its tripwire allows 1e-9), so the margin is headroom.
@@ -81,27 +84,22 @@ class CheckConfig:
     n_theorem: int = 200       # theorem checks with an oracle-certified D
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
     dims: tuple[int, ...] = (2, 3, 4)
-    bound_tol: float = 1e-9
     ensembles: tuple[EnsembleRun, ...] = ()
 
     def validate(self) -> None:
         for name, minimum in (("seed", 0), ("n_samples", 1), ("n_optimizer", 1),
                               ("n_theorem", 1)):
             value = getattr(self, name)
-            if not _is_a(numbers.Integral, value) or value < minimum:
+            if not is_int(value, minimum):
                 raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
-        if not _is_a(numbers.Real, self.bound_tol) or not 0 < self.bound_tol < math.inf:
-            raise ConfigError(f"bound_tol must be positive and finite, got {self.bound_tol!r}")
-        if not self.alphas or not all(_is_a(numbers.Real, a) and 0 <= a <= 1
-                                      for a in self.alphas):
+        if not self.alphas or not all(isinstance(a, numbers.Real) and not isinstance(a, bool)
+                                      and 0 <= a <= 1 for a in self.alphas):
             raise ConfigError("alphas must be a nonempty subset of [0, 1]")
-        if not self.dims or not all(_is_a(numbers.Integral, d) and d >= 2 for d in self.dims):
+        if not self.dims or not all(is_int(d, 2) for d in self.dims):
             raise ConfigError("dims must contain integers >= 2")
-
-
-def _is_a(kind: type, value) -> bool:
-    """``value`` is a ``kind`` number; a bool is not a number here."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+        if not all(isinstance(run, EnsembleRun) and is_int(run.n_samples, 1)
+                   for run in self.ensembles):
+            raise ConfigError("ensembles must be EnsembleRuns with integer n_samples >= 1")
 
 
 @dataclass(frozen=True)
@@ -148,13 +146,13 @@ def _result(name: str, tol: float, samples) -> tuple[PropertyResult, dict | None
     return PropertyResult(name, count, worst, tol, passed), witness
 
 
-def _property(name: str, tol: float | None = None):
+def _property(name: str, tol: float = BOUND_TOL):
     """Make a generator of ``(slack, inputs)`` samples a runner returning
-    ``(PropertyResult, witness or None)``; ``tol`` defaults to ``cfg.bound_tol``."""
+    ``(PropertyResult, witness or None)``."""
     def decorate(samples):
         @functools.wraps(samples)
         def run(cfg: CheckConfig):
-            return _result(name, cfg.bound_tol if tol is None else tol, samples(cfg))
+            return _result(name, tol, samples(cfg))
         return run
     return decorate
 
@@ -319,7 +317,7 @@ def prop_relabel_invariance(cfg: CheckConfig):
 def prop_oracle_consistency(cfg: CheckConfig):
     for i, seed, rho, alpha in _draws(cfg, "oracle_consistency", cfg.n_optimizer,
                                       [(2, 2)], alphas=(0.3, 0.5, 0.7)):
-        opt = quantum_correlation_D(rho, alpha, OptimizerConfig(seed=seed + i)).value
+        opt = quantum_correlation_D(rho, alpha, seed + i).value
         grid = brute_force_D_qubit(rho, alpha)
         # the oracle is the exact minimum, which the optimizer (a true deficit)
         # cannot undershoot beyond float noise; it may not overshoot it
@@ -345,7 +343,7 @@ def prop_cq_nullity(cfg: CheckConfig):
     states = [example2_state(), *(rho for _, _, rho, _ in draws)]
     for i, rho in enumerate(states):
         alpha = cfg.alphas[i % len(cfg.alphas)]
-        value = quantum_correlation_D(rho, alpha, OptimizerConfig(seed=seed + i)).value
+        value = quantum_correlation_D(rho, alpha, seed + i).value
         yield -value, {"state": rho, "alpha": alpha, "value": value}
 
 
@@ -390,7 +388,7 @@ def prop_theorems_with_oracle(cfg: CheckConfig):
         tight = min(prod.lhs - mid, mid2 - mid3, mid3 - prod.rhs)
         # the link through the minimum inherits the oracle's certification
         oracle_link = mid - mid2
-        violation = max(-tight - cfg.bound_tol, -oracle_link - ORACLE_TOL)
+        violation = max(-tight - BOUND_TOL, -oracle_link - ORACLE_TOL)
         chain.append((-violation, inputs))
     return [_result("bounds_theorems_oracle_certified", ORACLE_TOL, thm),
             _result("bounds_proof_chain_consistency", 0.0, chain)]

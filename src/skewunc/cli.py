@@ -19,13 +19,12 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundReport, heisenberg_type_check, memory_bounds
 from .checks import CheckConfig, EnsembleRun, run_checks
-from .correlation import OptimizerConfig
 from .errors import (
     ConfigError,
     NumericalConsistencyError,
@@ -72,7 +71,6 @@ class SweepConfig:
     out: str | None = None
     format: str = "csv"
     state: str | None = None
-    optimizer: dict | None = None   # the config block, see _optimizer_from_config
 
     def validate(self) -> None:
         """The checks that span settings; each setting alone was checked by
@@ -186,26 +184,11 @@ _bases = _reader(lambda text: tuple(t.strip() for t in text.split(",") if t.stri
                  "must be two of x, y, z")
 
 
-def _optimizer_from_config(block, default_seed: int) -> OptimizerConfig:
-    """Build the basis-search settings from a config-file block; missing
-    settings take the ``OptimizerConfig`` defaults."""
-    if block is None:
-        return OptimizerConfig(seed=default_seed)
-    if not isinstance(block, dict):
-        raise ConfigError(f"'optimizer' must be an object, got {block!r}")
-    _reject_unknown_keys(block, {f.name for f in fields(OptimizerConfig)}, "optimizer")
-    settings = {"seed": default_seed}
-    for key, minimum in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
-        if key in block:
-            settings[key] = _config_int(key, block[key], minimum)
-    return OptimizerConfig(**settings)
-
-
 def _settings(args, keys: dict, file_keys=None) -> dict:
     """Every setting of ``keys`` that is given: read from the ``--config``
-    file, then overridden by the flag of the same name, both through the
-    setting's reader. The file may hold only ``file_keys`` (default: all)."""
-    doc = _load_config_file(args.config)
+    file if any, then overridden by the flag of the same name, both through
+    the setting's reader. The file may hold only ``file_keys`` (default: all)."""
+    doc = _load_config_file(getattr(args, "config", None))
     _reject_unknown_keys(doc, keys if file_keys is None else file_keys, args.command)
     settings = {key: _converted(key, value, keys[key]) for key, value in doc.items()}
     for key, read in keys.items():
@@ -263,17 +246,15 @@ def _load_pauli_state(path: str):
 
 def cmd_reproduce(cfg: SweepConfig) -> int:
     cfg.validate()
-    opt = _optimizer_from_config(cfg.optimizer, cfg.seed)
     rows: list[dict] = []
     if cfg.example in (1, 3):
         for p in p_grid(cfg.p_start, cfg.p_stop, cfg.p_step):
             for alpha in cfg.alphas:
-                rows.append(sweep_row(cfg.example, p, alpha, cfg.oracle,
-                                      optimizer_cfg=opt))
+                rows.append(sweep_row(cfg.example, p, alpha, cfg.oracle, cfg.seed))
     else:  # example 2 or a custom state file
         state = example2_state() if cfg.example == 2 else _load_pauli_state(cfg.state)
         for alpha in cfg.alphas:
-            rows.append(state_row(state, alpha, cfg.oracle, optimizer_cfg=opt))
+            rows.append(state_row(state, alpha, cfg.oracle, cfg.seed))
     notes = [EXAMPLE2_NOTE] if cfg.example == 2 else []
     out = _write_rows(cfg, rows, notes)
     checked = [r["abs_err_max"] for r in rows if r["abs_err_max"] is not None]
@@ -312,8 +293,7 @@ def _ensemble_runs_from_config(items) -> tuple[EnsembleRun, ...]:
 _CHECK_KEYS = {
     "seed": _int_reader("seed", 0), "n_samples": _int_reader("n_samples", 1),
     "n_optimizer": _int_reader("n_optimizer", 1),
-    "n_theorem": _int_reader("n_theorem", 1), "bound_tol": _positive_float,
-    "alphas": _alphas,
+    "n_theorem": _int_reader("n_theorem", 1), "alphas": _alphas,
     "dims": lambda ds: tuple(_config_int("dims", d, 2) for d in ds),
     "ensembles": _ensemble_runs_from_config, "out": _string,
 }
@@ -347,20 +327,19 @@ def _report_dict(rep: BoundReport) -> dict:
     }
 
 
-# How each eval setting is read; the config file holds only 'optimizer'.
+# How each eval setting is read; eval takes flags only.
 _EVAL_KEYS = {
     "state": _string, "bases": _bases, "alpha": _unit_float,
     "oracle": _choice("grid", "optimizer"), "seed": _int_reader("seed", 0),
-    "out": _string, "optimizer": lambda block: block,
+    "out": _string,
 }
 
 
 def cmd_eval(args) -> int:
-    settings = _settings(args, _EVAL_KEYS, file_keys={"optimizer"})
+    settings = _settings(args, _EVAL_KEYS)
     state = _load_pauli_state(settings["state"])
     axes, alpha = settings["bases"], settings["alpha"]
-    opt = _optimizer_from_config(settings.get("optimizer"), settings.get("seed", 0))
-    d_value = certified_d(state, alpha, settings["oracle"], optimizer_cfg=opt)
+    d_value = certified_d(state, alpha, settings["oracle"], settings.get("seed", 0))
     prod, summ = memory_bounds(state, pauli_basis(axes[0]), pauli_basis(axes[1]),
                                alpha, d_value)
     eye_b = np.eye(state.d_B)
@@ -416,9 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate the bound checks for one state file")
     ev.add_argument("state", metavar="state_file")
-    ev.add_argument("--config", default=None,
-                    help="JSON config; the 'optimizer' block tunes the "
-                         "basis search used with --oracle optimizer")
     ev.add_argument("--bases", default="x,z")
     ev.add_argument("--alpha", type=float, default=0.5)
     ev.add_argument("--oracle", choices=("grid", "optimizer"), default="grid")
@@ -429,14 +405,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # How each reproduce setting is read. A setting's name is its config-file key
-# and the dest of its flag, if it has one. The "optimizer" block is kept as
-# given, for _optimizer_from_config to read once its default seed is known.
+# and the dest of its flag, if it has one.
 _SWEEP_KEYS = {
     "example": _choice(1, 2, 3, "custom"), "alphas": _alphas,
     "p_start": _config_float, "p_stop": _config_float, "p_step": _positive_float,
     "oracle": _choice("grid", "optimizer"), "seed": _int_reader("seed", 0),
     "out": _string, "format": _choice("csv", "json"), "state": _string,
-    "optimizer": lambda block: block,
 }
 
 

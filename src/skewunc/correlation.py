@@ -17,14 +17,13 @@ lambda_min(Q) / 2, cross-checked by direct re-evaluation.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericalConsistencyError, OptimizerError, ShapeError, ValidationError
-from .linalg import BipartiteDensityMatrix, check_alpha
+from .linalg import BipartiteDensityMatrix, check_alpha, is_int
 from .skew import NEG_CLIP, ProjectiveBasis, embedded, engine
 from .states import pauli
 
@@ -47,24 +46,9 @@ _AGREE_COUNT_QUBIT = 2
 _AGREE_COUNT = 8
 _AGREE_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Multi-start search settings for the basis minimization. ``restarts``
-    is a cap: the search stops once enough converged restarts agree on the
-    best value (see ``quantum_correlation_D``)."""
-
-    restarts: int = 20
-    max_iters: int = 2000   # per-restart iteration cap
-    seed: int = 0
-
-    def __post_init__(self):
-        for name, minimum in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < minimum):
-                raise ValidationError(
-                    f"{name} must be an integer >= {minimum}, got {value!r}")
+# Caps on the restarts, which agreement usually ends first, and on BFGS iterations.
+_MAX_RESTARTS = 20
+_MAX_ITERS = 2000
 
 
 @dataclass(frozen=True)
@@ -254,38 +238,39 @@ def minimize(*args, **kwargs):
 
 
 def quantum_correlation_D(rho_ab: BipartiteDensityMatrix, alpha: float,
-                          cfg: OptimizerConfig | None = None) -> CorrelationResult:
+                          seed: int = 0) -> CorrelationResult:
     """Multi-start minimization of the measurement deficit over all bases of
     the measured subsystem.
 
     Each restart runs BFGS with the analytic gradient on the d^2 parameters
     of exp(iG), from the identity on restart 0 and from seeded random
-    generators after it, and stops at stationarity or after
-    ``cfg.max_iters`` iterations; one stopped on precision loss with a small
-    gradient has converged too. ``cfg.restarts`` is a cap: the search ends
+    generators after it, and stops at stationarity or after ``_MAX_ITERS``
+    iterations; one stopped on precision loss with a small gradient has
+    converged too. At most ``_MAX_RESTARTS`` restarts run: the search ends
     once enough converged restarts (2 at d_A = 2, else 8) agree on the best
     value, or that value reaches the nonnegative floor; ``optimizer_trace``
     has one entry per restart run. It fails with ``OptimizerError`` if no
     restart converged. The best basis is re-evaluated through the generic
     deficit path. The returned value is an upper bound on the true minimum;
     for a qubit subsystem ``brute_force_D_qubit`` gives the exact value.
-    Deterministic for a fixed ``cfg.seed``.
+    Deterministic for a fixed ``seed``, an integer >= 0.
     """
-    cfg = cfg or OptimizerConfig()
+    if not is_int(seed, 0):
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     ev = DeficitEvaluator(rho_ab, alpha)
     d = ev.d_A
     nparams = d * d
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     agree_count = _AGREE_COUNT_QUBIT if d == 2 else _AGREE_COUNT
 
     trace: list[tuple[int, float]] = []
     best_x: np.ndarray | None = None
     best_val = np.inf
     converged: list[float] = []
-    for r in range(cfg.restarts):
+    for r in range(_MAX_RESTARTS):
         x0 = np.zeros(nparams) if r == 0 else rng.standard_normal(nparams) * (np.pi / 2)
         res = minimize(_deficit_and_param_gradient, x0, args=(ev,), jac=True,
-                       method="BFGS", options={"gtol": _GRAD_TOL, "maxiter": cfg.max_iters})
+                       method="BFGS", options={"gtol": _GRAD_TOL, "maxiter": _MAX_ITERS})
         trace.append((r, float(res.fun)))
         if res.success or (res.status == 2 and np.max(np.abs(res.jac)) <= _LOSS_GRAD_TOL):
             converged.append(float(res.fun))
@@ -300,7 +285,7 @@ def quantum_correlation_D(rho_ab: BipartiteDensityMatrix, alpha: float,
             break
     if not converged:
         raise OptimizerError(
-            f"no restart converged within {cfg.max_iters} iterations",
+            f"no restart converged within {_MAX_ITERS} iterations",
             best_value=best_val if np.isfinite(best_val) else None)
 
     u_best = _unitary_from_params(best_x, d)

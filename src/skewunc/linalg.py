@@ -10,6 +10,7 @@ produces. Every module in this package relies on that convention.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,6 +231,11 @@ def check_alpha(alpha: float) -> float:
     if not (0.0 <= alpha <= 1.0):
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
     return alpha
+
+
+def is_int(x, minimum: int) -> bool:
+    """``x`` is an integer >= ``minimum``; a bool is not an integer here."""
+    return not isinstance(x, bool) and isinstance(x, numbers.Integral) and x >= minimum
 
 
 def fractional_power(rho: DensityMatrix, alpha: float) -> HermitianOperator:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import BipartiteDensityMatrix, DensityMatrix, HermitianOperator, kron
+from .linalg import BipartiteDensityMatrix, DensityMatrix, HermitianOperator, is_int, kron
 from .skew import ProjectiveBasis
 
 # The isotropic family is separable exactly up to this mixing weight.
@@ -128,8 +128,13 @@ class EnsembleSpec:
         bipartite_only = ("product", "classical_quantum", "separable_mixture")
         if self.kind in bipartite_only and not isinstance(self.dims, tuple):
             raise ValidationError(f"kind {self.kind!r} needs dims = (d_A, d_B)")
+        factors = self.dims if isinstance(self.dims, tuple) else (self.dims, 1)
+        if len(factors) != 2 or not all(is_int(d, 1) for d in factors):
+            raise ValidationError(f"dims must be one or two integers >= 1, got {self.dims!r}")
+        if not is_int(self.seed, 0):
+            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.kind == "fixed_rank":
-            if self.rank is None or self.rank < 1 or self.rank > self.total_dim:
+            if not is_int(self.rank, 1) or self.rank > self.total_dim:
                 raise ValidationError(
                     f"fixed_rank needs 1 <= rank <= {self.total_dim}, got {self.rank}")
         elif self.rank is not None:
@@ -137,10 +142,7 @@ class EnsembleSpec:
 
     @property
     def total_dim(self) -> int:
-        if isinstance(self.dims, tuple):
-            da, db = self.dims
-            return int(da) * int(db)
-        return int(self.dims)
+        return int(np.prod(self.dims))
 
     @property
     def bipartite(self) -> bool:

@@ -10,12 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import example_closed_forms, memory_bounds
-from .correlation import OptimizerConfig, brute_force_D_qubit, quantum_correlation_D
+from .correlation import brute_force_D_qubit, quantum_correlation_D
 from .errors import ValidationError
 from .linalg import BipartiteDensityMatrix
 from .states import example2_state, pauli_basis, werner_isotropic, werner_swap
 
 EXAMPLE_P_RANGES = {1: (-1.0, 1.0), 2: None, 3: (0.0, 1.0)}
+
+# Most points a p grid may have; the default grids have 101 to 201.
+MAX_GRID_POINTS = 100_000
 
 # Maximum |pipeline - closed form| per row for the sweep to count as a
 # faithful reproduction.
@@ -41,22 +44,22 @@ def example_state(example_id: int, p: float | None) -> BipartiteDensityMatrix:
 
 
 def certified_d(state: BipartiteDensityMatrix, alpha: float, oracle: str,
-                optimizer_cfg: OptimizerConfig | None = None) -> float:
-    """Quantum correlation of ``state`` through the selected minimizer."""
+                seed: int = 0) -> float:
+    """D of ``state`` through the selected minimizer; ``seed`` seeds the optimizer."""
     if oracle not in ("grid", "optimizer"):
         raise ValidationError(f"oracle must be 'grid' or 'optimizer', got {oracle!r}")
     if oracle == "grid":
         return brute_force_D_qubit(state, alpha)
-    return quantum_correlation_D(state, alpha, optimizer_cfg or OptimizerConfig()).value
+    return quantum_correlation_D(state, alpha, seed).value
 
 
 def state_row(state: BipartiteDensityMatrix, alpha: float, oracle: str,
-              optimizer_cfg: OptimizerConfig | None = None,
-              p: float | None = None, example_id: int | None = None) -> dict:
+              seed: int = 0, p: float | None = None,
+              example_id: int | None = None) -> dict:
     """One output row for ``state``: D, both memory bounds at Pauli x/z bases,
     and, for examples 1 and 3, the closed forms at ``p`` with the worst
     absolute deviation from them."""
-    d_value = certified_d(state, alpha, oracle, optimizer_cfg=optimizer_cfg)
+    d_value = certified_d(state, alpha, oracle, seed)
     prod, summ = memory_bounds(state, pauli_basis("x"), pauli_basis("z"), alpha,
                                d_value)
     row = dict.fromkeys(ROW_COLUMNS)
@@ -74,11 +77,11 @@ def state_row(state: BipartiteDensityMatrix, alpha: float, oracle: str,
 
 
 def sweep_row(example_id: int, p: float | None, alpha: float, oracle: str,
-              optimizer_cfg: OptimizerConfig | None = None) -> dict:
+              seed: int = 0) -> dict:
     """One output row of an example family: pipeline values, closed forms
     where they exist, and the worst absolute deviation between the two."""
-    return state_row(example_state(example_id, p), alpha, oracle,
-                     optimizer_cfg=optimizer_cfg, p=p, example_id=example_id)
+    return state_row(example_state(example_id, p), alpha, oracle, seed, p=p,
+                     example_id=example_id)
 
 
 def p_grid(start: float, stop: float, step: float) -> list[float]:
@@ -89,6 +92,7 @@ def p_grid(start: float, stop: float, step: float) -> list[float]:
     if stop < start:
         raise ValidationError(f"empty grid: stop {stop} < start {start}")
     n = np.floor((stop - start) / step + 1e-9)
-    if not np.isfinite(n):
-        raise ValidationError(f"step {step} is too small for [{start}, {stop}]")
+    if not n + 1 <= MAX_GRID_POINTS:   # also catches an infinite count
+        raise ValidationError(f"step {step} is too small for [{start}, {stop}]: "
+                              f"a grid has at most {MAX_GRID_POINTS} points")
     return [min(start + i * step, stop) for i in range(int(n) + 1)]

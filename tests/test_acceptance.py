@@ -20,7 +20,7 @@ from skewunc.checks import (
     prop_theorems_with_oracle,
 )
 from skewunc.cli import EXAMPLE2_NOTE, main
-from skewunc.correlation import OptimizerConfig, brute_force_D_qubit, quantum_correlation_D
+from skewunc.correlation import brute_force_D_qubit, quantum_correlation_D
 from skewunc.states import EnsembleSpec, random_density, werner_swap
 from skewunc.sweeps import p_grid, sweep_row
 
@@ -105,8 +105,7 @@ def test_criterion_07_oracle_equivalence():
     for i in range(100):
         rho = random_density(EnsembleSpec("full_rank", (2, 2), seed), index=i)
         for alpha in (0.3, 0.5, 0.7):
-            opt = quantum_correlation_D(rho, alpha,
-                                        OptimizerConfig(seed=seed + i)).value
+            opt = quantum_correlation_D(rho, alpha, seed=seed + i).value
             grid = brute_force_D_qubit(rho, alpha)
             worst = max(worst, abs(opt - grid))
     _report(7, "optimizer vs grid oracle", worst < 1e-4,
@@ -137,8 +136,7 @@ def test_criterion_09_werner_correlation_closed_form():
             t = ((3 - 3 * p) ** alpha * (1 + p) ** (1 - alpha)
                  + (1 + p) ** alpha * (3 - 3 * p) ** (1 - alpha))
             expected = max((2 - p) / 6 - t / 12, 0.0)
-            got = quantum_correlation_D(werner_swap(p), alpha,
-                                        OptimizerConfig(seed=1)).value
+            got = quantum_correlation_D(werner_swap(p), alpha, seed=1).value
             worst_opt = max(worst_opt, abs(got - expected))
     ok = worst < 1e-6 and worst_opt < 1e-6
     _report(9, "swap-family correlation closed form", ok,
@@ -155,10 +153,8 @@ def test_criterion_10_example2_pipeline(tmp_path, capsys):
     rho = example2_state()
     alpha = 0.5
     d = brute_force_D_qubit(rho, alpha)
-    prod = product_bound_check(rho, pauli_basis("x"), pauli_basis("z"), alpha,
-                               d, tolerance=1e-9)
-    summ = sum_bound_check(rho, pauli_basis("x"), pauli_basis("z"), alpha, d,
-                           tolerance=1e-9)
+    prod = product_bound_check(rho, pauli_basis("x"), pauli_basis("z"), alpha, d)
+    summ = sum_bound_check(rho, pauli_basis("x"), pauli_basis("z"), alpha, d)
     eye2 = np.eye(2)
     heis = heisenberg_type_check(
         rho, HermitianOperator(kron(pauli("x").mat, eye2)),
@@ -171,7 +167,8 @@ def test_criterion_10_example2_pipeline(tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads(out.read_text())
     documented = EXAMPLE2_NOTE in doc["notes"]
-    ok = (heis.holds and prod.holds and summ.holds
+    # both memory bounds are held to 1e-9 here, tighter than their verdicts
+    ok = (heis.holds and prod.slack >= -1e-9 and summ.slack >= -1e-9
           and abs(summ.rhs) < 1e-9 and self_consistent and documented
           and code == 0)
     _report(10, "separable-mixture pipeline", ok,

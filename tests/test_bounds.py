@@ -247,15 +247,14 @@ def test_example2_bounds_and_self_consistency():
     alpha = 0.35
     d = brute_force_D_qubit(rho, alpha)
     assert d <= 1e-9  # classical-quantum state
-    prod = product_bound_check(rho, pauli_basis("x"), pauli_basis("z"), alpha, d,
-                               tolerance=1e-9)
-    summ = sum_bound_check(rho, pauli_basis("x"), pauli_basis("z"), alpha, d,
-                           tolerance=1e-9)
+    prod = product_bound_check(rho, pauli_basis("x"), pauli_basis("z"), alpha, d)
+    summ = sum_bound_check(rho, pauli_basis("x"), pauli_basis("z"), alpha, d)
     eye2 = np.eye(2)
     heis = heisenberg_type_check(
         rho, HermitianOperator(kron(pauli("x").mat, eye2)),
         HermitianOperator(kron(pauli("z").mat, eye2)), alpha)
-    assert heis.holds and prod.holds and summ.holds
+    # both memory bounds are held to 1e-9 here, tighter than their verdicts
+    assert heis.holds and prod.slack >= -1e-9 and summ.slack >= -1e-9
     # x measurement commutes with the state, z does not
     assert prod.terms["un_phi"] == pytest.approx(0.0, abs=1e-9)
     assert prod.terms["un_psi"] == pytest.approx(0.5, abs=1e-9)
@@ -321,7 +320,7 @@ def test_product_chain_links_random():
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
 def test_shared_context_reports_equal_standalone_checkers(dims):
     from skewunc.bounds import memory_bounds
-    from skewunc.correlation import OptimizerConfig, quantum_correlation_D
+    from skewunc.correlation import quantum_correlation_D
     from skewunc.linalg import partial_trace
     from skewunc.skew import ProjectiveBasis, compat_L, engine, skew_information_I
     from skewunc.states import random_unitary
@@ -333,7 +332,7 @@ def test_shared_context_reports_equal_standalone_checkers(dims):
         phi = ProjectiveBasis(random_unitary(d_a, 32, index=i))
         psi = ProjectiveBasis(random_unitary(d_a, 33, index=i))
         oracle = (brute_force_D_qubit(rho, alpha) if d_a == 2 else
-                  quantum_correlation_D(rho, alpha, OptimizerConfig(restarts=2)).value)
+                  quantum_correlation_D(rho, alpha).value)
         for d_value in (0.0, oracle):
             prod, summ = memory_bounds(rho, phi, psi, alpha, d_value)
             assert prod == product_bound_check(rho, phi, psi, alpha, d_value)

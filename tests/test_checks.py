@@ -13,6 +13,7 @@ import skewunc.checks as checks
 from skewunc.checks import (
     ALL_PROPERTIES,
     CheckConfig,
+    EnsembleRun,
     PropertyResult,
     _property,
     prop_deficit_nonnegative,
@@ -33,8 +34,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         CheckConfig(n_samples=0).validate()
     with pytest.raises(ConfigError):
-        CheckConfig(bound_tol=-1.0).validate()
-    with pytest.raises(ConfigError):
         CheckConfig(alphas=(1.2,)).validate()
     with pytest.raises(ConfigError):
         CheckConfig(dims=(1,)).validate()
@@ -43,14 +42,25 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("n_samples", 2.5), ("n_optimizer", True), ("n_theorem", 3.0),
     ("dims", (2.5,)), ("seed", 1.5), ("seed", True), ("alphas", (0.5, True)),
-    ("bound_tol", math.inf), ("bound_tol", math.nan), ("bound_tol", True),
 ])
 def test_config_rejects_settings_it_cannot_run(field, value):
     # the CLI's readers reject each of these; a library caller must not get a
-    # raw TypeError, a truncated seed, a bool run as a number, or a tolerance
-    # under which no property can fail
+    # raw TypeError, a truncated seed or a bool run as a number
     with pytest.raises(ConfigError):
         run_checks(replace(SMALL, **{field: value}), properties=())
+
+
+@pytest.mark.parametrize("entry", [
+    EnsembleRun(EnsembleSpec("full_rank", 2, 1), 0),
+    EnsembleRun(EnsembleSpec("full_rank", 2, 1), 2.5),
+    EnsembleRun(EnsembleSpec("full_rank", 2, 1), True),
+    EnsembleSpec("full_rank", 2, 1),
+], ids=["zero_samples", "fractional_samples", "bool_samples", "not_a_run"])
+def test_config_rejects_ensemble_entries_it_cannot_run(entry):
+    # a zero count used to drop the run silently, and a fractional one to
+    # escape as a raw TypeError
+    with pytest.raises(ConfigError):
+        run_checks(replace(SMALL, ensembles=(entry,)), properties=())
 
 
 @pytest.mark.parametrize("dims, kind, alphas", [

@@ -118,6 +118,15 @@ def test_reproduce_step_too_small_for_its_grid_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_reproduce_grid_with_too_many_points_exits_2(tmp_path, capsys):
+    # 2e300 points are finite but would fill memory before any row is made
+    out = tmp_path / "x.csv"
+    assert run_cli("reproduce", "--example", "1", "--p-step", "1e-300",
+                   "--out", str(out)) == 2
+    assert "at most 100000 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, oracle", [
     ("reproduce", "grid"), ("reproduce", "optimizer"), ("eval", "optimizer"),
 ])
@@ -148,11 +157,11 @@ def test_reproduce_optimizer_block_in_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "example": 2, "alphas": [0.5], "oracle": "optimizer",
-        "optimizer": {"restarts": 3, "max_iters": 500, "seed": 9},
-        "format": "json"}))
+        "seed": 9, "format": "json"}))
     out = tmp_path / "ex2.json"
     assert run_cli("reproduce", "--config", str(cfg), "--out", str(out)) == 0
     doc = json.loads(out.read_text())
+    assert doc["seed"] == 9
     assert doc["rows"][0]["D_tilde"] < 1e-6
 
 
@@ -234,6 +243,9 @@ def test_reproduce_rejects_bad_optimizer_setting(tmp_path, capsys, block):
     # a state file goes only with example "custom"
     ("reproduce", {"example": 1, "state": "nope.json", "p_step": 0.5}),
     ("reproduce", {"example": 2, "state": "nope.json"}),
+    # the basis search and the verdict tolerances have no settings
+    ("reproduce", {"example": 1, "optimizer": {}}),
+    ("check", {"bound_tol": 1e-9}),
 ])
 def test_config_parse_failure_exits_2(tmp_path, capsys, command, doc):
     cfg = tmp_path / "cfg.json"
@@ -353,23 +365,17 @@ def test_eval_rejects_negative_seed_flag_and_unknown_config_key(tmp_path, capsys
     save_state(str(path), werner_isotropic(1.0))
     assert run_cli("eval", str(path), "--oracle", "optimizer", "--seed", "-2") == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_eval_takes_no_config_file(tmp_path, capsys):
+    path = tmp_path / "bell.json"
+    save_state(str(path), werner_isotropic(1.0))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"optimizer": {}, "bases": "y,z"}))
-    assert run_cli("eval", str(path), "--config", str(cfg)) == 2
-    assert "configuration error" in capsys.readouterr().err
-
-
-def test_optimizer_block_defaults_follow_optimizer_config():
-    from skewunc.cli import _optimizer_from_config
-    from skewunc.correlation import OptimizerConfig
-    from skewunc.errors import ConfigError
-
-    assert _optimizer_from_config({}, 7) == OptimizerConfig(seed=7)
-    assert _optimizer_from_config(None, 7) == OptimizerConfig(seed=7)
-    assert _optimizer_from_config({"restarts": 3.0}, 7) == \
-        OptimizerConfig(restarts=3, seed=7)
-    with pytest.raises(ConfigError, match="unknown optimizer settings"):
-        _optimizer_from_config({"tol": 1e-8}, 7)
+    cfg.write_text(json.dumps({"bases": "y,z"}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("eval", str(path), "--config", str(cfg))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_numerical_error_exit_code(tmp_path, monkeypatch):

@@ -6,7 +6,6 @@ import pytest
 
 from skewunc.correlation import (
     DeficitEvaluator,
-    OptimizerConfig,
     _deficit_and_param_gradient,
     _qubit_vectors,
     _unitary_from_params,
@@ -161,13 +160,13 @@ def test_deficit_gradient_matches_central_differences(dims):
 
 def test_optimizer_classical_quantum_reaches_zero():
     rho = random_density(EnsembleSpec("classical_quantum", (2, 2), 15))
-    res = quantum_correlation_D(rho, 0.5, OptimizerConfig(seed=1))
+    res = quantum_correlation_D(rho, 0.5, seed=1)
     assert res.value <= 1e-6
 
 
 def test_optimizer_result_invariants():
     rho = random_density(EnsembleSpec("full_rank", (2, 2), 16))
-    res = quantum_correlation_D(rho, 0.4, OptimizerConfig(seed=2))
+    res = quantum_correlation_D(rho, 0.4, seed=2)
     assert res.value == pytest.approx(sum(res.deficit_per_k), abs=1e-9)
     assert res.value >= 0.0
     assert res.argmin_basis.dim == 2
@@ -179,28 +178,18 @@ def test_optimizer_result_invariants():
 
 def test_optimizer_deterministic_under_seed():
     rho = random_density(EnsembleSpec("full_rank", (2, 2), 17))
-    r1 = quantum_correlation_D(rho, 0.3, OptimizerConfig(seed=5))
-    r2 = quantum_correlation_D(rho, 0.3, OptimizerConfig(seed=5))
+    r1 = quantum_correlation_D(rho, 0.3, seed=5)
+    r2 = quantum_correlation_D(rho, 0.3, seed=5)
     assert r1.value == r2.value
     assert r1.optimizer_trace == r2.optimizer_trace
 
 
-def test_optimizer_bad_restarts():
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"],
+                         ids=["seed", "seed_fraction", "seed_bool", "seed_string"])
+def test_optimizer_config_rejects_values_it_cannot_run(seed):
     rho = random_density(EnsembleSpec("full_rank", (2, 2), 18))
-    with pytest.raises(ValidationError):
-        quantum_correlation_D(rho, 0.5, OptimizerConfig(restarts=0))
-
-
-@pytest.mark.parametrize("setting", [
-    {"max_iters": 0}, {"seed": -1},
-    {"restarts": 2.5}, {"restarts": "3"}, {"seed": 1.5}, {"restarts": True},
-    {"max_iters": 10.5},
-], ids=["max_iters", "seed", "restarts_fraction", "restarts_string",
-        "seed_fraction", "restarts_bool", "max_iters_fraction"])
-def test_optimizer_config_rejects_values_it_cannot_run(setting):
-    rho = random_density(EnsembleSpec("full_rank", (2, 2), 18))
-    with pytest.raises(ValidationError, match=next(iter(setting))):
-        quantum_correlation_D(rho, 0.5, OptimizerConfig(**setting))
+    with pytest.raises(ValidationError, match="seed"):
+        quantum_correlation_D(rho, 0.5, seed=seed)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
@@ -217,17 +206,20 @@ def test_every_restart_calls_the_module_minimize(monkeypatch, dims):
 
     monkeypatch.setattr(correlation, "minimize", spy)
     rho = random_density(EnsembleSpec("full_rank", dims, 31))
-    res = quantum_correlation_D(rho, 0.4, OptimizerConfig(seed=2))
+    res = quantum_correlation_D(rho, 0.4, seed=2)
     assert len(calls) == len(res.optimizer_trace) >= 1
 
 
-def test_optimizer_failure_carries_best_value():
+def test_optimizer_failure_carries_best_value(monkeypatch):
+    from skewunc import correlation
     from skewunc.errors import OptimizerError
 
     rho = random_density(EnsembleSpec("full_rank", (2, 2), 25))
     # one BFGS iteration per restart cannot reach the 1e-9 gradient threshold
+    monkeypatch.setattr(correlation, "_MAX_RESTARTS", 2)
+    monkeypatch.setattr(correlation, "_MAX_ITERS", 1)
     with pytest.raises(OptimizerError) as err:
-        quantum_correlation_D(rho, 0.5, OptimizerConfig(restarts=2, max_iters=1))
+        quantum_correlation_D(rho, 0.5)
     assert err.value.best_value is not None
     assert np.isfinite(err.value.best_value)
 
@@ -249,7 +241,7 @@ def test_optimizer_stops_once_restarts_agree(dims, used):
     # minimum is global, so the second restart confirms the first, while
     # from d_A = 3 on eight must agree. Either way not all 20 run.
     rho = random_density(EnsembleSpec("full_rank", dims, 16))
-    res = quantum_correlation_D(rho, 0.4, OptimizerConfig(seed=2))
+    res = quantum_correlation_D(rho, 0.4, seed=2)
     assert len(res.optimizer_trace) == used
     values = [v for _, v in res.optimizer_trace]
     assert max(values) - min(values) <= 1e-10
@@ -265,23 +257,26 @@ def test_optimizer_stops_once_restarts_agree(dims, used):
 ])
 def test_optimizer_agreement_escapes_local_minimum(spec, index, alpha, seed, gap):
     rho = random_density(spec, index=index)
-    res = quantum_correlation_D(rho, alpha, OptimizerConfig(seed=seed))
+    res = quantum_correlation_D(rho, alpha, seed=seed)
     assert len(res.optimizer_trace) >= 3
     assert res.value < res.optimizer_trace[0][1] - gap
 
 
-def test_optimizer_precision_loss_counts_as_converged():
+def test_optimizer_precision_loss_counts_as_converged(monkeypatch):
+    from skewunc import correlation
+
     # the only restart stops on SciPy's precision-loss status with a
     # gradient of ~3e-9, at the exact minimum
     rho = random_density(EnsembleSpec("full_rank", (2, 2), 2024), index=4)
-    res = quantum_correlation_D(rho, 0.3, OptimizerConfig(restarts=1, seed=2028))
+    monkeypatch.setattr(correlation, "_MAX_RESTARTS", 1)
+    res = quantum_correlation_D(rho, 0.3, seed=2028)
     assert len(res.optimizer_trace) == 1
     assert abs(res.value - brute_force_D_qubit(rho, 0.3)) <= 1e-12
 
 
 def test_optimizer_converges_at_4x2_defaults():
     rho = random_density(EnsembleSpec("full_rank", (4, 2), 42))
-    res = quantum_correlation_D(rho, 0.5, OptimizerConfig())
+    res = quantum_correlation_D(rho, 0.5)
     assert correlation_deficit(rho, res.argmin_basis, 0.5) == pytest.approx(
         res.value, abs=1e-12)
     ev = DeficitEvaluator(rho, 0.5)
@@ -339,7 +334,7 @@ def test_oracle_matches_optimizer_on_random_states():
         for i in range(count):
             rho = random_density(EnsembleSpec("full_rank", dims, 21), index=i)
             alpha = (0.3, 0.5, 0.7)[i % 3]
-            opt = quantum_correlation_D(rho, alpha, OptimizerConfig(seed=i)).value
+            opt = quantum_correlation_D(rho, alpha, seed=i).value
             assert abs(opt - brute_force_D_qubit(rho, alpha)) <= 1e-10
 
 

@@ -182,6 +182,21 @@ def test_spec_validation():
         EnsembleSpec("pure", 4, 1, rank=2)
 
 
+@pytest.mark.parametrize("kind, dims, seed, rank", [
+    ("full_rank", 2, -1, None), ("full_rank", 2, 1.5, None),
+    ("full_rank", 2, True, None), ("full_rank", True, 1, None),
+    ("full_rank", 2.5, 1, None), ("full_rank", 0, 1, None),
+    ("product", (2, 2.5), 1, None), ("product", (2, 0), 1, None),
+    ("product", (2, 2, 2), 1, None), ("fixed_rank", 4, 1, 2.5),
+    ("fixed_rank", 4, 1, True),
+])
+def test_spec_rejects_settings_it_cannot_draw(kind, dims, seed, rank):
+    # each used to fail at the draw with a raw numpy error, or to draw
+    # something else (1x1 states for dims=True, seed 1 for seed=1.5)
+    with pytest.raises(ValidationError):
+        EnsembleSpec(kind, dims, seed, rank=rank)
+
+
 # --- random operators --------------------------------------------------------
 
 def test_random_unitary_is_unitary_and_deterministic():

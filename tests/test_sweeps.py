@@ -83,6 +83,15 @@ def test_rows_follow_the_schema(example_id, p):
     assert all(v is None for v in closed) == (example_id == 2)
 
 
+def test_grid_point_count_has_a_ceiling():
+    from skewunc.errors import ValidationError
+    from skewunc.sweeps import MAX_GRID_POINTS, p_grid
+
+    with pytest.raises(ValidationError, match="at most"):
+        p_grid(0.0, 1.0, 1e-5)  # 100,001 points
+    assert len(p_grid(0.0, 1.0, 1.0 / (MAX_GRID_POINTS - 1))) == MAX_GRID_POINTS
+
+
 def test_state_row_equals_sweep_row_without_closed_forms():
     from skewunc.sweeps import example_state
 
