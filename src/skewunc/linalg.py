@@ -9,7 +9,6 @@ produces. Every module in this package relies on that convention.
 
 from __future__ import annotations
 
-import hashlib
 import numbers
 from dataclasses import dataclass
 
@@ -145,6 +144,7 @@ class SpectralDecomposition:
 
 
 def _input_hash(mat: np.ndarray) -> str:
+    import hashlib  # only on a solver failure; keeps OpenSSL out of every import
     return hashlib.sha1(np.ascontiguousarray(mat).tobytes()).hexdigest()[:16]
 
 

@@ -7,6 +7,8 @@ the bounds share the state's engines through ``skew.engine``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .bounds import example_closed_forms, memory_bounds
@@ -33,6 +35,12 @@ ROW_COLUMNS = (
 )
 
 
+# Rows at one p share one state, so its validation, spectrum, reduction and
+# ``skew.engine`` entries are paid once per p, not once per alpha; a few
+# entries suffice, since a sweep computes the rows of one p one after
+# another. Safe for the same reason as ``skew.engine``: the matrix is
+# read-only and ``spectral()`` / ``reduced()`` are deterministic memos.
+@lru_cache(maxsize=8)
 def example_state(example_id: int, p: float | None) -> BipartiteDensityMatrix:
     if example_id == 1:
         return werner_swap(p)

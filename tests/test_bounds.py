@@ -347,3 +347,42 @@ def test_shared_context_reports_equal_standalone_checkers(dims):
                 assert prod.terms["per_k_I_phi"][k] == skew_information_I(
                     rho, embedded, alpha)
                 assert prod.terms["per_k_L"][k] == compat_L(rho_a, p_phi, p_psi, alpha)
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_memory_bounds_equal_scoring_each_basis_alone(dims):
+    """Both bases scored in one joint call give the same reports, bit for
+    bit, as scoring each basis in its own call."""
+    from skewunc.bounds import MEMORY_BOUND_TOL, _report, memory_bounds
+    from skewunc.skew import ProjectiveBasis, compat_terms, measurement_uncertainty_terms
+    from skewunc.states import random_unitary
+
+    d_a, d_b = dims
+    for i, kind in enumerate(("pure", "full_rank")):
+        rho = random_density(EnsembleSpec(kind, dims, 41), index=i)
+        phi = ProjectiveBasis(random_unitary(d_a, 42, index=i))
+        psi = ProjectiveBasis(random_unitary(d_a, 43, index=i))
+        d_value = 0.05
+        for alpha in (0.0, 0.3, 0.5, 1.0):
+            un_phi = measurement_uncertainty_terms(rho, phi, alpha, memory_dim=d_b)
+            un_psi = measurement_uncertainty_terms(rho, psi, alpha, memory_dim=d_b)
+            per_k_l = compat_terms(rho.reduced(), phi.projector_stack,
+                                   psi.projector_stack, alpha)
+            terms = {
+                "un_phi": float(sum(t.u_alpha for t in un_phi)),
+                "un_psi": float(sum(t.u_alpha for t in un_psi)),
+                "per_k_UN_phi": [t.u_alpha for t in un_phi],
+                "per_k_UN_psi": [t.u_alpha for t in un_psi],
+                "per_k_I_phi": [t.i_alpha for t in un_phi],
+                "per_k_I_psi": [t.i_alpha for t in un_psi],
+                "per_k_L": per_k_l,
+                "sum_L": float(sum(per_k_l)),
+                "sum_L_sq": float(sum(l * l for l in per_k_l)),
+                "D_tilde": d_value,
+            }
+            expected = (
+                _report("product", terms["un_phi"] * terms["un_psi"],
+                        terms["sum_L_sq"] + d_value * d_value, terms, MEMORY_BOUND_TOL),
+                _report("sum", terms["un_phi"] + terms["un_psi"],
+                        2.0 * terms["sum_L"] + 2.0 * d_value, terms, MEMORY_BOUND_TOL))
+            assert memory_bounds(rho, phi, psi, alpha, d_value) == expected

@@ -1,4 +1,5 @@
-"""Grid-oracle runs never load scipy; the basis optimizer loads it on use."""
+"""Grid-oracle runs never load scipy; the basis optimizer loads it on use.
+Grid runs load no hashlib either: only an eigensolver failure needs it."""
 
 import json
 import os
@@ -31,9 +32,10 @@ save_state(str(tmp / "state.json"), werner_isotropic(0.5))
 code = cli.main(["eval", str(tmp / "state.json"), "--oracle", "grid",
                  "--out", str(tmp / "eval.json")])
 record(f"grid eval (exit {code})")
+grid_hashlib = "hashlib" in sys.modules
 skewunc.quantum_correlation_D(werner_isotropic(0.5), 0.5)
 record("quantum_correlation_D")
-print(json.dumps(steps))
+print(json.dumps({"steps": steps, "grid_hashlib": grid_hashlib}))
 """
 
 
@@ -44,8 +46,9 @@ def test_grid_oracle_runs_load_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    steps = json.loads(proc.stdout.splitlines()[-1])
-    assert steps == [
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["grid_hashlib"] is False
+    assert out["steps"] == [
         ["import skewunc", False],
         ["import skewunc.cli", False],
         ["grid reproduce (exit 0)", False],

@@ -5,12 +5,19 @@ import sys
 
 import pytest
 
-from skewunc import linalg, skew
+from skewunc import linalg, skew, states, sweeps
 from skewunc.checks import DEFAULT_ALPHAS, CheckConfig, prop_heisenberg
 from skewunc.cli import main
 from skewunc.serialize import save_state
 from skewunc.states import EnsembleSpec, random_density
-from skewunc.sweeps import ROW_COLUMNS, state_row, sweep_row
+from skewunc.sweeps import ROW_COLUMNS, example_state, state_row, sweep_row
+
+
+@pytest.fixture(autouse=True)
+def fresh_example_states():
+    """Start each test without cached example states, so call counts do not
+    depend on which rows earlier tests built."""
+    example_state.cache_clear()
 
 
 def _count_calls(monkeypatch, owner, name, counts):
@@ -60,9 +67,34 @@ def test_sweep_row_scores_each_basis_in_one_call(monkeypatch):
     _count_calls(monkeypatch, skew.SkewEngine, "stacked_pairs", counts)
     _count_calls(monkeypatch, skew.SkewEngine, "pair", counts)
     sweep_row(1, 0.3, 0.5, "grid")
-    # one stacked scoring per basis on the joint state (its embedded
-    # projectors), one for both bases' projectors on the reduced state
-    assert counts == {"__init__": 2, "herm_eig": 2, "stacked_pairs": 3, "pair": 0}
+    # one stacked scoring for both bases' embedded projectors on the joint
+    # state, one for both bases' projectors on the reduced state
+    assert counts == {"__init__": 2, "herm_eig": 2, "stacked_pairs": 2, "pair": 0}
+
+
+def test_rows_at_one_p_share_one_state(monkeypatch):
+    counts = {"__init__": 0, "herm_eig": 0, "partial_trace": 0, "werner_swap": 0,
+              "stacked_pairs": 0}
+    _count_calls(monkeypatch, skew.SkewEngine, "__init__", counts)
+    _count_calls(monkeypatch, linalg, "herm_eig", counts)
+    _count_calls(monkeypatch, linalg, "partial_trace", counts)
+    _count_calls(monkeypatch, states, "werner_swap", counts)
+    _count_calls(monkeypatch, skew.SkewEngine, "stacked_pairs", counts)
+    sweep_row(1, 0.3, 0.3, "grid")
+    sweep_row(1, 0.3, 0.7, "grid")
+    # the second alpha's row reuses the state, its reduction and both engines
+    assert counts == {"__init__": 2, "herm_eig": 2, "partial_trace": 1,
+                      "werner_swap": 1, "stacked_pairs": 4}
+
+
+def test_sweep_rows_equal_rows_of_freshly_built_states():
+    for example_id in (1, 3):
+        lo, hi = sweeps.EXAMPLE_P_RANGES[example_id]
+        for p in sweeps.p_grid(lo, hi, 0.05):
+            for alpha in (0.0, 0.37, 1.0):
+                fresh = example_state.__wrapped__(example_id, p)
+                assert sweep_row(example_id, p, alpha, "grid") == state_row(
+                    fresh, alpha, "grid", p=p, example_id=example_id)
 
 
 def test_heisenberg_campaign_builds_one_engine_per_state(monkeypatch):
@@ -93,8 +125,6 @@ def test_grid_point_count_has_a_ceiling():
 
 
 def test_state_row_equals_sweep_row_without_closed_forms():
-    from skewunc.sweeps import example_state
-
     row = sweep_row(1, 0.2, 0.4, "grid")
     custom = state_row(example_state(1, 0.2), 0.4, "grid")
     for col in ROW_COLUMNS:
