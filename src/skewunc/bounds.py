@@ -15,8 +15,9 @@ Both memory bounds share their terms: ``memory_bounds`` scores them once
 (both bases' embedded projectors in one stacked call on the engine
 ``skew.engine`` keeps for the joint state, both bases' projectors in one on
 the reduced state's) and returns both reports. ``heisenberg_type_checks``
-checks the memoryless bound at many alphas from one engine.
-``product_bound_check`` and ``sum_bound_check`` return one of the two.
+checks the memoryless bound at many alphas from one engine. Both also score
+a stack of states in one call per engine. ``product_bound_check`` and
+``sum_bound_check`` return one of the two.
 """
 
 from __future__ import annotations
@@ -25,17 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ShapeError, ValidationError
 from .linalg import (
     BipartiteDensityMatrix,
     DensityMatrix,
     HermitianOperator,
     check_alpha,
+    state_stack,
 )
 from .skew import (
     NEG_CLIP,
     ProjectiveBasis,
     _check_dims,
+    _stacked,
     compat_terms,
     embedded,
     engine,
@@ -72,32 +75,36 @@ def _report(kind: str, lhs: float, rhs: float, terms: dict,
                        tolerance=tolerance)
 
 
-def heisenberg_type_checks(rho: DensityMatrix, r: HermitianOperator,
-                           s: HermitianOperator,
-                           alphas: tuple[float, ...]) -> list[BoundReport]:
+def heisenberg_type_checks(rho, r, s, alphas: tuple[float, ...]) -> list:
     """Memoryless bound at each of ``alphas``: product of the two
     geometric-mean uncertainties against a(1-a) |Tr rho [R, S]|^2. Both
     observables are scored at every alpha from one stacked rotation, and the
-    commutator trace is computed once."""
-    _check_dims(rho, r, s)
-    comm = r.mat @ s.mat - s.mat @ r.mat
-    comm_sq = abs(complex(np.trace(rho.mat @ comm)))**2
-    reports = []
-    for pr, ps in zip(*engine(rho).stacked_pairs(np.stack((r.mat, s.mat)), alphas)):
-        alpha_factor = pr.alpha * (1.0 - pr.alpha)
-        terms = {
-            "u_alpha_R": pr.u_alpha,
-            "u_alpha_S": ps.u_alpha,
-            "i_alpha_R": pr.i_alpha,
-            "j_alpha_R": pr.j_alpha,
-            "i_alpha_S": ps.i_alpha,
-            "j_alpha_S": ps.j_alpha,
-            "alpha_factor": alpha_factor,
-            "commutator_trace_abs_sq": comm_sq,
-        }
-        reports.append(_report("heisenberg", pr.u_alpha * ps.u_alpha,
-                               alpha_factor * comm_sq, terms, HEISENBERG_TOL))
-    return reports
+    commutator trace is computed once. For a stack of states (see
+    ``linalg.state_stack``), ``r`` and ``s`` hold one observable per state."""
+    states, stacked = state_stack(rho)
+    rs, ss = (r, s) if stacked else ((r,), (s,))
+    if not len(rs) == len(ss) == len(states):
+        raise ShapeError("a stack of states needs one R and one S per state")
+    for state, r_op, s_op in zip(states, rs, ss):
+        _check_dims(state, r_op, s_op)
+    hs = _stacked([np.stack((r_op.mat, s_op.mat)) for r_op, s_op in zip(rs, ss)])
+    r_mats, s_mats = hs[..., 0, :, :], hs[..., 1, :, :]
+    comm = r_mats @ s_mats - s_mats @ r_mats
+    traces = (_stacked([state.mat for state in states]) @ comm).trace(0, -2, -1).reshape(-1)
+    out = []
+    for tr, (prs, pss) in zip(traces, engine(*states).stacked_pairs(hs, alphas)):
+        comm_sq = abs(complex(tr))**2
+        reports = []
+        for pr, ps in zip(prs, pss):
+            alpha_factor = pr.alpha * (1.0 - pr.alpha)
+            terms = {"u_alpha_R": pr.u_alpha, "u_alpha_S": ps.u_alpha,
+                     "i_alpha_R": pr.i_alpha, "j_alpha_R": pr.j_alpha,
+                     "i_alpha_S": ps.i_alpha, "j_alpha_S": ps.j_alpha,
+                     "alpha_factor": alpha_factor, "commutator_trace_abs_sq": comm_sq}
+            reports.append(_report("heisenberg", pr.u_alpha * ps.u_alpha,
+                                   alpha_factor * comm_sq, terms, HEISENBERG_TOL))
+        out.append(reports)
+    return out if stacked else out[0]
 
 
 def heisenberg_type_check(rho: DensityMatrix, r: HermitianOperator,
@@ -114,49 +121,52 @@ def _check_d_value(d_value: float) -> float:
     return max(d_value, 0.0)
 
 
-def _memory_terms(rho_ab: BipartiteDensityMatrix, phi: ProjectiveBasis,
-                  psi: ProjectiveBasis, alpha: float, d_value: float) -> dict:
-    if phi.dim != rho_ab.d_A or psi.dim != rho_ab.d_A:
-        raise ValidationError(
-            f"both bases must live on the measured subsystem "
-            f"(dimension {rho_ab.d_A})")
-    # both bases' embedded projectors from one rotation into the joint eigenbasis
-    hs = embedded(np.concatenate((phi.projector_stack, psi.projector_stack)), rho_ab.d_B)
-    un = [t for [t] in engine(rho_ab).stacked_pairs(hs, (alpha,))]
-    un_phi, un_psi = un[:phi.dim], un[phi.dim:]
-    per_k_l = compat_terms(rho_ab.reduced(), phi.projector_stack, psi.projector_stack,
-                           alpha)
-    return {
-        "un_phi": float(sum(t.u_alpha for t in un_phi)),
-        "un_psi": float(sum(t.u_alpha for t in un_psi)),
-        "per_k_UN_phi": [t.u_alpha for t in un_phi],
-        "per_k_UN_psi": [t.u_alpha for t in un_psi],
-        "per_k_I_phi": [t.i_alpha for t in un_phi],
-        "per_k_I_psi": [t.i_alpha for t in un_psi],
-        "per_k_L": per_k_l,
-        "sum_L": float(sum(per_k_l)),
-        "sum_L_sq": float(sum(l * l for l in per_k_l)),
-        "D_tilde": d_value,
-    }
-
-
-def memory_bounds(rho_ab: BipartiteDensityMatrix, phi: ProjectiveBasis,
-                  psi: ProjectiveBasis, alpha: float,
-                  d_value: float) -> tuple[BoundReport, BoundReport]:
+def memory_bounds(rho_ab, phi: ProjectiveBasis, psi: ProjectiveBasis, alpha: float,
+                  d_value) -> tuple[BoundReport, BoundReport] | list:
     """Product and sum bounds with memory, from one evaluation of their
     shared terms.
 
     Product: the product of the two total measurement uncertainties against
     sum_L_sq + D_tilde^2. Sum: their sum against 2 sum_L + 2 D_tilde.
+    For a stack of states (see ``linalg.state_stack``), ``d_value`` holds one
+    value per state.
     """
     alpha = check_alpha(alpha)
-    d_value = _check_d_value(d_value)
-    terms = _memory_terms(rho_ab, phi, psi, alpha, d_value)
-    prod = _report("product", terms["un_phi"] * terms["un_psi"],
-                   terms["sum_L_sq"] + d_value * d_value, terms, MEMORY_BOUND_TOL)
-    summ = _report("sum", terms["un_phi"] + terms["un_psi"],
-                   2.0 * terms["sum_L"] + 2.0 * d_value, dict(terms), MEMORY_BOUND_TOL)
-    return prod, summ
+    states, stacked = state_stack(rho_ab)
+    d_values = [_check_d_value(d) for d in (d_value if stacked else (d_value,))]
+    if len(d_values) != len(states):
+        raise ShapeError("a stack of states needs one D value per state")
+    d_a = states[0].d_A
+    if phi.dim != d_a or psi.dim != d_a:
+        raise ValidationError(
+            f"both bases must live on the measured subsystem (dimension {d_a})")
+    # both bases' embedded projectors from one rotation into each joint eigenbasis
+    hs = embedded(np.concatenate((phi.projector_stack, psi.projector_stack)),
+                  states[0].d_B)
+    scored = engine(*states).stacked_pairs(hs, (alpha,))
+    per_state_l = compat_terms(tuple(state.reduced() for state in states),
+                               phi.projector_stack, psi.projector_stack, alpha)
+    out = []
+    for pairs, per_k_l, d in zip(scored, per_state_l, d_values):
+        un_phi, un_psi = [t for [t] in pairs[:phi.dim]], [t for [t] in pairs[phi.dim:]]
+        terms = {
+            "un_phi": float(sum(t.u_alpha for t in un_phi)),
+            "un_psi": float(sum(t.u_alpha for t in un_psi)),
+            "per_k_UN_phi": [t.u_alpha for t in un_phi],
+            "per_k_UN_psi": [t.u_alpha for t in un_psi],
+            "per_k_I_phi": [t.i_alpha for t in un_phi],
+            "per_k_I_psi": [t.i_alpha for t in un_psi],
+            "per_k_L": per_k_l,
+            "sum_L": float(sum(per_k_l)),
+            "sum_L_sq": float(sum(l * l for l in per_k_l)),
+            "D_tilde": d,
+        }
+        prod = _report("product", terms["un_phi"] * terms["un_psi"],
+                       terms["sum_L_sq"] + d * d, terms, MEMORY_BOUND_TOL)
+        summ = _report("sum", terms["un_phi"] + terms["un_psi"],
+                       2.0 * terms["sum_L"] + 2.0 * d, dict(terms), MEMORY_BOUND_TOL)
+        out.append((prod, summ))
+    return out if stacked else out[0]
 
 
 def product_bound_check(rho_ab: BipartiteDensityMatrix, phi: ProjectiveBasis,

@@ -55,12 +55,16 @@ from .states import (
     werner_isotropic,
     werner_swap,
 )
-from .sweeps import EXAMPLE_P_RANGES, SWEEP_ERR_TOL, p_grid, sweep_row
+from .sweeps import EXAMPLE_P_RANGES, SWEEP_ERR_TOL, p_grid, sweep_rows
 
 DEFAULT_ALPHAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
 # Default property tolerance, also applied to the exact proof-chain links.
 BOUND_TOL = 1e-9
+
+# Most Heisenberg samples scored as one stack, which holds its states, weights
+# and reports at once: the runner's memory stays flat in n_samples.
+_HEISENBERG_STACK = 100
 
 # Theorem checks whose right side carries an oracle correlation value are held
 # to this tolerance, not machine precision. The qubit oracle is exact
@@ -355,13 +359,16 @@ def prop_cq_nullity(cfg: CheckConfig):
 def prop_heisenberg(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "heisenberg")
     for d in cfg.dims:
-        for i in range(cfg.n_samples):
-            rho = random_density(EnsembleSpec("full_rank", d, seed + d), index=i)
-            r = random_hermitian(d, seed + 10 * d, index=i)
-            s = random_hermitian(d, seed + 20 * d, index=i)
-            reports = heisenberg_type_checks(rho, r, s, cfg.alphas)
-            for alpha, rep in zip(cfg.alphas, reports):
-                yield rep.slack, {"state": rho, "alpha": alpha, "r": r.mat, "s": s.mat}
+        for lo in range(0, cfg.n_samples, _HEISENBERG_STACK):
+            n = range(lo, min(lo + _HEISENBERG_STACK, cfg.n_samples))
+            rhos = [random_density(EnsembleSpec("full_rank", d, seed + d), index=i)
+                    for i in n]
+            rs = [random_hermitian(d, seed + 10 * d, index=i) for i in n]
+            ss = [random_hermitian(d, seed + 20 * d, index=i) for i in n]
+            checked = heisenberg_type_checks(rhos, rs, ss, cfg.alphas)
+            for rho, r, s, reports in zip(rhos, rs, ss, checked):
+                for alpha, rep in zip(cfg.alphas, reports):
+                    yield rep.slack, {"state": rho, "alpha": alpha, "r": r.mat, "s": s.mat}
 
 
 def prop_theorems_with_oracle(cfg: CheckConfig):
@@ -381,7 +388,8 @@ def prop_theorems_with_oracle(cfg: CheckConfig):
         sum_i_psi = float(sum(prod.terms["per_k_I_psi"]))
         mid = sum_i_phi * sum_i_psi
         both = np.concatenate((phi.projector_stack, psi.projector_stack))
-        i_a = [p.i_alpha for [p] in engine(rho.reduced()).stacked_pairs(both, (alpha,))]
+        [scored] = engine(rho.reduced()).stacked_pairs(both, (alpha,))
+        i_a = [p.i_alpha for [p] in scored]
         i_a_phi, i_a_psi = i_a[:2], i_a[2:]
         mid2 = (d_val + sum(i_a_phi)) * (d_val + sum(i_a_psi))
         mid3 = d_val**2 + sum(a * b for a, b in zip(i_a_phi, i_a_psi))
@@ -397,12 +405,11 @@ def prop_theorems_with_oracle(cfg: CheckConfig):
 @_property("bounds_closed_form_agreement", SWEEP_ERR_TOL)
 def prop_closed_form_agreement(cfg: CheckConfig):
     for example_id in (1, 3):
-        for p in p_grid(*EXAMPLE_P_RANGES[example_id], 0.01):
-            for alpha in (0.2, 0.5):
-                row = sweep_row(example_id, p, alpha, "grid")
-                yield -row["abs_err_max"], {"example": example_id, "p": p,
-                                            "alpha": alpha,
-                                            "abs_err_max": row["abs_err_max"]}
+        ps = p_grid(*EXAMPLE_P_RANGES[example_id], 0.01)
+        for row in sweep_rows(example_id, ps, (0.2, 0.5), "grid"):
+            yield -row["abs_err_max"], {"example": example_id, "p": row["p"],
+                                        "alpha": row["alpha"],
+                                        "abs_err_max": row["abs_err_max"]}
 
 
 # ---------------------------------------------------------------------------

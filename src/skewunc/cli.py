@@ -41,7 +41,7 @@ from .sweeps import (
     SWEEP_ERR_TOL,
     certified_d,
     p_grid,
-    state_row,
+    state_rows,
     sweep_row,
 )
 
@@ -92,7 +92,9 @@ class SweepConfig:
         if start < lo - 1e-12 or stop > hi + 1e-12 or stop < start:
             raise ConfigError(
                 f"p grid [{start}, {stop}] outside the valid range [{lo}, {hi}]")
-        self.p_start, self.p_stop, self.p_step = start, stop, step
+        # an end within 1e-12 outside the range is the range's end
+        self.p_start, self.p_stop = (min(max(x, lo), hi) for x in (start, stop))
+        self.p_step = step
 
 
 def _parse_alpha_list(text: str) -> tuple[float, ...]:
@@ -253,8 +255,7 @@ def cmd_reproduce(cfg: SweepConfig) -> int:
                 rows.append(sweep_row(cfg.example, p, alpha, cfg.oracle, cfg.seed))
     else:  # example 2 or a custom state file
         state = example2_state() if cfg.example == 2 else _load_pauli_state(cfg.state)
-        for alpha in cfg.alphas:
-            rows.append(state_row(state, alpha, cfg.oracle, cfg.seed))
+        rows = state_rows((state,), (None,), cfg.alphas, cfg.oracle, cfg.seed)
     notes = [EXAMPLE2_NOTE] if cfg.example == 2 else []
     out = _write_rows(cfg, rows, notes)
     checked = [r["abs_err_max"] for r in rows if r["abs_err_max"] is not None]

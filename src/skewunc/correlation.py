@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalConsistencyError, OptimizerError, ShapeError, ValidationError
-from .linalg import BipartiteDensityMatrix, check_alpha, is_int
+from .linalg import BipartiteDensityMatrix, check_alpha, is_int, state_stack
 from .skew import NEG_CLIP, ProjectiveBasis, embedded, engine
 from .states import pauli
 
@@ -76,36 +76,43 @@ class DeficitEvaluator:
     """Scores the measurement deficit of a bipartite state against many
     candidate bases cheaply, from the engines of the state and of its
     reduction (shared through ``skew.engine`` with the bound checkers).
+
+    For a stack of several states (see ``linalg.state_stack``) its arrays
+    gain a leading state axis, and ``vector_deficits`` and ``bloch_quadratic``
+    answer per state; the basis and gradient methods take one state.
     """
 
-    def __init__(self, rho_ab: BipartiteDensityMatrix, alpha: float):
+    def __init__(self, rho_ab, alpha: float):
         self.alpha = check_alpha(alpha)
-        self.d_A = rho_ab.d_A
-        self.d_B = rho_ab.d_B
-        self._eng_ab = engine(rho_ab)
-        self._eng_a = engine(rho_ab.reduced())
-        dim = rho_ab.dim
+        states, _ = state_stack(rho_ab)
+        self.d_A = states[0].d_A
+        self.d_B = states[0].d_B
+        self._eng_ab = engine(*states)
+        self._eng_a = engine(*[state.reduced() for state in states])
+        self._u = self._eng_ab.eigenvectors
         # eigenvector matrix indexed (a, (b, eigenindex)) for the embedding trick
         self._u_flat = np.ascontiguousarray(
-            self._eng_ab.eigenvectors.reshape(self.d_A, self.d_B * dim))
+            self._u.reshape(*self._u.shape[:-2], self.d_A, -1))
         self._ua_conj = self._eng_a.eigenvectors.conj()
-        (self._w_ab,), _ = self._eng_ab.weights((self.alpha,))
-        self._w_ab_flat = self._w_ab.ravel()
-        (self._w_a,), _ = self._eng_a.weights((self.alpha,))
+        self._w_ab = self._eng_ab.weights((self.alpha,))[0][..., 0, :, :]
+        self._w_ab_flat = self._w_ab.reshape(*self._w_ab.shape[:-2], -1)
+        self._w_a = self._eng_a.weights((self.alpha,))[0][..., 0, :, :]
 
     def _deficit_terms(self, v: np.ndarray):
         """Per-row deficits of the unit vectors ``v`` and the intermediates
         the gradient reuses: b (the rows' slices of the joint eigenvectors),
         ht (the rotated joint observables), t and q (reduced-state overlaps
-        and their squared moduli)."""
-        n = v.shape[0]
+        and their squared moduli). A stacked evaluator takes one set of rows
+        per state."""
+        rows = v.shape[:-1]
         dim = self.d_A * self.d_B
-        b = (v.conj() @ self._u_flat).reshape(n, self.d_B, dim)
-        ht = np.matmul(b.conj().transpose(0, 2, 1), b)
-        i_ab = (ht.real**2 + ht.imag**2).reshape(n, -1) @ self._w_ab_flat
+        b = (v.conj() @ self._u_flat).reshape(*rows, self.d_B, dim)
+        ht = np.matmul(b.conj().swapaxes(-1, -2), b)
+        i_ab = ((ht.real**2 + ht.imag**2).reshape(*rows, -1)
+                @ self._w_ab_flat[..., None])[..., 0]
         t = v @ self._ua_conj
         q = t.real**2 + t.imag**2
-        i_a = ((q @ self._w_a) * q).sum(axis=1)
+        i_a = ((q @ self._w_a) * q).sum(axis=-1)
         return i_ab - i_a, b, ht, t, q
 
     def vector_deficits(self, vectors: np.ndarray) -> np.ndarray:
@@ -145,7 +152,8 @@ class DeficitEvaluator:
 
     def bloch_quadratic(self) -> np.ndarray:
         """For a qubit subsystem: the 3x3 symmetric form Q with
-        deficit(projector with Bloch vector n) = n.Q.n / 4.
+        deficit(projector with Bloch vector n) = n.Q.n / 4, one per state
+        of a stack.
 
         Exists because the skew information is a quadratic form in the
         observable and the identity component of a projector contributes
@@ -153,14 +161,16 @@ class DeficitEvaluator:
         """
         if self.d_A != 2:
             raise ValidationError("Bloch parameterization needs d_A = 2")
-        u = self._eng_ab.eigenvectors
-        st = np.einsum('ja,iab,bk->ijk', u.conj().T, _embedded_paulis(self.d_B), u)
-        q_ab = np.einsum('jk,ijk,ljk->il', self._w_ab, st, st.conj()).real
+        u = self._u
+        st = np.einsum('...ja,iab,...bk->...ijk', u.conj().swapaxes(-1, -2),
+                       _embedded_paulis(self.d_B), u)
+        q_ab = np.einsum('...jk,...ijk,...ljk->...il', self._w_ab, st, st.conj()).real
         ua = self._ua_conj.conj()
-        st_a = np.einsum('ja,iab,bk->ijk', ua.conj().T, _PAULI_STACK, ua)
-        q_a = np.einsum('jk,ijk,ljk->il', self._w_a, st_a, st_a.conj()).real
+        st_a = np.einsum('...ja,iab,...bk->...ijk', ua.conj().swapaxes(-1, -2),
+                         _PAULI_STACK, ua)
+        q_a = np.einsum('...jk,...ijk,...ljk->...il', self._w_a, st_a, st_a.conj()).real
         q = q_ab - q_a
-        return 0.5 * (q + q.T)
+        return 0.5 * (q + q.swapaxes(-1, -2))
 
 
 def correlation_deficit(rho_ab: BipartiteDensityMatrix, basis: ProjectiveBasis,
@@ -305,7 +315,7 @@ def _qubit_vectors(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.n
     return v, w
 
 
-def brute_force_D_qubit(rho_ab: BipartiteDensityMatrix, alpha: float) -> float:
+def brute_force_D_qubit(rho_ab, alpha: float) -> float | list[float]:
     """Exact minimum of the deficit when the measured subsystem is a qubit.
 
     A whole basis with Bloch vector n has deficit n.Q.n / 2 (see
@@ -313,23 +323,28 @@ def brute_force_D_qubit(rho_ab: BipartiteDensityMatrix, alpha: float) -> float:
     lambda_min(Q) / 2, attained at the corresponding eigenvector. The basis
     built from that eigenvector is re-evaluated through the generic deficit
     path as a tripwire, and the two values must agree to within float noise.
-    The command line and configs select it as oracle ``"grid"``.
+    The command line and configs select it as oracle ``"grid"``. A stack of
+    states (see ``linalg.state_stack``) gets one minimum per state.
     """
-    if rho_ab.d_A != 2:
+    states, stacked = state_stack(rho_ab)
+    if states[0].d_A != 2:
         raise ValidationError(
-            f"qubit oracle requires a qubit subsystem, got d_A = {rho_ab.d_A}")
-    ev = DeficitEvaluator(rho_ab, alpha)
+            f"qubit oracle requires a qubit subsystem, got d_A = {states[0].d_A}")
+    ev = DeficitEvaluator(states, alpha)
     w, vecs = np.linalg.eigh(ev.bloch_quadratic())
-    value = 0.5 * float(w[0])
-    n = vecs[:, 0]
-    theta = 0.5 * np.arccos(np.clip(n[2], -1.0, 1.0))
-    phi = np.arctan2(n[1], n[0])
-    direct = float(ev.vector_deficits(np.stack(_qubit_vectors(theta, phi))).sum())
-    if abs(direct - value) > 1e-9:
-        raise NumericalConsistencyError(
-            f"Bloch-form deficit {value:.6e} disagrees with the direct "
-            f"evaluation {direct:.6e}")
-    if direct < -NEG_CLIP:
-        raise NumericalConsistencyError(
-            f"qubit minimum {direct:.3e} negative beyond the noise floor")
-    return max(direct, 0.0)
+    n = vecs[..., 0]
+    theta = 0.5 * np.arccos(np.clip(n[..., 2], -1.0, 1.0))
+    phi = np.arctan2(n[..., 1], n[..., 0])
+    direct = ev.vector_deficits(np.stack(_qubit_vectors(theta, phi), axis=-2)).sum(axis=-1)
+    out = []
+    for lowest, found in zip(w[..., 0].reshape(-1).tolist(), direct.reshape(-1).tolist()):
+        value = 0.5 * lowest
+        if abs(found - value) > 1e-9:
+            raise NumericalConsistencyError(
+                f"Bloch-form deficit {value:.6e} disagrees with the direct "
+                f"evaluation {found:.6e}")
+        if found < -NEG_CLIP:
+            raise NumericalConsistencyError(
+                f"qubit minimum {found:.3e} negative beyond the noise floor")
+        out.append(max(found, 0.0))
+    return out if stacked else out[0]

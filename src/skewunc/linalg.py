@@ -226,7 +226,10 @@ def powered_spectrum(w: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def check_alpha(alpha: float) -> float:
-    """Validate the fractional-power exponent; returns it as a float."""
+    """Validate the fractional-power exponent, a real number (not a bool)."""
+    if type(alpha) is not float and (isinstance(alpha, bool)
+                                     or not isinstance(alpha, numbers.Real)):
+        raise ValidationError(f"alpha must be a real number, got {alpha!r}")
     alpha = float(alpha)
     if not (0.0 <= alpha <= 1.0):
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
@@ -236,6 +239,19 @@ def check_alpha(alpha: float) -> float:
 def is_int(x, minimum: int) -> bool:
     """``x`` is an integer >= ``minimum``; a bool is not an integer here."""
     return not isinstance(x, bool) and isinstance(x, numbers.Integral) and x >= minimum
+
+
+def state_stack(states) -> tuple[tuple[HermitianOperator, ...], bool]:
+    """``((state,), False)`` for one state, ``(tuple(states), True)`` for a
+    nonempty sequence of states of one dimension (and one d_A if bipartite):
+    the functions that take either score a stack and answer per state."""
+    if isinstance(states, HermitianOperator):
+        return (states,), False
+    states = tuple(states)
+    if len(states) != 1 and (len({s.dim for s in states}) != 1 or len(
+            {s.d_A for s in states if isinstance(s, BipartiteDensityMatrix)}) > 1):
+        raise ShapeError("a state stack needs one or more states of one shape")
+    return states, True
 
 
 def fractional_power(rho: DensityMatrix, alpha: float) -> HermitianOperator:

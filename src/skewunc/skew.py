@@ -18,6 +18,7 @@ zeroed explicitly rather than left to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +32,7 @@ from .linalg import (
     clipped_spectrum,
     fractional_power,
     powered_spectrum,
+    state_stack,
 )
 
 # Final I/J values in (-NEG_CLIP, 0) are rounded to 0; anything more negative
@@ -52,6 +54,8 @@ DENOM_TOL = 1e-12
 
 # Alpha tuples whose stacked weights one engine keeps before it starts over.
 _WEIGHT_SETS = 32
+
+_TINY = np.finfo(float).tiny
 
 
 class ProjectiveBasis:
@@ -111,55 +115,66 @@ def _clip_value(value: float, what: str) -> float:
 
 
 def _skew_pair(alpha: float, i: float, j: float) -> SkewPair:
-    i = _clip_value(float(i), "skew information")
-    j = _clip_value(float(j), "dual skew information")
-    return SkewPair(i_alpha=i, j_alpha=j, u_alpha=float(np.sqrt(i * j)), alpha=float(alpha))
+    i = _clip_value(i, "skew information")
+    j = _clip_value(j, "dual skew information")
+    return SkewPair(i_alpha=i, j_alpha=j, u_alpha=math.sqrt(i * j), alpha=alpha)
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays of a stack of states along a leading state axis; the array
+    of a lone state as it is (its arithmetic costs less without the axis)."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
 
 
 class SkewEngine:
-    """Alpha-independent spectral data of one state, for repeated scoring.
+    """Alpha-independent spectral data of states of one dimension, for
+    repeated scoring; for more than one state each array has a leading state
+    axis, and every state gets the bits of scoring it alone.
 
-    Holds the clipped spectrum, the eigenvectors, the pair averages
-    (l_j + l_k)/2 and the degeneracy mask once. ``weights`` stacks the I and
-    J pair weights for a tuple of alphas (kept per tuple), and ``pairs``
-    scores an observable at every alpha of a tuple from one rotation into
-    the eigenbasis. Its arrays are read-only, so ``engine`` can share one
-    instance between callers.
+    Holds the clipped spectra, the eigenvectors, the pair averages
+    (l_j + l_k)/2 and the degeneracy masks once. ``weights`` stacks the I and
+    J pair weights for a tuple of alphas (kept per tuple), and
+    ``stacked_pairs`` scores observables at every alpha of a tuple from one
+    rotation into each eigenbasis. Its arrays are read-only, so ``engine``
+    can share one instance between callers.
     """
 
-    def __init__(self, rho: DensityMatrix):
-        self.dim = rho.dim
-        lam = clipped_spectrum(rho)
+    def __init__(self, *states: DensityMatrix):
+        states, _ = state_stack(states)
+        self.dim = states[0].dim
+        lam = _stacked([clipped_spectrum(rho) for rho in states])
         self.eigenvalues = lam
-        self.eigenvectors = rho.spectral().eigenvectors
-        avg = 0.5 * (lam[:, None] + lam[None, :])
-        scale = max(float(lam[-1]), np.finfo(float).tiny)
-        degenerate = np.abs(lam[:, None] - lam[None, :]) <= PAIR_DEGENERACY_TOL * scale
-        for arr in (lam, avg, degenerate):
-            arr.flags.writeable = False
-        self._avg = avg
-        self._degenerate = degenerate
+        self.eigenvectors = _stacked([rho.spectral().eigenvectors for rho in states])
+        avg = 0.5 * (lam[..., :, None] + lam[..., None, :])
+        scale = np.maximum(lam[..., -1:, None], _TINY)
+        degenerate = np.abs(lam[..., :, None] - lam[..., None, :]) <= PAIR_DEGENERACY_TOL * scale
+        for arr in (lam, self.eigenvectors, avg, degenerate):
+            arr.setflags(write=False)
+        self._avg = avg[..., None, :, :]   # axis for the alphas of ``weights``
+        self._degenerate = degenerate[..., None, :, :]
         self._weights: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def weights(self, alphas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Symmetric I and J pair-weight matrices in the eigenbasis, one per
-        alpha, stacked as (n, d, d)."""
+        """Symmetric I and J pair-weight matrices in each eigenbasis, one per
+        (state and) alpha, stacked as ([n_states,] n_alphas, d, d)."""
         alphas = tuple(map(check_alpha, alphas))
         if alphas not in self._weights:
             if len(self._weights) >= _WEIGHT_SETS:
                 self._weights.clear()
             lam = self.eigenvalues
-            pa = np.empty((len(alphas), self.dim))
+            pa = np.empty((len(alphas), *lam.shape))
             pb = np.empty_like(pa)
             for k, alpha in enumerate(alphas):
                 # a scalar exponent each: np.power takes a different (sqrt)
                 # path for a scalar 0.5 than for a vector of them
                 pa[k] = powered_spectrum(lam, alpha)
                 pb[k] = powered_spectrum(lam, 1.0 - alpha)
-            cross = pa[:, :, None] * pb[:, None, :]
+            # alphas after the state axis, if any
+            pa, pb = pa.swapaxes(0, -2), pb.swapaxes(0, -2)
+            cross = pa[..., :, None] * pb[..., None, :]
             # symmetric form (module docstring): a weight that is 0 in exact
             # arithmetic (alpha 0 or 1, full rank) cancels exactly, not to rounding
-            cross = 0.5 * (cross + cross.transpose(0, 2, 1))
+            cross = 0.5 * (cross + cross.swapaxes(-1, -2))
             w_i = self._avg - cross
             np.copyto(w_i, 0.0, where=self._degenerate)
             w_j = self._avg + cross
@@ -168,24 +183,30 @@ class SkewEngine:
         return self._weights[alphas]
 
     def stacked_pairs(self, hs: np.ndarray,
-                      alphas: tuple[float, ...]) -> list[list[SkewPair]]:
+                      alphas: tuple[float, ...]) -> list[list[list[SkewPair]]]:
         """Skew information, dual (of the centered observable) and their
-        geometric mean of the cached state against each observable of the
-        (m, d, d) stack ``hs`` at each of ``alphas``, from one rotation into
-        the eigenbasis: one list of pairs per observable."""
+        geometric mean of each state against each observable at each of
+        ``alphas``, from one rotation into the eigenbases: one list per state
+        of one list of pairs per observable. ``hs`` is an (m, d, d) stack
+        scored on every state, or an (n_states, m, d, d) stack per state."""
         w_i, w_j = self.weights(alphas)
         v = self.eigenvectors
-        ht = v.conj().T @ hs @ v
-        mean = np.sum(self.eigenvalues * np.diagonal(ht, axis1=1, axis2=2).real, axis=1)
-        hc = ht - mean[:, None, None] * np.eye(self.dim)
-        i_raw = np.einsum('ajk,njk->na', w_i, ht.real**2 + ht.imag**2)
-        j_raw = np.einsum('ajk,njk->na', w_j, hc.real**2 + hc.imag**2)
-        return [[_skew_pair(alpha, i, j) for alpha, i, j in zip(alphas, i_row, j_row)]
-                for i_row, j_row in zip(i_raw, j_raw)]
+        ht = v.conj().swapaxes(-1, -2)[..., None, :, :] @ hs @ v[..., None, :, :]
+        mean = (self.eigenvalues[..., None, :] * ht.diagonal(0, -2, -1).real).sum(-1)
+        hc = ht - mean[..., None, None] * np.eye(self.dim)
+        i_raw = np.einsum('...ajk,...njk->...na', w_i, ht.real**2 + ht.imag**2)
+        j_raw = np.einsum('...ajk,...njk->...na', w_j, hc.real**2 + hc.imag**2)
+        per_state = (-1, *i_raw.shape[-2:])
+        alphas = [float(alpha) for alpha in alphas]
+        return [[[_skew_pair(alpha, i, j) for alpha, i, j in zip(alphas, i_row, j_row)]
+                 for i_row, j_row in zip(i_state, j_state)]
+                for i_state, j_state in zip(i_raw.reshape(per_state).tolist(),
+                                            j_raw.reshape(per_state).tolist())]
 
     def pairs(self, h: np.ndarray, alphas: tuple[float, ...]) -> list[SkewPair]:
-        """``stacked_pairs`` of one observable."""
-        return self.stacked_pairs(h[None], alphas)[0]
+        """``stacked_pairs`` of one observable on a one-state engine."""
+        [[pairs]] = self.stacked_pairs(h[None], alphas)
+        return pairs
 
     def pair(self, h: np.ndarray, alpha: float) -> SkewPair:
         """``pairs`` at one alpha."""
@@ -193,11 +214,12 @@ class SkewEngine:
 
 
 @lru_cache(maxsize=8)
-def engine(rho: DensityMatrix) -> SkewEngine:
-    """The ``SkewEngine`` of ``rho``, built once per state and keyed on the
-    state's identity (safe: its matrix is read-only). A bipartite state
-    needs two entries, the joint and the reduced state."""
-    return SkewEngine(rho)
+def engine(*states: DensityMatrix) -> SkewEngine:
+    """The ``SkewEngine`` of a stack of states (of one state: ``engine(rho)``),
+    built once per stack and keyed on the states' identities (safe: their
+    matrices are read-only). A bipartite state needs two entries, the joint
+    and the reduced state."""
+    return SkewEngine(*states)
 
 
 def _check_dims(rho: DensityMatrix, *observables: HermitianOperator) -> None:
@@ -252,7 +274,7 @@ def measurement_uncertainty_terms(rho: DensityMatrix, basis: ProjectiveBasis,
             f"basis dimension {basis.dim} x memory {memory_dim} != state "
             f"dimension {rho.dim}")
     hs = embedded(basis.projector_stack, memory_dim)
-    return [t for [t] in engine(rho).stacked_pairs(hs, (alpha,))]
+    return [t for [t] in engine(rho).stacked_pairs(hs, (alpha,))[0]]
 
 
 def measurement_uncertainty_UN(rho: DensityMatrix, basis: ProjectiveBasis,
@@ -269,23 +291,26 @@ def _check_rank1_projectors(ps: np.ndarray, name: str) -> None:
         raise ValidationError(f"{name} does not have unit trace (not rank 1)")
 
 
-def compat_terms(rho_a: DensityMatrix, phis: np.ndarray, psis: np.ndarray,
-                 alpha: float) -> list[float]:
+def compat_terms(rho_a, phis: np.ndarray, psis: np.ndarray,
+                 alpha: float) -> list[float] | list[list[float]]:
     """``compat_L`` of each pair phis[k], psis[k] of two (m, d, d) stacks of
-    rank-1 projectors, with their 2m dual quantities from one scoring."""
-    _check_rank1_projectors(phis, "phi")
-    _check_rank1_projectors(psis, "psi")
+    rank-1 projectors (as a ``ProjectiveBasis`` has; ``compat_L`` checks its
+    own), with their 2m duals from one scoring, on one state or a stack."""
     alpha = check_alpha(alpha)
-    duals = [p.j_alpha for [p] in engine(rho_a).stacked_pairs(
-        np.concatenate((phis, psis)), (alpha,))]
+    states, stacked = state_stack(rho_a)
+    scored = engine(*states).stacked_pairs(np.concatenate((phis, psis)), (alpha,))
     comm = phis @ psis - psis @ phis
-    traces = np.trace(rho_a.mat @ comm, axis1=1, axis2=2)
+    traces = (_stacked([rho.mat for rho in states])[..., None, :, :] @ comm).trace(
+        0, -2, -1).reshape(-1, len(phis))
     out = []
-    for tr, j_phi, j_psi in zip(traces, duals[:len(phis)], duals[len(phis):]):
-        numerator = alpha * (1.0 - alpha) * abs(complex(tr))**2
-        denom_sq = j_phi * j_psi
-        out.append(0.0 if denom_sq < DENOM_TOL else float(numerator / np.sqrt(denom_sq)))
-    return out
+    for pairs, state_traces in zip(scored, traces):
+        duals = [p.j_alpha for [p] in pairs]
+        out.append([])
+        for tr, j_phi, j_psi in zip(state_traces, duals[:len(phis)], duals[len(phis):]):
+            numerator = alpha * (1.0 - alpha) * abs(complex(tr))**2
+            denom_sq = j_phi * j_psi
+            out[-1].append(0.0 if denom_sq < DENOM_TOL else float(numerator / np.sqrt(denom_sq)))
+    return out if stacked else out[0]
 
 
 def compat_L(rho_a: DensityMatrix, phi: HermitianOperator, psi: HermitianOperator,
@@ -298,7 +323,10 @@ def compat_L(rho_a: DensityMatrix, phi: HermitianOperator, psi: HermitianOperato
     so 0 is the continuous completion at boundary states.
     """
     _check_dims(rho_a, phi, psi)
-    return compat_terms(rho_a, phi.mat[None], psi.mat[None], alpha)[0]
+    phis, psis = phi.mat[None], psi.mat[None]
+    _check_rank1_projectors(phis, "phi")
+    _check_rank1_projectors(psis, "psi")
+    return compat_terms(rho_a, phis, psis, alpha)[0]
 
 
 def variance(rho: DensityMatrix, h: HermitianOperator) -> float:

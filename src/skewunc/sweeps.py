@@ -1,8 +1,9 @@
-"""Row-level evaluation for the sweep command: build the example state at a
-given mixing parameter (or take a loaded state), compute the quantum
+"""Row-level evaluation for the sweep command: build the example states at
+given mixing parameters (or take loaded states), compute the quantum
 correlation and both memory bounds through the numeric pipeline at Pauli x/z
-bases, and put the closed-form values next to them. The D computation and
-the bounds share the state's engines through ``skew.engine``.
+bases, and put the closed-form values next to them. The states of a sweep
+are scored as one stack, and the D computation and the bounds share its
+engines through ``skew.engine``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from .bounds import example_closed_forms, memory_bounds
 from .correlation import brute_force_D_qubit, quantum_correlation_D
 from .errors import ValidationError
-from .linalg import BipartiteDensityMatrix
+from .linalg import BipartiteDensityMatrix, state_stack
 from .states import example2_state, pauli_basis, werner_isotropic, werner_swap
 
 EXAMPLE_P_RANGES = {1: (-1.0, 1.0), 2: None, 3: (0.0, 1.0)}
@@ -51,45 +52,56 @@ def example_state(example_id: int, p: float | None) -> BipartiteDensityMatrix:
     raise ValidationError(f"unknown example id {example_id}")
 
 
-def certified_d(state: BipartiteDensityMatrix, alpha: float, oracle: str,
-                seed: int = 0) -> float:
-    """D of ``state`` through the selected minimizer; ``seed`` seeds the optimizer."""
+def certified_d(state, alpha: float, oracle: str, seed: int = 0):
+    """D of ``state``, or of each of a stack of states, through the selected
+    minimizer; ``seed`` seeds the optimizer."""
     if oracle not in ("grid", "optimizer"):
         raise ValidationError(f"oracle must be 'grid' or 'optimizer', got {oracle!r}")
     if oracle == "grid":
         return brute_force_D_qubit(state, alpha)
-    return quantum_correlation_D(state, alpha, seed).value
+    states, stacked = state_stack(state)
+    values = [quantum_correlation_D(s, alpha, seed).value for s in states]
+    return values if stacked else values[0]
 
 
-def state_row(state: BipartiteDensityMatrix, alpha: float, oracle: str,
-              seed: int = 0, p: float | None = None,
-              example_id: int | None = None) -> dict:
-    """One output row for ``state``: D, both memory bounds at Pauli x/z bases,
-    and, for examples 1 and 3, the closed forms at ``p`` with the worst
-    absolute deviation from them."""
-    d_value = certified_d(state, alpha, oracle, seed)
-    prod, summ = memory_bounds(state, pauli_basis("x"), pauli_basis("z"), alpha,
-                               d_value)
-    row = dict.fromkeys(ROW_COLUMNS)
-    row.update(p=p, alpha=alpha, lhs_product=prod.lhs, rhs_product=prod.rhs,
-               lhs_sum=summ.lhs, rhs_sum=summ.rhs, sum_L=prod.terms["sum_L"],
-               D_tilde=d_value)
-    if example_id in (1, 3):
-        cp_l, cp_r = example_closed_forms(example_id, "product", p, alpha)
-        cs_l, cs_r = example_closed_forms(example_id, "sum", p, alpha)
-        row.update(closed_form_lhs_product=cp_l, closed_form_rhs_product=cp_r,
-                   closed_form_lhs_sum=cs_l, closed_form_rhs_sum=cs_r,
-                   abs_err_max=max(abs(prod.lhs - cp_l), abs(prod.rhs - cp_r),
-                                   abs(summ.lhs - cs_l), abs(summ.rhs - cs_r)))
-    return row
+def state_rows(states, ps, alphas, oracle: str, seed: int = 0,
+               example_id: int | None = None) -> list[dict]:
+    """Output rows of a stack of states at each of ``alphas``, in (state,
+    alpha) order, each alpha scored in one call per quantity: D, both memory
+    bounds at Pauli x/z bases, and, for examples 1 and 3, the closed forms at
+    the state's p in ``ps`` with the worst absolute deviation from them."""
+    rows = [[] for _ in states]
+    for alpha in alphas:
+        d_values = certified_d(states, alpha, oracle, seed)
+        reports = memory_bounds(states, pauli_basis("x"), pauli_basis("z"), alpha,
+                                d_values)
+        for per_state, p, d_value, (prod, summ) in zip(rows, ps, d_values, reports):
+            row = dict.fromkeys(ROW_COLUMNS)
+            row.update(p=p, alpha=alpha, lhs_product=prod.lhs, rhs_product=prod.rhs,
+                       lhs_sum=summ.lhs, rhs_sum=summ.rhs, sum_L=prod.terms["sum_L"],
+                       D_tilde=d_value)
+            if example_id in (1, 3):
+                cp_l, cp_r = example_closed_forms(example_id, "product", p, alpha)
+                cs_l, cs_r = example_closed_forms(example_id, "sum", p, alpha)
+                row.update(closed_form_lhs_product=cp_l, closed_form_rhs_product=cp_r,
+                           closed_form_lhs_sum=cs_l, closed_form_rhs_sum=cs_r,
+                           abs_err_max=max(abs(prod.lhs - cp_l), abs(prod.rhs - cp_r),
+                                           abs(summ.lhs - cs_l), abs(summ.rhs - cs_r)))
+            per_state.append(row)
+    return [row for per_state in rows for row in per_state]
+
+
+def sweep_rows(example_id: int, ps, alphas, oracle: str, seed: int = 0) -> list[dict]:
+    """``state_rows`` of an example family's states at ``ps``, scored as one
+    stack: pipeline values next to the closed forms, in (p, alpha) order."""
+    states = tuple(example_state(example_id, p) for p in ps)
+    return state_rows(states, ps, alphas, oracle, seed, example_id)
 
 
 def sweep_row(example_id: int, p: float | None, alpha: float, oracle: str,
               seed: int = 0) -> dict:
-    """One output row of an example family: pipeline values, closed forms
-    where they exist, and the worst absolute deviation between the two."""
-    return state_row(example_state(example_id, p), alpha, oracle, seed, p=p,
-                     example_id=example_id)
+    """``sweep_rows`` at one p and one alpha."""
+    return sweep_rows(example_id, (p,), (alpha,), oracle, seed)[0]
 
 
 def p_grid(start: float, stop: float, step: float) -> list[float]:

@@ -95,7 +95,7 @@ def _one_observable_scores(eng, h, alphas):
 
 
 def _assert_stack_bit_equal(eng, hs, alphas):
-    stacked = eng.stacked_pairs(hs, alphas)
+    [stacked] = eng.stacked_pairs(hs, alphas)
     assert len(stacked) == len(hs)
     for h, pairs in zip(hs, stacked):
         assert pairs == eng.pairs(h, alphas)

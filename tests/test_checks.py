@@ -164,7 +164,7 @@ class _NegativeDeficit:
 @pytest.mark.parametrize("prop, patch, keys", [
     (prop_heisenberg,
      ("heisenberg_type_checks",
-      lambda rho, r, s, alphas, **kw: [SimpleNamespace(slack=-1.0)] * len(alphas)),
+      lambda rhos, rs, ss, alphas: [[SimpleNamespace(slack=-1.0)] * len(alphas)] * len(rhos)),
      ["property", "matrix", "dim", "alpha", "r", "s"]),
     (prop_deficit_nonnegative, ("DeficitEvaluator", _NegativeDeficit),
      ["property", "matrix", "d_A", "d_B", "alpha", "basis"]),

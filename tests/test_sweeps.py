@@ -5,12 +5,17 @@ import sys
 
 import pytest
 
-from skewunc import linalg, skew, states, sweeps
-from skewunc.checks import DEFAULT_ALPHAS, CheckConfig, prop_heisenberg
+from skewunc import correlation, linalg, skew, states, sweeps
+from skewunc.checks import (
+    DEFAULT_ALPHAS,
+    CheckConfig,
+    prop_closed_form_agreement,
+    prop_heisenberg,
+)
 from skewunc.cli import main
 from skewunc.serialize import save_state
 from skewunc.states import EnsembleSpec, random_density
-from skewunc.sweeps import ROW_COLUMNS, example_state, state_row, sweep_row
+from skewunc.sweeps import ROW_COLUMNS, example_state, state_rows, sweep_row
 
 
 @pytest.fixture(autouse=True)
@@ -93,18 +98,43 @@ def test_sweep_rows_equal_rows_of_freshly_built_states():
         for p in sweeps.p_grid(lo, hi, 0.05):
             for alpha in (0.0, 0.37, 1.0):
                 fresh = example_state.__wrapped__(example_id, p)
-                assert sweep_row(example_id, p, alpha, "grid") == state_row(
-                    fresh, alpha, "grid", p=p, example_id=example_id)
+                assert [sweep_row(example_id, p, alpha, "grid")] == state_rows(
+                    (fresh,), (p,), (alpha,), "grid", example_id=example_id)
 
 
-def test_heisenberg_campaign_builds_one_engine_per_state(monkeypatch):
-    counts = {"__init__": 0, "herm_eig": 0}
+def test_heisenberg_campaign_builds_one_engine_per_dimension(monkeypatch):
+    counts = {"__init__": 0, "herm_eig": 0, "stacked_pairs": 0}
     _count_calls(monkeypatch, skew.SkewEngine, "__init__", counts)
     _count_calls(monkeypatch, linalg, "herm_eig", counts)
+    _count_calls(monkeypatch, skew.SkewEngine, "stacked_pairs", counts)
     res, _ = prop_heisenberg(CheckConfig(n_samples=4, dims=(2, 3)))
-    # 4 states per dimension, each checked at every alpha from one engine
+    # 4 states per dimension, each decomposed once; each dimension's states
+    # checked at every alpha from one stacked engine in one scoring
     assert res.samples == 8 * len(DEFAULT_ALPHAS)
-    assert counts == {"__init__": 8, "herm_eig": 8}
+    assert counts == {"__init__": 2, "herm_eig": 8, "stacked_pairs": 2}
+
+
+def test_closed_form_campaign_scores_each_example_as_one_stack(monkeypatch):
+    counts = {"__init__": 0, "herm_eig": 0, "partial_trace": 0, "werner_swap": 0,
+              "werner_isotropic": 0, "sweep_row": 0, "stacked_pairs": 0,
+              "bloch_quadratic": 0}
+    _count_calls(monkeypatch, skew.SkewEngine, "__init__", counts)
+    _count_calls(monkeypatch, linalg, "herm_eig", counts)
+    _count_calls(monkeypatch, linalg, "partial_trace", counts)
+    _count_calls(monkeypatch, states, "werner_swap", counts)
+    _count_calls(monkeypatch, states, "werner_isotropic", counts)
+    _count_calls(monkeypatch, sweeps, "sweep_row", counts)
+    _count_calls(monkeypatch, skew.SkewEngine, "stacked_pairs", counts)
+    _count_calls(monkeypatch, correlation.DeficitEvaluator, "bloch_quadratic", counts)
+    res, _ = prop_closed_form_agreement(CheckConfig())
+    # 201 + 101 states, each built, reduced and decomposed (joint and
+    # reduced) once; per example, one joint and one reduced engine for all
+    # its states, and at each of the two alphas one Bloch form for the grid
+    # oracle and two stacked scorings for the memory bounds
+    assert res.passed and res.samples == 604
+    assert counts == {"__init__": 4, "herm_eig": 604, "partial_trace": 302,
+                      "werner_swap": 201, "werner_isotropic": 101, "sweep_row": 0,
+                      "stacked_pairs": 8, "bloch_quadratic": 4}
 
 
 @pytest.mark.parametrize("example_id, p", [(1, -0.4), (2, None), (3, 0.6)])
@@ -126,7 +156,7 @@ def test_grid_point_count_has_a_ceiling():
 
 def test_state_row_equals_sweep_row_without_closed_forms():
     row = sweep_row(1, 0.2, 0.4, "grid")
-    custom = state_row(example_state(1, 0.2), 0.4, "grid")
+    [custom] = state_rows((example_state(1, 0.2),), (None,), (0.4,), "grid")
     for col in ROW_COLUMNS:
         if col in ("p", "abs_err_max") or col.startswith("closed_form"):
             assert custom[col] is None
