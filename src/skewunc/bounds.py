@@ -32,6 +32,7 @@ from .linalg import (
     DensityMatrix,
     HermitianOperator,
     check_alpha,
+    reduced_states,
     state_stack,
 )
 from .skew import (
@@ -144,7 +145,7 @@ def memory_bounds(rho_ab, phi: ProjectiveBasis, psi: ProjectiveBasis, alpha: flo
     hs = embedded(np.concatenate((phi.projector_stack, psi.projector_stack)),
                   states[0].d_B)
     scored = engine(*states).stacked_pairs(hs, (alpha,))
-    per_state_l = compat_terms(tuple(state.reduced() for state in states),
+    per_state_l = compat_terms(reduced_states(states),
                                phi.projector_stack, psi.projector_stack, alpha)
     out = []
     for pairs, per_k_l, d in zip(scored, per_state_l, d_values):

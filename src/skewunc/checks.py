@@ -49,6 +49,7 @@ from .skew import (
 from .states import (
     EnsembleSpec,
     example2_state,
+    random_densities,
     random_density,
     random_hermitian,
     random_unitary,
@@ -62,9 +63,9 @@ DEFAULT_ALPHAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 # Default property tolerance, also applied to the exact proof-chain links.
 BOUND_TOL = 1e-9
 
-# Most Heisenberg samples scored as one stack, which holds its states, weights
-# and reports at once: the runner's memory stays flat in n_samples.
-_HEISENBERG_STACK = 100
+# Most samples built (or Heisenberg samples scored) as one stack, which holds
+# its states, weights and reports at once: memory stays flat in n_samples.
+_STACK = 100
 
 # Theorem checks whose right side carries an oracle correlation value are held
 # to this tolerance, not machine precision. The qubit oracle is exact
@@ -169,12 +170,17 @@ def _draws(cfg: CheckConfig, tag: str, n: int, dims, kind: str = "full_rank",
            alphas=None):
     """Yield ``(i, seed, state, alpha)`` for each of ``n`` samples: ``seed`` is
     the property's seed for ``tag``, ``state`` is draw ``i`` of ``kind`` at the
-    next of ``dims``, and ``alpha`` the next of ``alphas`` (``cfg.alphas``)."""
+    next of ``dims``, and ``alpha`` the next of ``alphas`` (``cfg.alphas``).
+    Each ``_STACK`` samples are drawn as one stack per entry of ``dims``."""
     seed = _tag_seed(cfg.seed, tag)
     alphas = cfg.alphas if alphas is None else alphas
-    for i in range(n):
-        state = random_density(EnsembleSpec(kind, dims[i % len(dims)], seed), index=i)
-        yield i, seed, state, alphas[i % len(alphas)]
+    for lo in range(0, n, _STACK):
+        block = range(lo, min(lo + _STACK, n))
+        stacks = [iter(random_densities(EnsembleSpec(kind, dim, seed),
+                                        [i for i in block if i % len(dims) == j]))
+                  for j, dim in enumerate(dims)]
+        for i in block:
+            yield i, seed, next(stacks[i % len(dims)]), alphas[i % len(alphas)]
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +365,9 @@ def prop_cq_nullity(cfg: CheckConfig):
 def prop_heisenberg(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "heisenberg")
     for d in cfg.dims:
-        for lo in range(0, cfg.n_samples, _HEISENBERG_STACK):
-            n = range(lo, min(lo + _HEISENBERG_STACK, cfg.n_samples))
-            rhos = [random_density(EnsembleSpec("full_rank", d, seed + d), index=i)
-                    for i in n]
+        for lo in range(0, cfg.n_samples, _STACK):
+            n = range(lo, min(lo + _STACK, cfg.n_samples))
+            rhos = random_densities(EnsembleSpec("full_rank", d, seed + d), n)
             rs = [random_hermitian(d, seed + 10 * d, index=i) for i in n]
             ss = [random_hermitian(d, seed + 20 * d, index=i) for i in n]
             checked = heisenberg_type_checks(rhos, rs, ss, cfg.alphas)

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalConsistencyError, OptimizerError, ShapeError, ValidationError
-from .linalg import BipartiteDensityMatrix, check_alpha, is_int, state_stack
+from .linalg import BipartiteDensityMatrix, check_alpha, is_int, reduced_states, state_stack
 from .skew import NEG_CLIP, ProjectiveBasis, embedded, engine
 from .states import pauli
 
@@ -88,7 +88,7 @@ class DeficitEvaluator:
         self.d_A = states[0].d_A
         self.d_B = states[0].d_B
         self._eng_ab = engine(*states)
-        self._eng_a = engine(*[state.reduced() for state in states])
+        self._eng_a = engine(*reduced_states(states))
         self._u = self._eng_ab.eigenvectors
         # eigenvector matrix indexed (a, (b, eigenindex)) for the embedding trick
         self._u_flat = np.ascontiguousarray(

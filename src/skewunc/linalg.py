@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import InvalidStateError, ShapeError, SolverError, ValidationError
 
-# Validation tolerances. Only the PSD one is per call (``partial_trace``
-# loosens it for reduced states).
+# Validation tolerances. Only the PSD one is per call (reduced states
+# loosen it).
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -34,24 +34,43 @@ DEGENERACY_TOL = 1e-12
 SPECTRUM_FLOOR = 1e-13
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries.
+def as_complex_matrix(a, ndim: int = 2) -> np.ndarray:
+    """Coerce to a square complex128 array with finite entries, or a stack.
 
     Returns a fresh read-only copy so validated values can be shared freely.
     """
     mat = np.array(a, dtype=np.complex128, copy=True)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim != ndim or mat.shape[-1] != mat.shape[-2]:
         raise ShapeError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[0] == 0:
+    if mat.size == 0:
         raise ShapeError("empty matrix")
-    if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
+    if not np.isfinite(mat).all():
         raise ValidationError("matrix contains NaN or Inf entries")
     mat.flags.writeable = False
     return mat
 
 
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+# Checks of states' matrices over a leading ``...`` axis, reporting the worst.
+
+def _check_hermitian(mat: np.ndarray) -> None:
+    drift = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
+    if drift > HERM_TOL:
+        raise ValidationError(
+            f"matrix is not Hermitian: max |A - A^dag| = {drift:.3e} > {HERM_TOL:.3e}")
+
+
+def _check_trace(mat: np.ndarray) -> None:
+    tr = np.trace(mat, axis1=-2, axis2=-1)
+    off = abs(tr - 1.0)
+    if (off > TRACE_TOL).any():
+        raise InvalidStateError(
+            f"trace is {complex(np.ravel(tr)[off.argmax()]):.12g}, expected 1")
+
+
+def _check_spectrum(eigenvalues: np.ndarray, psd_tol: float) -> None:
+    lo = eigenvalues[..., 0]
+    if (lo < -psd_tol).any():
+        raise InvalidStateError(f"smallest eigenvalue {lo.min():.3e} < -{psd_tol:.3e}")
 
 
 class HermitianOperator:
@@ -61,11 +80,7 @@ class HermitianOperator:
 
     def __init__(self, mat):
         m = as_complex_matrix(mat)
-        drift = _max_abs(m - m.conj().T)
-        if drift > HERM_TOL:
-            raise ValidationError(
-                f"matrix is not Hermitian: max |A - A^dag| = {drift:.3e} "
-                f"> {HERM_TOL:.3e}")
+        _check_hermitian(m)
         self.mat = m
         self._spectral: SpectralDecomposition | None = None
 
@@ -94,13 +109,34 @@ class DensityMatrix(HermitianOperator):
 
     def __init__(self, mat, psd_tol: float = PSD_TOL):
         super().__init__(mat)
-        tr = complex(np.trace(self.mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidStateError(f"trace is {tr:.12g}, expected 1")
-        lo = float(self.spectral().eigenvalues[0])
-        if lo < -psd_tol:
-            raise InvalidStateError(
-                f"smallest eigenvalue {lo:.3e} < -{psd_tol:.3e}")
+        _check_trace(self.mat)
+        _check_spectrum(self.spectral().eigenvalues, psd_tol)
+
+    @classmethod
+    def stack(cls, mats, *args) -> list:
+        """``[cls(mat, *args) for mat in mats]`` for a sequence or (n, d, d)
+        array of matrices, with the bits of building each state alone. The
+        checks and the eigendecomposition run once over the stack; if they
+        fail, the states are built one at a time, so an error raised is the
+        one that building them in order raises first (and a ``SolverError``
+        names the matrix that failed)."""
+        try:
+            if len(mats) > 1:
+                return cls._stacked(as_complex_matrix(mats, ndim=3), *args)
+        except (ValidationError, SolverError):
+            pass
+        return [cls(mat, *args) for mat in mats]
+
+    @classmethod
+    def _stacked(cls, mats: np.ndarray, psd_tol: float = PSD_TOL) -> list:
+        _check_hermitian(mats)
+        _check_trace(mats)
+        w, v = stacked_eig(mats)
+        _check_spectrum(w, psd_tol)
+        states = [cls.__new__(cls) for _ in mats]
+        for state, mat, w_k, v_k in zip(states, mats, w, v):
+            state.mat, state._spectral = mat, SpectralDecomposition(w_k, v_k)
+        return states
 
 
 class BipartiteDensityMatrix(DensityMatrix):
@@ -110,6 +146,16 @@ class BipartiteDensityMatrix(DensityMatrix):
 
     def __init__(self, mat, d_A: int, d_B: int):
         super().__init__(mat)
+        self._set_factors(d_A, d_B)
+
+    @classmethod
+    def _stacked(cls, mats: np.ndarray, d_A: int, d_B: int) -> list:
+        states = super()._stacked(mats)
+        for state in states:
+            state._set_factors(d_A, d_B)
+        return states
+
+    def _set_factors(self, d_A: int, d_B: int) -> None:
         if d_A < 1 or d_B < 1 or d_A * d_B != self.dim:
             raise ShapeError(
                 f"declared factors {d_A}x{d_B} do not match dimension {self.dim}")
@@ -169,40 +215,44 @@ def _canonical_eigenspace(block: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def herm_eig(op: HermitianOperator) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian operator.
-
-    Eigenvalues ascend. Output is deterministic for identical input: within a
-    degenerate eigenspace the basis is rebuilt from standard-basis projections
-    in index order, and every eigenvector's phase is fixed so its
-    largest-magnitude component is real positive.
-    """
-    mat = op.mat
+def stacked_eig(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenvalues (ascending) and eigenvectors of Hermitian
+    matrices over a leading ``...`` axis, from one ``eigh`` call; each
+    matrix gets the bits of decomposing it alone. Deterministic: a
+    degenerate eigenspace's basis is rebuilt from standard-basis projections
+    in index order, and each eigenvector's largest-magnitude component is
+    made real positive."""
     try:
-        w, v = np.linalg.eigh(mat)
+        w, v = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigendecomposition failed: {exc}",
-                          input_hash=_input_hash(mat)) from exc
-    scale = max(float(np.max(np.abs(w))), 1.0)
-    gtol = DEGENERACY_TOL * scale
-    n = w.shape[0]
-    v = v.copy()
-    if np.any(np.diff(w) <= gtol):
+                          input_hash=_input_hash(mats)) from exc
+    n = w.shape[-1]
+    flat_w, flat_v = w.reshape(-1, n), v.reshape(-1, n, n)
+    gtol = DEGENERACY_TOL * np.abs(flat_w).max(-1, initial=1.0)
+    ties = np.diff(flat_w) <= gtol[:, None]
+    for k in ties.any(-1).nonzero()[0]:
         i = 0
         while i < n:
             j = i + 1
-            while j < n and w[j] - w[j - 1] <= gtol:
+            while j < n and ties[k, j - 1]:
                 j += 1
             if j - i > 1:
-                v[:, i:j] = _canonical_eigenspace(v[:, i:j])
+                flat_v[k, :, i:j] = _canonical_eigenspace(flat_v[k, :, i:j])
             i = j
     # global phases: largest-magnitude component real positive, all at once
-    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
+    pivots = flat_v[np.arange(len(flat_v))[:, None], np.abs(flat_v).argmax(-2), np.arange(n)]
     safe = np.abs(pivots)
     safe[safe == 0] = 1.0
-    v *= (pivots.conj() / safe)
+    flat_v *= (pivots.conj() / safe)[:, None, :]
     w.flags.writeable = False
     v.flags.writeable = False
+    return w, v
+
+
+def herm_eig(op: HermitianOperator) -> SpectralDecomposition:
+    """Eigendecomposition of a Hermitian operator (``stacked_eig``)."""
+    w, v = stacked_eig(op.mat)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
@@ -273,6 +323,11 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
+# Reduction of a valid state is a valid state; its PSD guard is loosened only
+# enough to absorb the einsum rounding.
+_REDUCED_PSD_TOL = 1e-9
+
+
 def partial_trace(rho: BipartiteDensityMatrix, keep: str) -> DensityMatrix:
     """Trace out one factor of a bipartite state; ``keep`` is 'A' or 'B'."""
     if keep not in ("A", "B"):
@@ -280,9 +335,20 @@ def partial_trace(rho: BipartiteDensityMatrix, keep: str) -> DensityMatrix:
     da, db = rho.d_A, rho.d_B
     t = rho.mat.reshape(da, db, da, db)
     reduced = np.einsum('ijkj->ik', t) if keep == "A" else np.einsum('ijil->jl', t)
-    # Reduction of a valid state is a valid state; loosen the PSD guard only
-    # enough to absorb the einsum rounding.
-    return DensityMatrix(reduced, psd_tol=1e-9)
+    return DensityMatrix(reduced, psd_tol=_REDUCED_PSD_TOL)
+
+
+def reduced_states(states) -> tuple[DensityMatrix, ...]:
+    """``reduced()`` of each of a stack of bipartite states of one shape; those
+    not cached yet come from one ``einsum`` and one ``DensityMatrix.stack``."""
+    todo = [state for state in states if state._reduced is None]
+    if len(todo) > 1:
+        da, db = todo[0].d_A, todo[0].d_B
+        t = np.stack([state.mat for state in todo]).reshape(-1, da, db, da, db)
+        mats = np.einsum('...ijkj->...ik', t)
+        for state, red in zip(todo, DensityMatrix.stack(mats, _REDUCED_PSD_TOL)):
+            state._reduced = red
+    return tuple(state.reduced() for state in states)
 
 
 def _check_same_dim(a: HermitianOperator, b: HermitianOperator) -> None:

@@ -57,31 +57,41 @@ def pauli_basis(axis: str) -> ProjectiveBasis:
     return _PAULI_BASES[axis]
 
 
-def werner_swap(p: float) -> BipartiteDensityMatrix:
+def _mixing_parameters(p, lo: float, hi: float) -> np.ndarray:
+    """``p``, one value or a sequence of them, as an (n, 1, 1) float array
+    that broadcasts against the matrices; each value must lie in [lo, hi]."""
+    ps = np.array(p, dtype=float).reshape(-1, 1, 1)
+    for value in ps.ravel().tolist():
+        if not (lo <= value <= hi):
+            raise ValidationError(f"p must lie in [{lo:g}, {hi:g}], got {value}")
+    return ps
+
+
+def werner_swap(p):
     """Two-qubit family (2-p)/6 I + (2p-1)/6 SWAP for p in [-1, 1].
 
     Spectrum: (1+p)/6 on the three symmetric directions and (3-3p)/6 on the
-    singlet. Maximally mixed at p = 1/2, the pure singlet at p = -1.
+    singlet. Maximally mixed at p = 1/2, the pure singlet at p = -1. A
+    sequence of p gives a list of states, built as one stack.
     """
-    p = float(p)
-    if not (-1.0 <= p <= 1.0):
-        raise ValidationError(f"p must lie in [-1, 1], got {p}")
-    mat = (2.0 - p) / 6.0 * np.eye(4) + (2.0 * p - 1.0) / 6.0 * _SWAP4
-    return BipartiteDensityMatrix(mat, 2, 2)
+    ps = _mixing_parameters(p, -1.0, 1.0)
+    mats = (2.0 - ps) / 6.0 * np.eye(4) + (2.0 * ps - 1.0) / 6.0 * _SWAP4
+    states = BipartiteDensityMatrix.stack(mats, 2, 2)
+    return states if np.ndim(p) else states[0]
 
 
-def werner_isotropic(p: float) -> BipartiteDensityMatrix:
+def werner_isotropic(p):
     """Isotropic family (1-p) I/4 + p |bell><bell| for p in [0, 1].
 
-    Separable exactly when p <= ISOTROPIC_SEPARABLE_MAX_P (= 1/3).
+    Separable exactly when p <= ISOTROPIC_SEPARABLE_MAX_P (= 1/3). A
+    sequence of p gives a list of states, built as one stack.
     """
-    p = float(p)
-    if not (0.0 <= p <= 1.0):
-        raise ValidationError(f"p must lie in [0, 1], got {p}")
+    ps = _mixing_parameters(p, 0.0, 1.0)
     bell = np.zeros(4, dtype=np.complex128)
     bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
-    mat = (1.0 - p) / 4.0 * np.eye(4) + p * np.outer(bell, bell.conj())
-    return BipartiteDensityMatrix(mat, 2, 2)
+    mats = (1.0 - ps) / 4.0 * np.eye(4) + ps * np.outer(bell, bell.conj())
+    states = BipartiteDensityMatrix.stack(mats, 2, 2)
+    return states if np.ndim(p) else states[0]
 
 
 def example2_state() -> BipartiteDensityMatrix:
@@ -222,12 +232,16 @@ def random_density(spec: EnsembleSpec,
                    index: int = 0) -> DensityMatrix | BipartiteDensityMatrix:
     """Draw state ``index`` of the ensemble; same (spec, index) gives
     bit-identical output."""
-    rng = child_rng(spec.seed, index)
-    mat = _draw_matrix(spec, rng)
+    return random_densities(spec, (index,))[0]
+
+
+def random_densities(spec: EnsembleSpec, indices) -> list:
+    """``random_density(spec, i)`` for each i of ``indices``, bit for bit, built
+    as one stack; each draw still comes from its own ``child_rng(seed, i)``."""
+    mats = [_draw_matrix(spec, child_rng(spec.seed, i)) for i in indices]
     if spec.bipartite:
-        da, db = spec.dims
-        return BipartiteDensityMatrix(mat, da, db)
-    return DensityMatrix(mat)
+        return BipartiteDensityMatrix.stack(mats, *spec.dims)
+    return DensityMatrix.stack(mats)
 
 
 def random_hermitian(d: int, seed: int, index: int = 0) -> HermitianOperator:

@@ -36,19 +36,20 @@ ROW_COLUMNS = (
 )
 
 
-# Rows at one p share one state, so its validation, spectrum, reduction and
-# ``skew.engine`` entries are paid once per p, not once per alpha; a few
-# entries suffice, since a sweep computes the rows of one p one after
-# another. Safe for the same reason as ``skew.engine``: the matrix is
-# read-only and ``spectral()`` / ``reduced()`` are deterministic memos.
+# The states of a p grid are built as one stack, and rows at one p share one
+# state, so its validation, spectrum, reduction and ``skew.engine`` entries
+# are paid once per p, not once per alpha; a few entries suffice, since a
+# sweep computes the rows of one p (or one grid) one after another. Safe for
+# the same reason as ``skew.engine``: the matrices are read-only and
+# ``spectral()`` / ``reduced()`` are deterministic memos.
 @lru_cache(maxsize=8)
-def example_state(example_id: int, p: float | None) -> BipartiteDensityMatrix:
+def example_states(example_id: int, ps: tuple) -> tuple[BipartiteDensityMatrix, ...]:
     if example_id == 1:
-        return werner_swap(p)
+        return tuple(werner_swap(ps))
     if example_id == 3:
-        return werner_isotropic(p)
+        return tuple(werner_isotropic(ps))
     if example_id == 2:
-        return example2_state()
+        return (example2_state(),) * len(ps)
     raise ValidationError(f"unknown example id {example_id}")
 
 
@@ -94,8 +95,8 @@ def state_rows(states, ps, alphas, oracle: str, seed: int = 0,
 def sweep_rows(example_id: int, ps, alphas, oracle: str, seed: int = 0) -> list[dict]:
     """``state_rows`` of an example family's states at ``ps``, scored as one
     stack: pipeline values next to the closed forms, in (p, alpha) order."""
-    states = tuple(example_state(example_id, p) for p in ps)
-    return state_rows(states, ps, alphas, oracle, seed, example_id)
+    return state_rows(example_states(example_id, tuple(ps)), ps, alphas, oracle, seed,
+                      example_id)
 
 
 def sweep_row(example_id: int, p: float | None, alpha: float, oracle: str,

@@ -7,17 +7,20 @@ from skewunc.bounds import (
     example_closed_forms,
     heisenberg_type_check,
     heisenberg_type_checks,
+    memory_bounds,
     product_bound_check,
     sum_bound_check,
 )
 from skewunc.correlation import brute_force_D_qubit
 from skewunc.errors import ShapeError, ValidationError
 from skewunc.linalg import DensityMatrix, HermitianOperator, kron
+from skewunc.skew import ProjectiveBasis
 from skewunc.states import (
     EnsembleSpec,
     example2_state,
     pauli,
     pauli_basis,
+    random_densities,
     random_density,
     random_hermitian,
     werner_isotropic,
@@ -213,6 +216,21 @@ def test_memory_bounds_isotropic_family(p):
     assert prod.rhs == pytest.approx(cp[1], abs=1e-8)
     assert summ.lhs == pytest.approx(cs[0], abs=1e-8)
     assert summ.rhs == pytest.approx(cs[1], abs=1e-8)
+
+
+@pytest.mark.parametrize("d_b", [2, 3, 4])
+def test_memory_bounds_are_equalities_for_pure_states_at_the_reduced_eigenbasis(d_b):
+    # For a pure state with a qubit A, measured on both sides in the
+    # eigenbasis of rho_A, both bounds with memory hold with equality, and
+    # D = 1 - tr rho_A^2 at every alpha.
+    rhos = random_densities(EnsembleSpec("pure", (2, d_b), 418), range(12))
+    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for rho, d in zip(rhos, brute_force_D_qubit(rhos, alpha)):
+            rho_a = rho.reduced().mat
+            assert abs(d - (1.0 - np.trace(rho_a @ rho_a).real)) <= 1e-12
+            basis = ProjectiveBasis(rho.reduced().spectral().eigenvectors)
+            prod, summ = memory_bounds(rho, basis, basis, alpha, d)
+            assert abs(prod.slack) <= 1e-12 and abs(summ.slack) <= 1e-12
 
 
 def test_report_terms_reconstruct_rhs():

@@ -103,10 +103,68 @@ def test_eig_solver_failure_carries_input_hash(monkeypatch):
     def explode(_):
         raise np.linalg.LinAlgError("did not converge")
 
+    mats = [random_density(EnsembleSpec("full_rank", 3, 21), index=i).mat for i in range(4)]
+    eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", explode)
     with pytest.raises(SolverError) as err:
         herm_eig(HermitianOperator(SX))
     assert err.value.input_hash is not None
+
+    def explode_on_state_2(a):
+        # the stack fails, and so does state 2 alone
+        if a.ndim > 2 or np.array_equal(a, mats[2]):
+            raise np.linalg.LinAlgError("did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", explode_on_state_2)
+    with pytest.raises(SolverError) as alone:
+        DensityMatrix(mats[2])
+    with pytest.raises(SolverError) as stacked:
+        DensityMatrix.stack(mats)
+    assert stacked.value.input_hash == alone.value.input_hash is not None
+    assert str(stacked.value) == str(alone.value)
+    # a stack whose states all decompose alone is built one state at a time
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: explode(a) if a.ndim > 2 else eigh(a))
+    for state, mat in zip(DensityMatrix.stack(mats), mats):
+        dec = herm_eig(HermitianOperator(mat))
+        assert np.array_equal(state.spectral().eigenvectors, dec.eigenvectors)
+        assert np.array_equal(state.spectral().eigenvalues, dec.eigenvalues)
+
+
+_GOOD = np.diag([0.7, 0.3]).astype(complex)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (np.array([[np.nan, 0], [0, 1.0]]), ValidationError),
+    (np.array([[0.5, 1e-6], [0.0, 0.5]]), ValidationError),
+    (np.diag([0.6, 0.6]), InvalidStateError),
+    (np.diag([1.1, -0.1]), InvalidStateError),
+], ids=["nan", "not_hermitian", "trace", "negative"])
+def test_stack_raises_the_error_of_its_failing_state(bad, error):
+    with pytest.raises(error) as alone:
+        DensityMatrix(bad)
+    with pytest.raises(error) as stacked:
+        DensityMatrix.stack([_GOOD, _GOOD, bad, _GOOD])
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == str(alone.value)
+    # building in order, the first failing state's error comes first
+    with pytest.raises(InvalidStateError, match="trace is"):
+        DensityMatrix.stack([_GOOD, np.diag([0.6, 0.6]), bad])
+    with pytest.raises(error) as joint:
+        BipartiteDensityMatrix.stack([np.kron(_GOOD, _GOOD), np.kron(bad, _GOOD)], 2, 2)
+    with pytest.raises(error) as joint_alone:
+        BipartiteDensityMatrix(np.kron(bad, _GOOD), 2, 2)
+    assert str(joint.value) == str(joint_alone.value)
+
+
+def test_stack_shapes_are_checked():
+    assert DensityMatrix.stack([]) == []
+    with pytest.raises(ShapeError):
+        DensityMatrix.stack(_GOOD)
+    with pytest.raises(ShapeError, match="do not match"):
+        BipartiteDensityMatrix.stack([np.eye(4) / 4] * 2, 2, 3)
+    with pytest.raises(ShapeError, match="square"):
+        DensityMatrix.stack(np.ones((2, 2, 3)))
 
 
 def test_eig_deterministic_and_canonical_for_degenerate_input():

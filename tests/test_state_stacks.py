@@ -1,11 +1,13 @@
-"""Scoring a stack of states gives every state the bits of scoring it alone.
+"""Building and scoring a stack of states gives every state the bits of
+building and scoring it alone.
 
 The reference below is an inline copy of the one-state arithmetic the
 scoring layer used before it gained a leading state axis: one engine per
 state, the pair weights of each alpha at a scalar exponent, one rotation of
 the observables into the eigenbasis and one ``einsum`` each for I and J; for
 the qubit oracle, the Bloch form, its ``eigh`` and the direct re-evaluation
-of the minimizing basis. Every comparison is bit for bit (the sign of a zero
+of the minimizing basis; for a state's spectrum, ``eigh``, the canonical
+basis of each degenerate eigenspace and the eigenvector phases of one matrix. Every comparison is bit for bit (the sign of a zero
 included), never within a tolerance.
 """
 
@@ -18,7 +20,15 @@ from skewunc import cli, sweeps
 from skewunc.bounds import heisenberg_type_checks, memory_bounds
 from skewunc.correlation import brute_force_D_qubit
 from skewunc.errors import NumericalConsistencyError, ShapeError, ValidationError
-from skewunc.linalg import clipped_spectrum, powered_spectrum
+from skewunc.linalg import (
+    DEGENERACY_TOL,
+    BipartiteDensityMatrix,
+    DensityMatrix,
+    _canonical_eigenspace,
+    clipped_spectrum,
+    powered_spectrum,
+    reduced_states,
+)
 from skewunc.skew import (
     PAIR_DEGENERACY_TOL,
     SkewEngine,
@@ -31,6 +41,7 @@ from skewunc.states import (
     EnsembleSpec,
     pauli,
     pauli_basis,
+    random_densities,
     random_density,
     random_hermitian,
     werner_isotropic,
@@ -177,6 +188,92 @@ def test_stacked_memory_bounds_equal_one_state_bounds(d_b):
         assert compat_terms(reduced, phi.projector_stack, psi.projector_stack, alpha) == [
             compat_terms(red, phi.projector_stack, psi.projector_stack, alpha)
             for red in reduced]
+
+
+def _one_state_eig(mat):
+    """The eigendecomposition of one matrix: ``eigh``, the canonical basis of
+    each degenerate eigenspace, then the phase of each eigenvector."""
+    w, v = np.linalg.eigh(mat)
+    n = len(w)
+    gtol = DEGENERACY_TOL * max(float(np.max(np.abs(w))), 1.0)
+    v = v.copy()
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and w[j] - w[j - 1] <= gtol:
+            j += 1
+        if j - i > 1:
+            v[:, i:j] = _canonical_eigenspace(v[:, i:j])
+        i = j
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
+    safe = np.abs(pivots)
+    safe[safe == 0] = 1.0
+    return w, v * (pivots.conj() / safe)
+
+
+def _assert_same_states(stacked, alone):
+    """Matrices, eigenvalues, eigenvectors and (for bipartite states) the
+    reduced states of two lists of states agree bit for bit, and with the
+    one-state eigendecomposition."""
+    assert len(stacked) == len(alone)
+    for got, want in zip(stacked, alone):
+        assert type(got) is type(want)
+        pairs = [(got, want)]
+        if isinstance(got, BipartiteDensityMatrix):
+            assert (got.d_A, got.d_B) == (want.d_A, want.d_B)
+            pairs.append((got.reduced(), want.reduced()))
+        for a, b in pairs:
+            w, v = _one_state_eig(b.mat)
+            assert _same_bits(w, b.spectral().eigenvalues)
+            assert _same_bits(v.view(np.float64), b.spectral().eigenvectors.view(np.float64))
+            assert _same_bits(a.mat.view(np.float64), b.mat.view(np.float64))
+            assert _same_bits(a.spectral().eigenvalues, b.spectral().eigenvalues)
+            assert _same_bits(a.spectral().eigenvectors.view(np.float64),
+                              b.spectral().eigenvectors.view(np.float64))
+            assert not a.mat.flags.writeable and not a.spectral().eigenvectors.flags.writeable
+
+
+_FACTORS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 6: (2, 3)}
+
+
+@pytest.mark.parametrize("kind", ["full_rank", "pure", "fixed_rank", "product"])
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_stacked_draws_have_the_bits_of_one_at_a_time_draws(kind, d):
+    rank = {"fixed_rank": max(1, d - 1)}.get(kind)
+    specs = [EnsembleSpec(kind, _FACTORS[d], 414, rank=rank)]
+    if kind != "product":
+        specs.append(EnsembleSpec(kind, d, 415, rank=rank))
+    for spec in specs:
+        indices = (0, 3, 1, 7, 2, 5)
+        stacked = random_densities(spec, indices)
+        if spec.bipartite:
+            reduced_states(stacked)   # the reductions as one stack
+        _assert_same_states(stacked, [random_density(spec, i) for i in indices])
+
+
+@pytest.mark.parametrize("family, lo, n", [(werner_swap, -1.0, 201),
+                                           (werner_isotropic, 0.0, 101)])
+def test_stacked_family_grids_have_the_bits_of_one_at_a_time_builds(family, lo, n):
+    ps = sweeps.p_grid(lo, 1.0, 0.01)
+    assert len(ps) == n
+    stacked = family(ps)
+    reduced_states(stacked)
+    _assert_same_states(stacked, [family(p) for p in ps])
+
+
+def test_degenerate_and_one_state_stacks_have_the_bits_of_one_state():
+    for d in (2, 3, 4):
+        mixed = np.eye(d) / d
+        full = random_density(EnsembleSpec("full_rank", d, 416)).mat
+        _assert_same_states(DensityMatrix.stack([mixed, full, mixed]),
+                            [DensityMatrix(mixed), DensityMatrix(full), DensityMatrix(mixed)])
+    stacked = werner_swap([-1.0, 0.5])
+    reduced_states(stacked)
+    _assert_same_states(stacked, [werner_swap(-1.0), werner_swap(0.5)])
+    spec = EnsembleSpec("full_rank", (2, 3), 417)
+    [one] = random_densities(spec, [5])
+    _assert_same_states([one], [random_density(spec, 5)])
+    assert reduced_states([one]) == (one.reduced(),)
 
 
 @pytest.mark.parametrize("example_id", [1, 3])

@@ -3,6 +3,7 @@ of engines per state, one row schema."""
 
 import sys
 
+import numpy as np
 import pytest
 
 from skewunc import correlation, linalg, skew, states, sweeps
@@ -11,18 +12,20 @@ from skewunc.checks import (
     CheckConfig,
     prop_closed_form_agreement,
     prop_heisenberg,
+    prop_relabel_invariance,
+    prop_skew_ordering,
 )
 from skewunc.cli import main
 from skewunc.serialize import save_state
 from skewunc.states import EnsembleSpec, random_density
-from skewunc.sweeps import ROW_COLUMNS, example_state, state_rows, sweep_row
+from skewunc.sweeps import ROW_COLUMNS, example_states, state_rows, sweep_row
 
 
 @pytest.fixture(autouse=True)
 def fresh_example_states():
     """Start each test without cached example states, so call counts do not
     depend on which rows earlier tests built."""
-    example_state.cache_clear()
+    example_states.cache_clear()
 
 
 def _count_calls(monkeypatch, owner, name, counts):
@@ -97,27 +100,46 @@ def test_sweep_rows_equal_rows_of_freshly_built_states():
         lo, hi = sweeps.EXAMPLE_P_RANGES[example_id]
         for p in sweeps.p_grid(lo, hi, 0.05):
             for alpha in (0.0, 0.37, 1.0):
-                fresh = example_state.__wrapped__(example_id, p)
+                [fresh] = example_states.__wrapped__(example_id, (p,))
                 assert [sweep_row(example_id, p, alpha, "grid")] == state_rows(
                     (fresh,), (p,), (alpha,), "grid", example_id=example_id)
 
 
+def _count_decompositions(monkeypatch, counts):
+    """Count ``linalg.stacked_eig`` calls (``"stacked_eig"``), the states they
+    cover (``"decomposed"``) and the most states one call covers (``"widest"``)."""
+    original = linalg.stacked_eig
+
+    def counted(mats):
+        n = int(np.prod(mats.shape[:-2]))
+        counts["stacked_eig"] += 1
+        counts["decomposed"] += n
+        counts["widest"] = max(counts.get("widest", 0), n)
+        return original(mats)
+
+    monkeypatch.setattr(linalg, "stacked_eig", counted)
+
+
 def test_heisenberg_campaign_builds_one_engine_per_dimension(monkeypatch):
-    counts = {"__init__": 0, "herm_eig": 0, "stacked_pairs": 0}
+    counts = {"__init__": 0, "herm_eig": 0, "stacked_pairs": 0, "stacked_eig": 0,
+              "decomposed": 0}
     _count_calls(monkeypatch, skew.SkewEngine, "__init__", counts)
     _count_calls(monkeypatch, linalg, "herm_eig", counts)
     _count_calls(monkeypatch, skew.SkewEngine, "stacked_pairs", counts)
+    _count_decompositions(monkeypatch, counts)
     res, _ = prop_heisenberg(CheckConfig(n_samples=4, dims=(2, 3)))
-    # 4 states per dimension, each decomposed once; each dimension's states
-    # checked at every alpha from one stacked engine in one scoring
+    # 4 states per dimension, each decomposed once, in one stacked call per
+    # dimension; each dimension's states checked at every alpha from one
+    # stacked engine in one scoring
     assert res.samples == 8 * len(DEFAULT_ALPHAS)
-    assert counts == {"__init__": 2, "herm_eig": 8, "stacked_pairs": 2}
+    assert counts == {"__init__": 2, "herm_eig": 0, "stacked_pairs": 2, "stacked_eig": 2,
+                      "decomposed": 8, "widest": 4}
 
 
 def test_closed_form_campaign_scores_each_example_as_one_stack(monkeypatch):
     counts = {"__init__": 0, "herm_eig": 0, "partial_trace": 0, "werner_swap": 0,
               "werner_isotropic": 0, "sweep_row": 0, "stacked_pairs": 0,
-              "bloch_quadratic": 0}
+              "bloch_quadratic": 0, "stacked_eig": 0, "decomposed": 0}
     _count_calls(monkeypatch, skew.SkewEngine, "__init__", counts)
     _count_calls(monkeypatch, linalg, "herm_eig", counts)
     _count_calls(monkeypatch, linalg, "partial_trace", counts)
@@ -126,15 +148,36 @@ def test_closed_form_campaign_scores_each_example_as_one_stack(monkeypatch):
     _count_calls(monkeypatch, sweeps, "sweep_row", counts)
     _count_calls(monkeypatch, skew.SkewEngine, "stacked_pairs", counts)
     _count_calls(monkeypatch, correlation.DeficitEvaluator, "bloch_quadratic", counts)
+    _count_decompositions(monkeypatch, counts)
     res, _ = prop_closed_form_agreement(CheckConfig())
-    # 201 + 101 states, each built, reduced and decomposed (joint and
-    # reduced) once; per example, one joint and one reduced engine for all
-    # its states, and at each of the two alphas one Bloch form for the grid
-    # oracle and two stacked scorings for the memory bounds
+    # 201 + 101 states, each example's built in one call and reduced in one
+    # einsum; each state decomposed once (joint and reduced), in one stacked
+    # call per example and side; per example, one joint and one reduced
+    # engine for all its states, and at each of the two alphas one Bloch form
+    # for the grid oracle and two stacked scorings for the memory bounds
     assert res.passed and res.samples == 604
-    assert counts == {"__init__": 4, "herm_eig": 604, "partial_trace": 302,
-                      "werner_swap": 201, "werner_isotropic": 101, "sweep_row": 0,
-                      "stacked_pairs": 8, "bloch_quadratic": 4}
+    assert counts == {"__init__": 4, "herm_eig": 0, "partial_trace": 0, "werner_swap": 1,
+                      "werner_isotropic": 1, "sweep_row": 0, "stacked_pairs": 8,
+                      "bloch_quadratic": 4, "stacked_eig": 4, "decomposed": 604,
+                      "widest": 201}
+
+
+@pytest.mark.parametrize("prop, n_stacks, widest", [
+    (prop_relabel_invariance, 3, 100),   # dims (2, 2): 100 + 100 + 50
+    (prop_skew_ordering, 9, 34),         # dims 2, 3, 4: three per 100 samples
+])
+def test_sampled_campaign_decomposes_each_state_once_in_capped_stacks(
+        monkeypatch, prop, n_stacks, widest):
+    counts = {"herm_eig": 0, "stacked_eig": 0, "decomposed": 0}
+    _count_calls(monkeypatch, linalg, "herm_eig", counts)
+    _count_decompositions(monkeypatch, counts)
+    res, _ = prop(CheckConfig(n_samples=250))
+    # 250 states drawn in stacks of at most _STACK = 100 samples, one stack
+    # per entry of dims; a bipartite state's reduction is decomposed alone
+    reductions = 250 if prop is prop_relabel_invariance else 0
+    assert res.samples == 250
+    assert counts == {"herm_eig": reductions, "stacked_eig": n_stacks + reductions,
+                      "decomposed": 250 + reductions, "widest": widest}
 
 
 @pytest.mark.parametrize("example_id, p", [(1, -0.4), (2, None), (3, 0.6)])
@@ -156,7 +199,7 @@ def test_grid_point_count_has_a_ceiling():
 
 def test_state_row_equals_sweep_row_without_closed_forms():
     row = sweep_row(1, 0.2, 0.4, "grid")
-    [custom] = state_rows((example_state(1, 0.2),), (None,), (0.4,), "grid")
+    [custom] = state_rows(example_states(1, (0.2,)), (None,), (0.4,), "grid")
     for col in ROW_COLUMNS:
         if col in ("p", "abs_err_max") or col.startswith("closed_form"):
             assert custom[col] is None
