@@ -19,6 +19,7 @@ import numbers
 import os
 import zlib
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -31,12 +32,12 @@ from .correlation import (
 from .errors import ConfigError
 from .linalg import (
     BipartiteDensityMatrix,
-    HermitianOperator,
     fractional_power,
     herm_eig,
     is_int,
     kron,
     partial_trace,
+    reduced_states,
 )
 from .serialize import matrix_to_pairs
 from .skew import (
@@ -63,8 +64,8 @@ DEFAULT_ALPHAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 # Default property tolerance, also applied to the exact proof-chain links.
 BOUND_TOL = 1e-9
 
-# Most samples built (or Heisenberg samples scored) as one stack, which holds
-# its states, weights and reports at once: memory stays flat in n_samples.
+# Most samples drawn and scored as one block, which holds its states, weights
+# and reports at once: memory stays flat in n_samples.
 _STACK = 100
 
 # Theorem checks whose right side carries an oracle correlation value are held
@@ -166,21 +167,64 @@ def _bipartite_dims(cfg: CheckConfig) -> list[tuple[int, int]]:
     return [(2, 2), (2, 3)] if max(cfg.dims) >= 3 else [(2, 2)]
 
 
+def _blocks(n: int):
+    """``range(n)`` in blocks of at most ``_STACK``."""
+    for lo in range(0, n, _STACK):
+        yield range(lo, min(lo + _STACK, n))
+
+
+def _grouped(keys, score, *columns) -> list:
+    """``score(key, *columns)`` on the entries of each key, with each column
+    cut to those entries, and its answers (one per entry) in entry order."""
+    groups: dict = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
+    out = [None] * len(keys)
+    for key, ks in groups.items():
+        for k, answer in zip(ks, score(key, *([col[k] for k in ks] for col in columns)),
+                             strict=True):
+            out[k] = answer
+    return out
+
+
 def _draws(cfg: CheckConfig, tag: str, n: int, dims, kind: str = "full_rank",
            alphas=None):
-    """Yield ``(i, seed, state, alpha)`` for each of ``n`` samples: ``seed`` is
-    the property's seed for ``tag``, ``state`` is draw ``i`` of ``kind`` at the
-    next of ``dims``, and ``alpha`` the next of ``alphas`` (``cfg.alphas``).
-    Each ``_STACK`` samples are drawn as one stack per entry of ``dims``."""
+    """Yield ``n`` samples ``(i, seed, state, alpha)`` as blocks of at most
+    ``_STACK``, in index order: ``seed`` is the property's seed for ``tag``,
+    ``state`` is draw ``i`` of ``kind`` at the next of ``dims``, and ``alpha``
+    the next of ``alphas`` (``cfg.alphas``). A block's states are drawn (and
+    reduced) as one stack per entry of ``dims``."""
     seed = _tag_seed(cfg.seed, tag)
     alphas = cfg.alphas if alphas is None else alphas
-    for lo in range(0, n, _STACK):
-        block = range(lo, min(lo + _STACK, n))
-        stacks = [iter(random_densities(EnsembleSpec(kind, dim, seed),
-                                        [i for i in block if i % len(dims) == j]))
-                  for j, dim in enumerate(dims)]
-        for i in block:
-            yield i, seed, next(stacks[i % len(dims)]), alphas[i % len(alphas)]
+    specs = [EnsembleSpec(kind, dim, seed) for dim in dims]
+    for block in _blocks(n):
+        block_specs = [specs[i % len(specs)] for i in block]
+        states = _grouped(block_specs, random_densities, block)
+        if specs[0].bipartite:
+            _grouped(block_specs, lambda _, stack: reduced_states(stack), states)
+        yield [(i, seed, rho, alphas[i % len(alphas)]) for i, rho in zip(block, states)]
+
+
+def _skew_pairs(states, hs, wanted) -> list[list]:
+    """The ``SkewPair``s of each state against its observable ``hs[k]`` at its
+    alphas ``wanted[k]``: one stacked scoring per state dimension, at every
+    alpha that its states want."""
+    def score(_, states, hs, wanted):
+        alphas = tuple(dict.fromkeys(chain.from_iterable(wanted)))
+        scored = engine(*states).stacked_pairs(np.stack(hs)[:, None], alphas)
+        return [[pairs[alphas.index(a)] for a in want] for [pairs], want in zip(scored, wanted)]
+    return _grouped([rho.dim for rho in states], score, states, hs, wanted)
+
+
+def _deficits(block, bases) -> list[list[float]]:
+    """The total deficit of each sample's state at its alpha for each of its
+    bases ``bases[k]``: one ``DeficitEvaluator`` per state dimension and alpha."""
+    def score(key, states, bases):
+        ev = DeficitEvaluator(states, key[1])
+        per_basis = [ev.basis_deficit(np.stack(columns)) for columns in zip(*bases)]
+        return [[total for total, _ in scored] for scored in zip(*per_basis)]
+    return _grouped([(rho.dim, alpha) for _, _, rho, alpha in block], score,
+                    [rho for _, _, rho, _ in block], bases)
 
 
 # ---------------------------------------------------------------------------
@@ -203,23 +247,22 @@ def prop_eig_reconstruction(cfg: CheckConfig):
 @_property("linalg_fractional_power_pair", 1e-9)
 def prop_fractional_power_pair(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "fractional_power_pair")
-    for i in range(cfg.n_samples):
-        d = cfg.dims[i % len(cfg.dims)]
-        if i % 3 == 0 and d > 2:
-            spec = EnsembleSpec("fixed_rank", d, seed, rank=d - 1)
-        else:
-            spec = EnsembleSpec("full_rank", d, seed)
-        rho = random_density(spec, index=i)
-        alpha = cfg.alphas[i % len(cfg.alphas)]
-        prod = fractional_power(rho, alpha).mat @ fractional_power(rho, 1.0 - alpha).mat
-        err = float(np.max(np.abs(prod - rho.mat)))
-        yield -err, {"state": rho, "alpha": alpha}
+    full = {d: EnsembleSpec("full_rank", d, seed) for d in cfg.dims}
+    fixed = {d: EnsembleSpec("fixed_rank", d, seed, rank=d - 1) for d in cfg.dims if d > 2}
+    for block in _blocks(cfg.n_samples):
+        dims = [cfg.dims[i % len(cfg.dims)] for i in block]
+        specs = [fixed[d] if i % 3 == 0 and d > 2 else full[d] for i, d in zip(block, dims)]
+        for i, rho in zip(block, _grouped(specs, random_densities, block)):
+            alpha = cfg.alphas[i % len(cfg.alphas)]
+            prod = fractional_power(rho, alpha).mat @ fractional_power(rho, 1.0 - alpha).mat
+            err = float(np.max(np.abs(prod - rho.mat)))
+            yield -err, {"state": rho, "alpha": alpha}
 
 
 @_property("linalg_partial_trace", 1e-9)
 def prop_partial_trace(cfg: CheckConfig):
-    for _, _, rho, _ in _draws(cfg, "partial_trace", cfg.n_samples,
-                               _bipartite_dims(cfg)):
+    for _, _, rho, _ in chain.from_iterable(
+            _draws(cfg, "partial_trace", cfg.n_samples, _bipartite_dims(cfg))):
         bad = 0.0
         for keep in ("A", "B"):
             red = partial_trace(rho, keep)
@@ -232,14 +275,17 @@ def prop_partial_trace(cfg: CheckConfig):
 def prop_kron_roundtrip(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "kron_roundtrip")
     dims = _bipartite_dims(cfg)
-    for i in range(cfg.n_samples):
-        da, db = dims[i % len(dims)]
-        a = random_density(EnsembleSpec("full_rank", da, seed), index=2 * i)
-        b = random_density(EnsembleSpec("full_rank", db, seed), index=2 * i + 1)
-        joint = BipartiteDensityMatrix(kron(a.mat, b.mat), da, db)
-        err = max(float(np.max(np.abs(partial_trace(joint, "A").mat - a.mat))),
-                  float(np.max(np.abs(partial_trace(joint, "B").mat - b.mat))))
-        yield -err, {"state": joint}
+    specs = {d: EnsembleSpec("full_rank", d, seed) for d in chain.from_iterable(dims)}
+    for block in _blocks(cfg.n_samples):
+        shapes = [dims[i % len(dims)] for i in block]
+        a_s, b_s = (_grouped([specs[shape[k]] for shape in shapes], random_densities,
+                             [2 * i + k for i in block]) for k in (0, 1))
+        joints = _grouped(shapes, lambda shape, a_s, b_s: BipartiteDensityMatrix.stack(
+            [kron(a.mat, b.mat) for a, b in zip(a_s, b_s)], *shape), a_s, b_s)
+        for a, b, joint in zip(a_s, b_s, joints):
+            err = max(float(np.max(np.abs(partial_trace(joint, "A").mat - a.mat))),
+                      float(np.max(np.abs(partial_trace(joint, "B").mat - b.mat))))
+            yield -err, {"state": joint}
 
 
 # ---------------------------------------------------------------------------
@@ -248,37 +294,43 @@ def prop_kron_roundtrip(cfg: CheckConfig):
 
 @_property("skew_ordering_J_ge_I_ge_0")
 def prop_skew_ordering(cfg: CheckConfig):
-    for i, seed, rho, alpha in _draws(cfg, "skew_ordering", cfg.n_samples, cfg.dims):
-        h = random_hermitian(rho.dim, seed + 1, index=i)
-        pair = engine(rho).pair(h.mat, alpha)
-        yield min(pair.j_alpha - pair.i_alpha, pair.i_alpha), {
-            "state": rho, "alpha": alpha, "observable": h.mat}
+    for block in _draws(cfg, "skew_ordering", cfg.n_samples, cfg.dims):
+        hs = [random_hermitian(rho.dim, seed + 1, index=i).mat for i, seed, rho, _ in block]
+        scored = _skew_pairs([rho for _, _, rho, _ in block], hs,
+                             [(alpha,) for *_, alpha in block])
+        for (_, _, rho, alpha), h, [pair] in zip(block, hs, scored):
+            yield min(pair.j_alpha - pair.i_alpha, pair.i_alpha), {
+                "state": rho, "alpha": alpha, "observable": h}
 
 
 @_property("skew_pure_state_reduction", 1e-9)
 def prop_pure_reduction(cfg: CheckConfig):
-    for i, seed, rho, _ in _draws(cfg, "pure_reduction", cfg.n_samples, cfg.dims,
-                                  "pure"):
-        h = random_hermitian(rho.dim, seed + 1, index=i)
-        v = variance(rho, h)
-        err = max(abs(p.i_alpha - v) for p in engine(rho).pairs(h.mat, cfg.alphas))
-        yield -err, {"state": rho, "observable": h.mat}
+    for block in _draws(cfg, "pure_reduction", cfg.n_samples, cfg.dims, "pure"):
+        hs = [random_hermitian(rho.dim, seed + 1, index=i) for i, seed, rho, _ in block]
+        scored = _skew_pairs([rho for _, _, rho, _ in block], [h.mat for h in hs],
+                             [cfg.alphas] * len(block))
+        for (_, _, rho, _), h, pairs in zip(block, hs, scored):
+            v = variance(rho, h)
+            yield -max(abs(p.i_alpha - v) for p in pairs), {"state": rho, "observable": h.mat}
 
 
 @_property("skew_alpha_symmetry", 1e-10)
 def prop_alpha_symmetry(cfg: CheckConfig):
-    for i, seed, rho, alpha in _draws(cfg, "alpha_symmetry", cfg.n_samples, cfg.dims):
-        h = random_hermitian(rho.dim, seed + 1, index=i)
-        at, mirrored = engine(rho).pairs(h.mat, (alpha, 1 - alpha))
-        err = max(abs(at.i_alpha - mirrored.i_alpha), abs(at.j_alpha - mirrored.j_alpha))
-        yield -err, {"state": rho, "alpha": alpha}
+    for block in _draws(cfg, "alpha_symmetry", cfg.n_samples, cfg.dims):
+        hs = [random_hermitian(rho.dim, seed + 1, index=i).mat for i, seed, rho, _ in block]
+        scored = _skew_pairs([rho for _, _, rho, _ in block], hs,
+                             [(alpha, 1 - alpha) for *_, alpha in block])
+        for (_, _, rho, alpha), (at, mirrored) in zip(block, scored):
+            err = max(abs(at.i_alpha - mirrored.i_alpha), abs(at.j_alpha - mirrored.j_alpha))
+            yield -err, {"state": rho, "alpha": alpha}
 
 
 @_property("skew_half_alpha_agreement", 1e-10)
 def prop_half_alpha_agreement(cfg: CheckConfig):
     import scipy.linalg   # the only scipy user here; loaded on first use
 
-    for i, seed, rho, _ in _draws(cfg, "half_alpha", cfg.n_samples, cfg.dims):
+    for i, seed, rho, _ in chain.from_iterable(
+            _draws(cfg, "half_alpha", cfg.n_samples, cfg.dims)):
         h = random_hermitian(rho.dim, seed + 1, index=i)
         main = skew_information_I(rho, h, 0.5)
         root = scipy.linalg.sqrtm(rho.mat)
@@ -291,13 +343,16 @@ def prop_half_alpha_agreement(cfg: CheckConfig):
 
 @_property("skew_local_monotonicity")
 def prop_local_monotonicity(cfg: CheckConfig):
-    for i, seed, rho, alpha in _draws(cfg, "local_monotonicity", cfg.n_samples,
-                                      _bipartite_dims(cfg)):
-        x = random_hermitian(rho.d_A, seed + 1, index=i)
-        embedded = HermitianOperator(kron(x.mat, np.eye(rho.d_B)))
-        slack = (skew_information_I(rho, embedded, alpha)
-                 - skew_information_I(partial_trace(rho, "A"), x, alpha))
-        yield slack, {"state": rho, "alpha": alpha, "observable": x.mat}
+    for block in _draws(cfg, "local_monotonicity", cfg.n_samples, _bipartite_dims(cfg)):
+        rhos = [rho for _, _, rho, _ in block]
+        xs = [random_hermitian(rho.d_A, seed + 1, index=i).mat for i, seed, rho, _ in block]
+        wanted = [(alpha,) for *_, alpha in block]
+        joint = _skew_pairs(rhos, [kron(x, np.eye(rho.d_B)) for x, rho in zip(xs, rhos)],
+                            wanted)
+        local = _skew_pairs([rho.reduced() for rho in rhos], xs, wanted)
+        for (_, _, rho, alpha), x, [on_joint], [on_local] in zip(block, xs, joint, local):
+            yield on_joint.i_alpha - on_local.i_alpha, {
+                "state": rho, "alpha": alpha, "observable": x}
 
 
 # ---------------------------------------------------------------------------
@@ -306,27 +361,27 @@ def prop_local_monotonicity(cfg: CheckConfig):
 
 @_property("correlation_deficit_nonnegative")
 def prop_deficit_nonnegative(cfg: CheckConfig):
-    for i, seed, rho, alpha in _draws(cfg, "deficit_nonneg", cfg.n_samples,
-                                      _bipartite_dims(cfg)):
-        basis = ProjectiveBasis(random_unitary(rho.d_A, seed + 1, index=i))
-        total, _ = DeficitEvaluator(rho, alpha).basis_deficit(basis.columns)
-        yield total, {"state": rho, "alpha": alpha, "basis": basis.columns}
+    for block in _draws(cfg, "deficit_nonneg", cfg.n_samples, _bipartite_dims(cfg)):
+        bases = [ProjectiveBasis(random_unitary(rho.d_A, seed + 1, index=i)).columns
+                 for i, seed, rho, _ in block]
+        for (_, _, rho, alpha), basis, [total] in zip(
+                block, bases, _deficits(block, [(basis,) for basis in bases])):
+            yield total, {"state": rho, "alpha": alpha, "basis": basis}
 
 
 @_property("correlation_relabel_invariance", 1e-12)
 def prop_relabel_invariance(cfg: CheckConfig):
-    for i, seed, rho, alpha in _draws(cfg, "relabel", cfg.n_samples, [(2, 2)]):
-        u = random_unitary(rho.d_A, seed + 1, index=i)
-        ev = DeficitEvaluator(rho, alpha)
-        t1, _ = ev.basis_deficit(u)
-        t2, _ = ev.basis_deficit(u[:, ::-1])
-        yield -abs(t1 - t2), {"state": rho, "alpha": alpha}
+    for block in _draws(cfg, "relabel", cfg.n_samples, [(2, 2)]):
+        us = [random_unitary(rho.d_A, seed + 1, index=i) for i, seed, rho, _ in block]
+        for (_, _, rho, alpha), (t1, t2) in zip(
+                block, _deficits(block, [(u, u[:, ::-1]) for u in us])):
+            yield -abs(t1 - t2), {"state": rho, "alpha": alpha}
 
 
 @_property("correlation_oracle_consistency", 0.0)
 def prop_oracle_consistency(cfg: CheckConfig):
-    for i, seed, rho, alpha in _draws(cfg, "oracle_consistency", cfg.n_optimizer,
-                                      [(2, 2)], alphas=(0.3, 0.5, 0.7)):
+    for i, seed, rho, alpha in chain.from_iterable(_draws(
+            cfg, "oracle_consistency", cfg.n_optimizer, [(2, 2)], alphas=(0.3, 0.5, 0.7))):
         opt = quantum_correlation_D(rho, alpha, seed + i).value
         grid = brute_force_D_qubit(rho, alpha)
         # the oracle is the exact minimum, which the optimizer (a true deficit)
@@ -338,7 +393,8 @@ def prop_oracle_consistency(cfg: CheckConfig):
 
 @_property("correlation_local_unitary_covariance", 1e-4)
 def prop_local_unitary_covariance(cfg: CheckConfig):
-    for i, seed, rho, alpha in _draws(cfg, "lu_covariance", cfg.n_optimizer, [(2, 2)]):
+    for i, seed, rho, alpha in chain.from_iterable(
+            _draws(cfg, "lu_covariance", cfg.n_optimizer, [(2, 2)])):
         u = kron(random_unitary(rho.d_A, seed + 1, index=i), np.eye(rho.d_B))
         rotated = BipartiteDensityMatrix(u @ rho.mat @ u.conj().T, rho.d_A, rho.d_B)
         err = abs(brute_force_D_qubit(rho, alpha) - brute_force_D_qubit(rotated, alpha))
@@ -350,7 +406,7 @@ def prop_cq_nullity(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "cq_nullity")
     draws = _draws(cfg, "cq_nullity", cfg.n_optimizer, _bipartite_dims(cfg),
                    "classical_quantum")
-    states = [example2_state(), *(rho for _, _, rho, _ in draws)]
+    states = [example2_state(), *(rho for _, _, rho, _ in chain.from_iterable(draws))]
     for i, rho in enumerate(states):
         alpha = cfg.alphas[i % len(cfg.alphas)]
         value = quantum_correlation_D(rho, alpha, seed + i).value
@@ -378,8 +434,9 @@ def prop_heisenberg(cfg: CheckConfig):
 
 def prop_theorems_with_oracle(cfg: CheckConfig):
     """Theorem checks and the proof-chain links, sharing one oracle run."""
-    thm, chain = [], []
-    for i, seed, rho, alpha in _draws(cfg, "theorems", cfg.n_theorem, [(2, 2)]):
+    thm, links = [], []
+    for i, seed, rho, alpha in chain.from_iterable(
+            _draws(cfg, "theorems", cfg.n_theorem, [(2, 2)])):
         phi = ProjectiveBasis(random_unitary(rho.d_A, seed + 1, index=i))
         psi = ProjectiveBasis(random_unitary(rho.d_A, seed + 2, index=i))
         d_val = brute_force_D_qubit(rho, alpha)
@@ -402,9 +459,9 @@ def prop_theorems_with_oracle(cfg: CheckConfig):
         # the link through the minimum inherits the oracle's certification
         oracle_link = mid - mid2
         violation = max(-tight - BOUND_TOL, -oracle_link - ORACLE_TOL)
-        chain.append((-violation, inputs))
+        links.append((-violation, inputs))
     return [_result("bounds_theorems_oracle_certified", ORACLE_TOL, thm),
-            _result("bounds_proof_chain_consistency", 0.0, chain)]
+            _result("bounds_proof_chain_consistency", 0.0, links)]
 
 
 @_property("bounds_closed_form_agreement", SWEEP_ERR_TOL)

@@ -77,14 +77,14 @@ class DeficitEvaluator:
     candidate bases cheaply, from the engines of the state and of its
     reduction (shared through ``skew.engine`` with the bound checkers).
 
-    For a stack of several states (see ``linalg.state_stack``) its arrays
-    gain a leading state axis, and ``vector_deficits`` and ``bloch_quadratic``
-    answer per state; the basis and gradient methods take one state.
+    For a stack of states (see ``linalg.state_stack``) its arrays gain a
+    leading state axis, and ``vector_deficits``, ``basis_deficit`` and
+    ``bloch_quadratic`` answer per state; the gradient takes one state.
     """
 
     def __init__(self, rho_ab, alpha: float):
         self.alpha = check_alpha(alpha)
-        states, _ = state_stack(rho_ab)
+        states, self._stacked = state_stack(rho_ab)
         self.d_A = states[0].d_A
         self.d_B = states[0].d_B
         self._eng_ab = engine(*states)
@@ -103,10 +103,10 @@ class DeficitEvaluator:
         the gradient reuses: b (the rows' slices of the joint eigenvectors),
         ht (the rotated joint observables), t and q (reduced-state overlaps
         and their squared moduli). A stacked evaluator takes one set of rows
-        per state."""
-        rows = v.shape[:-1]
-        dim = self.d_A * self.d_B
-        b = (v.conj() @ self._u_flat).reshape(*rows, self.d_B, dim)
+        per state, or rows that every state shares."""
+        b = v.conj() @ self._u_flat
+        rows = b.shape[:-1]
+        b = b.reshape(*rows, self.d_B, self.d_A * self.d_B)
         ht = np.matmul(b.conj().swapaxes(-1, -2), b)
         i_ab = ((ht.real**2 + ht.imag**2).reshape(*rows, -1)
                 @ self._w_ab_flat[..., None])[..., 0]
@@ -118,7 +118,8 @@ class DeficitEvaluator:
     def vector_deficits(self, vectors: np.ndarray) -> np.ndarray:
         """Deficit contribution of each unit vector in ``vectors`` (rows):
         joint-state skew information of (vv^dag (x) I) minus reduced-state
-        skew information of vv^dag."""
+        skew information of vv^dag. A stack scores rows that every state
+        shares, or one set per state ((n_states, k, d))."""
         v = np.asarray(vectors, dtype=np.complex128)
         if v.ndim == 1:
             v = v[None, :]
@@ -141,14 +142,19 @@ class DeficitEvaluator:
         g_a = (t * (q @ self._w_a)) @ self._ua_conj.T.conj()
         return float(per_k.sum()), 4.0 * (g_ab - g_a).T
 
-    def basis_deficit(self, columns: np.ndarray) -> tuple[float, list[float]]:
-        """Total and per-projector deficit for a basis given as columns."""
-        per_k = self.vector_deficits(np.asarray(columns).T)
-        total = float(per_k.sum())
-        if total < -NEG_CLIP:
-            raise NumericalConsistencyError(
-                f"deficit {total:.3e} negative beyond the noise floor")
-        return total, [float(x) for x in per_k]
+    def basis_deficit(self, columns: np.ndarray):
+        """Total and per-projector deficit for a basis given as columns; a
+        stack gets one pair per state, for a basis that every state shares
+        or one per state ((n_states, d, d))."""
+        per_k = self.vector_deficits(np.asarray(columns).swapaxes(-1, -2))
+        out = []
+        for row in per_k.reshape(-1, per_k.shape[-1]):
+            total = float(row.sum())
+            if total < -NEG_CLIP:
+                raise NumericalConsistencyError(
+                    f"deficit {total:.3e} negative beyond the noise floor")
+            out.append((total, [float(x) for x in row]))
+        return out if self._stacked else out[0]
 
     def bloch_quadratic(self) -> np.ndarray:
         """For a qubit subsystem: the 3x3 symmetric form Q with

@@ -70,8 +70,10 @@ def test_config_rejects_ensemble_entries_it_cannot_run(entry):
     (SMALL.dims, "pure", None),
     ([(2, 2)], "full_rank", (0.3, 0.5, 0.7)),
 ], ids=["dims", "bipartite", "two_qubit", "pure", "alphas_override"])
-def test_draws_match_the_per_property_loop(dims, kind, alphas):
-    # reference: the loop header each property used to carry
+def test_draws_match_the_per_property_loop(monkeypatch, dims, kind, alphas):
+    # reference: the loop header each property used to carry; the samples
+    # come in blocks of at most _STACK, in index order
+    monkeypatch.setattr(checks, "_STACK", 3)
     seed = checks._tag_seed(SMALL.seed, "probe")
     cycle = SMALL.alphas if alphas is None else alphas
     expected = []
@@ -79,12 +81,17 @@ def test_draws_match_the_per_property_loop(dims, kind, alphas):
         d = dims[i % len(dims)]
         rho = random_density(EnsembleSpec(kind, d, seed), index=i)
         expected.append((i, seed, rho, cycle[i % len(cycle)]))
-    drawn = list(checks._draws(SMALL, "probe", 7, dims, kind, alphas=alphas))
-    assert len(drawn) == len(expected)
+    blocks = list(checks._draws(SMALL, "probe", 7, dims, kind, alphas=alphas))
+    assert [len(block) for block in blocks] == [3, 3, 1]
+    drawn = [sample for block in blocks for sample in block]
     for (i, s, rho, a), (ref_i, ref_s, ref_rho, ref_a) in zip(drawn, expected):
         assert (i, s, a) == (ref_i, ref_s, ref_a)
         assert type(rho) is type(ref_rho)
         assert np.array_equal(rho.mat, ref_rho.mat)
+        if isinstance(rho, BipartiteDensityMatrix):
+            # reduced with the block's stack, to the bits of reducing it alone
+            assert rho._reduced is not None
+            assert np.array_equal(rho._reduced.mat, ref_rho.reduced().mat)
 
 
 def test_small_campaign_passes(tmp_path):
@@ -154,11 +161,14 @@ def test_unwritable_witness_dir_is_a_config_error(tmp_path, target):
     assert (tmp_path / "afile").is_file()
 
 class _NegativeDeficit:
-    def __init__(self, rho, alpha):
-        pass
+    """A stacked ``DeficitEvaluator`` whose every state scores -1."""
+
+    def __init__(self, rhos, alpha):
+        self.n_states = len(rhos)
 
     def basis_deficit(self, columns):
-        return -1.0, None
+        assert columns.shape[0] == self.n_states
+        return [(-1.0, None)] * self.n_states
 
 
 @pytest.mark.parametrize("prop, patch, keys", [
@@ -188,6 +198,31 @@ def test_real_runner_witness_decodes(tmp_path, monkeypatch, prop, patch, keys):
         assert (doc["d_A"], doc["d_B"]) == (2, 2)
         BipartiteDensityMatrix(pairs_to_matrix(doc["matrix"], 4), 2, 2)
         ProjectiveBasis(pairs_to_matrix(doc["basis"], 2))
+
+
+def test_stacked_blocks_change_no_result(monkeypatch):
+    # 230 samples make three blocks of checks._STACK; a block of one sample
+    # is the one-state path. Every sample's slack is compared as well: a
+    # wrong per-sample alpha can leave the worst slack as it is (at alpha 0
+    # a full-rank state's skew information is exactly 0).
+    cfg = CheckConfig(seed=42, n_samples=230, n_optimizer=1, n_theorem=30,
+                      alphas=(0.0, 0.37, 0.5, 1.0), dims=(2, 3, 4))
+    slacks = []
+    judge = checks._result
+
+    def recorded(name, tol, samples):
+        samples = list(samples)
+        slacks.append((name, [float(slack).hex() for slack, _ in samples]))
+        return judge(name, tol, samples)
+
+    monkeypatch.setattr(checks, "_result", recorded)
+    stacked, stacked_slacks = run_checks(cfg).results, slacks[:]
+    slacks.clear()
+    monkeypatch.setattr(checks, "_STACK", 1)
+    one_by_one = run_checks(cfg).results
+    assert len(stacked) == len(ALL_PROPERTIES) + 1   # theorems give two results
+    assert stacked == one_by_one
+    assert stacked_slacks == slacks
 
 
 def test_report_dict_shape():

@@ -37,6 +37,11 @@ EVAL = {
 CHECK = (
     "31db6710ee8fefb3afef490af8b027abb62137424f2d037ae813a05e2b0535f5")
 
+# the same with "n_samples": 250, which crosses the block size of the sampled
+# properties (checks._STACK = 100)
+CHECK_BLOCKS = (
+    "c97b6dc17ae104e8716fdfc618d33fe592dfab1f819f28e7be9b09fee20d3159")
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -69,3 +74,10 @@ def test_check_report_digest(work):
         {"n_samples": 20, "n_optimizer": 1, "n_theorem": 5}))
     assert main(["check", "--config", "cfg.json", "--out", "report.json"]) == 0
     assert _sha256(work / "report.json") == CHECK
+
+
+def test_check_report_digest_across_blocks(work):
+    (work / "cfg.json").write_text(json.dumps(
+        {"n_samples": 250, "n_optimizer": 1, "n_theorem": 5}))
+    assert main(["check", "--config", "cfg.json", "--out", "report.json"]) == 0
+    assert _sha256(work / "report.json") == CHECK_BLOCKS

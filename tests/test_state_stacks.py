@@ -18,7 +18,7 @@ import pytest
 
 from skewunc import cli, sweeps
 from skewunc.bounds import heisenberg_type_checks, memory_bounds
-from skewunc.correlation import brute_force_D_qubit
+from skewunc.correlation import DeficitEvaluator, brute_force_D_qubit
 from skewunc.errors import NumericalConsistencyError, ShapeError, ValidationError
 from skewunc.linalg import (
     DEGENERACY_TOL,
@@ -44,6 +44,7 @@ from skewunc.states import (
     random_densities,
     random_density,
     random_hermitian,
+    random_unitary,
     werner_isotropic,
     werner_swap,
 )
@@ -188,6 +189,55 @@ def test_stacked_memory_bounds_equal_one_state_bounds(d_b):
         assert compat_terms(reduced, phi.projector_stack, psi.projector_stack, alpha) == [
             compat_terms(red, phi.projector_stack, psi.projector_stack, alpha)
             for red in reduced]
+
+
+def _deficit_bits(scored) -> list[float]:
+    """``basis_deficit`` pairs flattened to their floats, totals first."""
+    return [[total, *per_k] for total, per_k in scored]
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 2)])
+def test_stacked_deficits_have_the_bits_of_one_state_deficits(d_a, d_b):
+    rhos = [random_density(EnsembleSpec("full_rank", (d_a, d_b), 414), index=i)
+            for i in range(3)]
+    rhos.append(random_density(EnsembleSpec("classical_quantum", (d_a, d_b), 415)))
+    shared = random_unitary(d_a, 416)
+    per_state = np.stack([random_unitary(d_a, 417, index=i) for i in range(len(rhos))])
+    for alpha in ALPHAS:
+        ev = DeficitEvaluator(rhos, alpha)
+        alone = [DeficitEvaluator(rho, alpha) for rho in rhos]
+        # rows that every state shares: a (k, d) stack, or one (d,) vector
+        for vectors, rows in ((shared.T, d_a), (shared[:, 0], 1)):
+            got = ev.vector_deficits(vectors)
+            assert got.shape == (len(rhos), rows)
+            assert _same_bits(got, [one.vector_deficits(vectors) for one in alone])
+        assert _same_bits(ev.vector_deficits(per_state.swapaxes(-1, -2)),
+                          [one.vector_deficits(u.T) for one, u in zip(alone, per_state)])
+        assert _same_bits(_deficit_bits(ev.basis_deficit(shared)),
+                          _deficit_bits(one.basis_deficit(shared) for one in alone))
+        one_by_one = [one.basis_deficit(u) for one, u in zip(alone, per_state)]
+        assert _same_bits(_deficit_bits(ev.basis_deficit(per_state)), _deficit_bits(one_by_one))
+        # a stack of one state answers as a stack
+        lone = DeficitEvaluator(rhos[:1], alpha).basis_deficit(per_state[:1])
+        assert _same_bits(_deficit_bits(lone), _deficit_bits(one_by_one[:1]))
+
+
+def test_a_negative_deficit_raises_for_the_first_state_that_has_one():
+    rhos = [random_density(EnsembleSpec("full_rank", (2, 2), 418), index=i) for i in range(3)]
+    u = random_unitary(2, 419)
+    ev = DeficitEvaluator(rhos, 0.3)
+    bent = np.array(ev._w_a)
+    bent[1] += 1.0 + np.arange(4).reshape(2, 2)   # states 1 and 2 turn negative
+    bent[2] += 2.0
+    ev._w_a = bent
+    alone = DeficitEvaluator(rhos[1], 0.3)
+    alone._w_a = bent[1]
+    with pytest.raises(NumericalConsistencyError) as stacked:
+        ev.basis_deficit(u)
+    with pytest.raises(NumericalConsistencyError) as single:
+        alone.basis_deficit(u)
+    assert str(stacked.value) == str(single.value)
+    assert str(stacked.value).startswith("deficit -")
 
 
 def _one_state_eig(mat):

@@ -11,7 +11,9 @@ from skewunc.checks import (
     DEFAULT_ALPHAS,
     CheckConfig,
     prop_closed_form_agreement,
+    prop_deficit_nonnegative,
     prop_heisenberg,
+    prop_local_monotonicity,
     prop_relabel_invariance,
     prop_skew_ordering,
 )
@@ -173,11 +175,36 @@ def test_sampled_campaign_decomposes_each_state_once_in_capped_stacks(
     _count_decompositions(monkeypatch, counts)
     res, _ = prop(CheckConfig(n_samples=250))
     # 250 states drawn in stacks of at most _STACK = 100 samples, one stack
-    # per entry of dims; a bipartite state's reduction is decomposed alone
-    reductions = 250 if prop is prop_relabel_invariance else 0
+    # per entry of dims; a bipartite stack's reductions in one more call
+    sides = 2 if prop is prop_relabel_invariance else 1
     assert res.samples == 250
-    assert counts == {"herm_eig": reductions, "stacked_eig": n_stacks + reductions,
-                      "decomposed": 250 + reductions, "widest": widest}
+    assert counts == {"herm_eig": 0, "stacked_eig": sides * n_stacks,
+                      "decomposed": sides * 250, "widest": widest}
+
+
+@pytest.mark.parametrize("prop, per_block", [
+    # one evaluator, a joint and a reduced engine, per shape and alpha (2 x 9)
+    (prop_deficit_nonnegative, {"evaluators": 18, "engines": 36, "stacked_pairs": 0}),
+    # a joint engine per shape and one for the reduced states (qubits for
+    # both shapes), each scored once
+    (prop_local_monotonicity, {"evaluators": 0, "engines": 3, "stacked_pairs": 3}),
+], ids=["deficit_nonnegative", "local_monotonicity"])
+def test_sampled_bipartite_campaign_builds_engines_per_block(monkeypatch, prop, per_block):
+    engines, evaluators = {"__init__": 0}, {"__init__": 0}
+    counts = {"herm_eig": 0, "partial_trace": 0, "stacked_pairs": 0}
+    _count_calls(monkeypatch, skew.SkewEngine, "__init__", engines)
+    _count_calls(monkeypatch, correlation.DeficitEvaluator, "__init__", evaluators)
+    _count_calls(monkeypatch, linalg, "herm_eig", counts)
+    _count_calls(monkeypatch, linalg, "partial_trace", counts)
+    _count_calls(monkeypatch, skew.SkewEngine, "stacked_pairs", counts)
+    res, _ = prop(CheckConfig(n_samples=250))
+    # three blocks (100 + 100 + 50 samples) of 2x2 and 2x3 states at nine
+    # alphas; every state and reduction decomposed with its stack
+    assert res.samples == 250
+    assert {**counts, "evaluators": evaluators["__init__"],
+            "engines": engines["__init__"]} == {
+        "herm_eig": 0, "partial_trace": 0,
+        **{key: 3 * n for key, n in per_block.items()}}
 
 
 @pytest.mark.parametrize("example_id, p", [(1, -0.4), (2, None), (3, 0.6)])
