@@ -76,6 +76,17 @@ def _report(kind: str, lhs: float, rhs: float, terms: dict,
                        tolerance=tolerance)
 
 
+def _per_state(values, states, stacked: bool, what: str) -> tuple:
+    """``(values,)`` for a lone state; ``values``, one per state, for a stack."""
+    try:
+        values = tuple(values) if stacked else (values,)
+    except TypeError:   # one value for a whole stack
+        values = ()
+    if len(values) != len(states):
+        raise ShapeError(f"a stack of states needs one {what} per state")
+    return values
+
+
 def heisenberg_type_checks(rho, r, s, alphas: tuple[float, ...]) -> list:
     """Memoryless bound at each of ``alphas``: product of the two
     geometric-mean uncertainties against a(1-a) |Tr rho [R, S]|^2. Both
@@ -83,26 +94,26 @@ def heisenberg_type_checks(rho, r, s, alphas: tuple[float, ...]) -> list:
     commutator trace is computed once. For a stack of states (see
     ``linalg.state_stack``), ``r`` and ``s`` hold one observable per state."""
     states, stacked = state_stack(rho)
-    rs, ss = (r, s) if stacked else ((r,), (s,))
-    if not len(rs) == len(ss) == len(states):
-        raise ShapeError("a stack of states needs one R and one S per state")
+    rs, ss = _per_state(r, states, stacked, "R"), _per_state(s, states, stacked, "S")
     for state, r_op, s_op in zip(states, rs, ss):
         _check_dims(state, r_op, s_op)
     hs = _stacked([np.stack((r_op.mat, s_op.mat)) for r_op, s_op in zip(rs, ss)])
     r_mats, s_mats = hs[..., 0, :, :], hs[..., 1, :, :]
     comm = r_mats @ s_mats - s_mats @ r_mats
     traces = (_stacked([state.mat for state in states]) @ comm).trace(0, -2, -1).reshape(-1)
+    scores = np.array(engine(*states).stacked_pairs(hs, alphas)).reshape(3, len(states), 2, -1)
+    alphas = [float(alpha) for alpha in alphas]
     out = []
-    for tr, (prs, pss) in zip(traces, engine(*states).stacked_pairs(hs, alphas)):
+    for tr, (r_scores, s_scores) in zip(traces, scores.transpose(1, 2, 3, 0).tolist()):
         comm_sq = abs(complex(tr))**2
         reports = []
-        for pr, ps in zip(prs, pss):
-            alpha_factor = pr.alpha * (1.0 - pr.alpha)
-            terms = {"u_alpha_R": pr.u_alpha, "u_alpha_S": ps.u_alpha,
-                     "i_alpha_R": pr.i_alpha, "j_alpha_R": pr.j_alpha,
-                     "i_alpha_S": ps.i_alpha, "j_alpha_S": ps.j_alpha,
+        for alpha, (i_r, j_r, u_r), (i_s, j_s, u_s) in zip(alphas, r_scores, s_scores):
+            alpha_factor = alpha * (1.0 - alpha)
+            terms = {"u_alpha_R": u_r, "u_alpha_S": u_s,
+                     "i_alpha_R": i_r, "j_alpha_R": j_r,
+                     "i_alpha_S": i_s, "j_alpha_S": j_s,
                      "alpha_factor": alpha_factor, "commutator_trace_abs_sq": comm_sq}
-            reports.append(_report("heisenberg", pr.u_alpha * ps.u_alpha,
+            reports.append(_report("heisenberg", u_r * u_s,
                                    alpha_factor * comm_sq, terms, HEISENBERG_TOL))
         out.append(reports)
     return out if stacked else out[0]
@@ -134,9 +145,7 @@ def memory_bounds(rho_ab, phi: ProjectiveBasis, psi: ProjectiveBasis, alpha: flo
     """
     alpha = check_alpha(alpha)
     states, stacked = state_stack(rho_ab)
-    d_values = [_check_d_value(d) for d in (d_value if stacked else (d_value,))]
-    if len(d_values) != len(states):
-        raise ShapeError("a stack of states needs one D value per state")
+    d_values = [_check_d_value(d) for d in _per_state(d_value, states, stacked, "D value")]
     d_a = states[0].d_A
     if phi.dim != d_a or psi.dim != d_a:
         raise ValidationError(
@@ -144,19 +153,19 @@ def memory_bounds(rho_ab, phi: ProjectiveBasis, psi: ProjectiveBasis, alpha: flo
     # both bases' embedded projectors from one rotation into each joint eigenbasis
     hs = embedded(np.concatenate((phi.projector_stack, psi.projector_stack)),
                   states[0].d_B)
-    scored = engine(*states).stacked_pairs(hs, (alpha,))
+    i, _, u = (x.reshape(len(states), 2, -1).tolist()
+               for x in engine(*states).stacked_pairs(hs, (alpha,)))
     per_state_l = compat_terms(reduced_states(states),
                                phi.projector_stack, psi.projector_stack, alpha)
     out = []
-    for pairs, per_k_l, d in zip(scored, per_state_l, d_values):
-        un_phi, un_psi = [t for [t] in pairs[:phi.dim]], [t for [t] in pairs[phi.dim:]]
+    for (i_phi, i_psi), (u_phi, u_psi), per_k_l, d in zip(i, u, per_state_l, d_values):
         terms = {
-            "un_phi": float(sum(t.u_alpha for t in un_phi)),
-            "un_psi": float(sum(t.u_alpha for t in un_psi)),
-            "per_k_UN_phi": [t.u_alpha for t in un_phi],
-            "per_k_UN_psi": [t.u_alpha for t in un_psi],
-            "per_k_I_phi": [t.i_alpha for t in un_phi],
-            "per_k_I_psi": [t.i_alpha for t in un_psi],
+            "un_phi": float(sum(u_phi)),
+            "un_psi": float(sum(u_psi)),
+            "per_k_UN_phi": u_phi,
+            "per_k_UN_psi": u_psi,
+            "per_k_I_phi": i_phi,
+            "per_k_I_psi": i_psi,
             "per_k_L": per_k_l,
             "sum_L": float(sum(per_k_l)),
             "sum_L_sq": float(sum(l * l for l in per_k_l)),

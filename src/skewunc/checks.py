@@ -205,14 +205,14 @@ def _draws(cfg: CheckConfig, tag: str, n: int, dims, kind: str = "full_rank",
         yield [(i, seed, rho, alphas[i % len(alphas)]) for i, rho in zip(block, states)]
 
 
-def _skew_pairs(states, hs, wanted) -> list[list]:
-    """The ``SkewPair``s of each state against its observable ``hs[k]`` at its
-    alphas ``wanted[k]``: one stacked scoring per state dimension, at every
-    alpha that its states want."""
+def _skew_ij(states, hs, wanted) -> list[list[list[float]]]:
+    """``[I, J]`` of each state against its observable ``hs[k]`` at each alpha of ``wanted[k]``:
+    one stacked scoring per state dimension, at every alpha that its states want."""
     def score(_, states, hs, wanted):
         alphas = tuple(dict.fromkeys(chain.from_iterable(wanted)))
-        scored = engine(*states).stacked_pairs(np.stack(hs)[:, None], alphas)
-        return [[pairs[alphas.index(a)] for a in want] for [pairs], want in zip(scored, wanted)]
+        i, j, _ = engine(*states).stacked_pairs(np.stack(hs)[:, None], alphas)
+        ij = np.stack((i[:, 0], j[:, 0]), -1).tolist()
+        return [[row[alphas.index(a)] for a in want] for row, want in zip(ij, wanted)]
     return _grouped([rho.dim for rho in states], score, states, hs, wanted)
 
 
@@ -296,32 +296,31 @@ def prop_kron_roundtrip(cfg: CheckConfig):
 def prop_skew_ordering(cfg: CheckConfig):
     for block in _draws(cfg, "skew_ordering", cfg.n_samples, cfg.dims):
         hs = [random_hermitian(rho.dim, seed + 1, index=i).mat for i, seed, rho, _ in block]
-        scored = _skew_pairs([rho for _, _, rho, _ in block], hs,
-                             [(alpha,) for *_, alpha in block])
-        for (_, _, rho, alpha), h, [pair] in zip(block, hs, scored):
-            yield min(pair.j_alpha - pair.i_alpha, pair.i_alpha), {
-                "state": rho, "alpha": alpha, "observable": h}
+        scored = _skew_ij([rho for _, _, rho, _ in block], hs,
+                          [(alpha,) for *_, alpha in block])
+        for (_, _, rho, alpha), h, [(i, j)] in zip(block, hs, scored):
+            yield min(j - i, i), {"state": rho, "alpha": alpha, "observable": h}
 
 
 @_property("skew_pure_state_reduction", 1e-9)
 def prop_pure_reduction(cfg: CheckConfig):
     for block in _draws(cfg, "pure_reduction", cfg.n_samples, cfg.dims, "pure"):
         hs = [random_hermitian(rho.dim, seed + 1, index=i) for i, seed, rho, _ in block]
-        scored = _skew_pairs([rho for _, _, rho, _ in block], [h.mat for h in hs],
-                             [cfg.alphas] * len(block))
-        for (_, _, rho, _), h, pairs in zip(block, hs, scored):
+        scored = _skew_ij([rho for _, _, rho, _ in block], [h.mat for h in hs],
+                          [cfg.alphas] * len(block))
+        for (_, _, rho, _), h, scores in zip(block, hs, scored):
             v = variance(rho, h)
-            yield -max(abs(p.i_alpha - v) for p in pairs), {"state": rho, "observable": h.mat}
+            yield -max(abs(i - v) for i, _ in scores), {"state": rho, "observable": h.mat}
 
 
 @_property("skew_alpha_symmetry", 1e-10)
 def prop_alpha_symmetry(cfg: CheckConfig):
     for block in _draws(cfg, "alpha_symmetry", cfg.n_samples, cfg.dims):
         hs = [random_hermitian(rho.dim, seed + 1, index=i).mat for i, seed, rho, _ in block]
-        scored = _skew_pairs([rho for _, _, rho, _ in block], hs,
-                             [(alpha, 1 - alpha) for *_, alpha in block])
-        for (_, _, rho, alpha), (at, mirrored) in zip(block, scored):
-            err = max(abs(at.i_alpha - mirrored.i_alpha), abs(at.j_alpha - mirrored.j_alpha))
+        scored = _skew_ij([rho for _, _, rho, _ in block], hs,
+                          [(alpha, 1 - alpha) for *_, alpha in block])
+        for (_, _, rho, alpha), ((i_at, j_at), (i_mirrored, j_mirrored)) in zip(block, scored):
+            err = max(abs(i_at - i_mirrored), abs(j_at - j_mirrored))
             yield -err, {"state": rho, "alpha": alpha}
 
 
@@ -347,12 +346,10 @@ def prop_local_monotonicity(cfg: CheckConfig):
         rhos = [rho for _, _, rho, _ in block]
         xs = [random_hermitian(rho.d_A, seed + 1, index=i).mat for i, seed, rho, _ in block]
         wanted = [(alpha,) for *_, alpha in block]
-        joint = _skew_pairs(rhos, [kron(x, np.eye(rho.d_B)) for x, rho in zip(xs, rhos)],
-                            wanted)
-        local = _skew_pairs([rho.reduced() for rho in rhos], xs, wanted)
-        for (_, _, rho, alpha), x, [on_joint], [on_local] in zip(block, xs, joint, local):
-            yield on_joint.i_alpha - on_local.i_alpha, {
-                "state": rho, "alpha": alpha, "observable": x}
+        joint = _skew_ij(rhos, [kron(x, np.eye(rho.d_B)) for x, rho in zip(xs, rhos)], wanted)
+        local = _skew_ij([rho.reduced() for rho in rhos], xs, wanted)
+        for (_, _, rho, alpha), x, [(i_ab, _)], [(i_a, _)] in zip(block, xs, joint, local):
+            yield i_ab - i_a, {"state": rho, "alpha": alpha, "observable": x}
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +418,7 @@ def prop_cq_nullity(cfg: CheckConfig):
 def prop_heisenberg(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "heisenberg")
     for d in cfg.dims:
-        for lo in range(0, cfg.n_samples, _STACK):
-            n = range(lo, min(lo + _STACK, cfg.n_samples))
+        for n in _blocks(cfg.n_samples):
             rhos = random_densities(EnsembleSpec("full_rank", d, seed + d), n)
             rs = [random_hermitian(d, seed + 10 * d, index=i) for i in n]
             ss = [random_hermitian(d, seed + 20 * d, index=i) for i in n]
@@ -446,12 +442,9 @@ def prop_theorems_with_oracle(cfg: CheckConfig):
         thm.append((min(prod.slack, summ.slack), inputs))
 
         # chain links of the product bound's proof
-        sum_i_phi = float(sum(prod.terms["per_k_I_phi"]))
-        sum_i_psi = float(sum(prod.terms["per_k_I_psi"]))
-        mid = sum_i_phi * sum_i_psi
+        mid = float(sum(prod.terms["per_k_I_phi"])) * float(sum(prod.terms["per_k_I_psi"]))
         both = np.concatenate((phi.projector_stack, psi.projector_stack))
-        [scored] = engine(rho.reduced()).stacked_pairs(both, (alpha,))
-        i_a = [p.i_alpha for [p] in scored]
+        i_a = engine(rho.reduced()).stacked_pairs(both, (alpha,))[0][:, 0].tolist()
         i_a_phi, i_a_psi = i_a[:2], i_a[2:]
         mid2 = (d_val + sum(i_a_phi)) * (d_val + sum(i_a_psi))
         mid3 = d_val**2 + sum(a * b for a, b in zip(i_a_phi, i_a_psi))

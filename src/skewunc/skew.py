@@ -18,7 +18,6 @@ zeroed explicitly rather than left to rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +30,7 @@ from .linalg import (
     check_alpha,
     clipped_spectrum,
     fractional_power,
+    is_int,
     powered_spectrum,
     state_stack,
 )
@@ -107,17 +107,18 @@ class SkewPair:
     alpha: float
 
 
-def _clip_value(value: float, what: str) -> float:
-    if value < -NEG_CLIP:
-        raise NumericalConsistencyError(
-            f"{what} = {value:.3e} is negative beyond the {NEG_CLIP:.0e} noise floor")
-    return max(value, 0.0)
-
-
-def _skew_pair(alpha: float, i: float, j: float) -> SkewPair:
-    i = _clip_value(i, "skew information")
-    j = _clip_value(j, "dual skew information")
-    return SkewPair(i_alpha=i, j_alpha=j, u_alpha=math.sqrt(i * j), alpha=alpha)
+def _noise_floored(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """I, J and U = sqrt(I J) from raw I and J, with values in (-NEG_CLIP, 0) set to 0."""
+    ij = np.array((i, j))
+    if (ij < -NEG_CLIP).any():   # a bug: name the first bad value, I before J of each entry
+        by_entry = ij.reshape(2, -1).T   # (I, J) per (state, observable, alpha)
+        k = np.flatnonzero(by_entry < -NEG_CLIP)[0]
+        what = ("skew information", "dual skew information")[k % 2]
+        raise NumericalConsistencyError(f"{what} = {by_entry.flat[k]:.3e} is negative "
+                                        f"beyond the {NEG_CLIP:.0e} noise floor")
+    ij[ij < 0.0] = 0.0   # -0.0 stays, as in max(x, 0.0)
+    i, j = ij
+    return i, j, np.sqrt(i * j)
 
 
 def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
@@ -158,6 +159,8 @@ class SkewEngine:
         """Symmetric I and J pair-weight matrices in each eigenbasis, one per
         (state and) alpha, stacked as ([n_states,] n_alphas, d, d)."""
         alphas = tuple(map(check_alpha, alphas))
+        if not alphas:
+            raise ValidationError("alphas must hold at least one alpha")
         if alphas not in self._weights:
             if len(self._weights) >= _WEIGHT_SETS:
                 self._weights.clear()
@@ -182,31 +185,25 @@ class SkewEngine:
             self._weights[alphas] = (w_i, w_j)
         return self._weights[alphas]
 
-    def stacked_pairs(self, hs: np.ndarray,
-                      alphas: tuple[float, ...]) -> list[list[list[SkewPair]]]:
+    def stacked_pairs(self, hs: np.ndarray, alphas: tuple[float, ...]) -> tuple[np.ndarray, ...]:
         """Skew information, dual (of the centered observable) and their
         geometric mean of each state against each observable at each of
-        ``alphas``, from one rotation into the eigenbases: one list per state
-        of one list of pairs per observable. ``hs`` is an (m, d, d) stack
-        scored on every state, or an (n_states, m, d, d) stack per state."""
+        ``alphas``, from one rotation into the eigenbases: three arrays of
+        shape ([n_states,] m, n_alphas). ``hs`` is an (m, d, d) stack scored
+        on every state, or an (n_states, m, d, d) stack per state."""
         w_i, w_j = self.weights(alphas)
         v = self.eigenvectors
         ht = v.conj().swapaxes(-1, -2)[..., None, :, :] @ hs @ v[..., None, :, :]
         mean = (self.eigenvalues[..., None, :] * ht.diagonal(0, -2, -1).real).sum(-1)
         hc = ht - mean[..., None, None] * np.eye(self.dim)
-        i_raw = np.einsum('...ajk,...njk->...na', w_i, ht.real**2 + ht.imag**2)
-        j_raw = np.einsum('...ajk,...njk->...na', w_j, hc.real**2 + hc.imag**2)
-        per_state = (-1, *i_raw.shape[-2:])
-        alphas = [float(alpha) for alpha in alphas]
-        return [[[_skew_pair(alpha, i, j) for alpha, i, j in zip(alphas, i_row, j_row)]
-                 for i_row, j_row in zip(i_state, j_state)]
-                for i_state, j_state in zip(i_raw.reshape(per_state).tolist(),
-                                            j_raw.reshape(per_state).tolist())]
+        return _noise_floored(np.einsum('...ajk,...njk->...na', w_i, ht.real**2 + ht.imag**2),
+                              np.einsum('...ajk,...njk->...na', w_j, hc.real**2 + hc.imag**2))
 
     def pairs(self, h: np.ndarray, alphas: tuple[float, ...]) -> list[SkewPair]:
-        """``stacked_pairs`` of one observable on a one-state engine."""
-        [[pairs]] = self.stacked_pairs(h[None], alphas)
-        return pairs
+        """One ``SkewPair`` per alpha of one observable, on a one-state engine."""
+        [i], [j], [u] = (x.tolist() for x in self.stacked_pairs(h[None], alphas))
+        return [SkewPair(i_alpha=i_a, j_alpha=j_a, u_alpha=u_a, alpha=float(alpha))
+                for alpha, i_a, j_a, u_a in zip(alphas, i, j, u)]
 
     def pair(self, h: np.ndarray, alpha: float) -> SkewPair:
         """``pairs`` at one alpha."""
@@ -267,14 +264,15 @@ def measurement_uncertainty_terms(rho: DensityMatrix, basis: ProjectiveBasis,
     composite system whose second factor has that dimension; the state must
     then live on the composite space.
     """
-    if memory_dim < 1:
-        raise ValidationError(f"memory_dim must be >= 1, got {memory_dim}")
+    if not is_int(memory_dim, 1):
+        raise ValidationError(f"memory_dim must be an integer >= 1, got {memory_dim!r}")
     if basis.dim * memory_dim != rho.dim:
         raise ShapeError(
             f"basis dimension {basis.dim} x memory {memory_dim} != state "
             f"dimension {rho.dim}")
-    hs = embedded(basis.projector_stack, memory_dim)
-    return [t for [t] in engine(rho).stacked_pairs(hs, (alpha,))[0]]
+    scored = engine(rho).stacked_pairs(embedded(basis.projector_stack, memory_dim), (alpha,))
+    return [SkewPair(i_alpha=i, j_alpha=j, u_alpha=u, alpha=float(alpha))
+            for [i], [j], [u] in zip(*(x.tolist() for x in scored))]
 
 
 def measurement_uncertainty_UN(rho: DensityMatrix, basis: ProjectiveBasis,
@@ -298,15 +296,14 @@ def compat_terms(rho_a, phis: np.ndarray, psis: np.ndarray,
     own), with their 2m duals from one scoring, on one state or a stack."""
     alpha = check_alpha(alpha)
     states, stacked = state_stack(rho_a)
-    scored = engine(*states).stacked_pairs(np.concatenate((phis, psis)), (alpha,))
+    _, duals, _ = engine(*states).stacked_pairs(np.concatenate((phis, psis)), (alpha,))
     comm = phis @ psis - psis @ phis
     traces = (_stacked([rho.mat for rho in states])[..., None, :, :] @ comm).trace(
         0, -2, -1).reshape(-1, len(phis))
     out = []
-    for pairs, state_traces in zip(scored, traces):
-        duals = [p.j_alpha for [p] in pairs]
+    for (j_phis, j_psis), state_traces in zip(duals.reshape(-1, 2, len(phis)).tolist(), traces):
         out.append([])
-        for tr, j_phi, j_psi in zip(state_traces, duals[:len(phis)], duals[len(phis):]):
+        for tr, j_phi, j_psi in zip(state_traces, j_phis, j_psis):
             numerator = alpha * (1.0 - alpha) * abs(complex(tr))**2
             denom_sq = j_phi * j_psi
             out[-1].append(0.0 if denom_sq < DENOM_TOL else float(numerator / np.sqrt(denom_sq)))

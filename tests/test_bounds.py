@@ -98,13 +98,14 @@ def _one_observable_scores(eng, h, alphas):
 
 
 def _assert_stack_bit_equal(eng, hs, alphas):
-    [stacked] = eng.stacked_pairs(hs, alphas)
-    assert len(stacked) == len(hs)
-    for h, pairs in zip(hs, stacked):
-        assert pairs == eng.pairs(h, alphas)
-        for pair, (i, j) in zip(pairs, _one_observable_scores(eng, h, alphas)):
-            assert (pair.i_alpha, pair.j_alpha) == (i, j)
-            assert pair.u_alpha == float(np.sqrt(i * j))
+    i, j, u = eng.stacked_pairs(hs, alphas)
+    assert i.shape == j.shape == u.shape == (len(hs), len(alphas))
+    for h, *scores in zip(hs, i.tolist(), j.tolist(), u.tolist()):
+        pairs = eng.pairs(h, alphas)
+        assert [(p.i_alpha, p.j_alpha, p.u_alpha) for p in pairs] == list(zip(*scores))
+        for i_k, j_k, u_k, (i_one, j_one) in zip(*scores, _one_observable_scores(eng, h, alphas)):
+            assert (i_k, j_k) == (i_one, j_one)
+            assert u_k == float(np.sqrt(i_one * j_one))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from skewunc.bounds import heisenberg_type_checks
 from skewunc.errors import ShapeError, ValidationError
 from skewunc.linalg import DensityMatrix, HermitianOperator
 from skewunc.skew import (
@@ -140,6 +141,28 @@ def test_un_dimension_validation():
         measurement_uncertainty_UN(rho, pauli_basis("x"), 0.5, memory_dim=2)
     with pytest.raises(ValidationError):
         measurement_uncertainty_UN(rho, pauli_basis("x"), 0.5, memory_dim=0)
+
+
+@pytest.mark.parametrize("memory_dim", [2.0, True, "2", None])
+def test_un_memory_dim_must_be_an_integer(memory_dim):
+    rho = werner_swap(0.3)
+    with pytest.raises(ValidationError, match="memory_dim"):
+        measurement_uncertainty_UN(rho, pauli_basis("x"), 0.5, memory_dim=memory_dim)
+    with pytest.raises(ValidationError, match="memory_dim"):
+        measurement_uncertainty_terms(rho, pauli_basis("x"), 0.5, memory_dim=memory_dim)
+    assert measurement_uncertainty_terms(rho, pauli_basis("x"), 0.5, memory_dim=np.int64(2)) == \
+        measurement_uncertainty_terms(rho, pauli_basis("x"), 0.5, memory_dim=2)
+
+
+def test_an_empty_alpha_tuple_is_rejected():
+    rho = random_density(EnsembleSpec("full_rank", 2, 5))
+    x, z = pauli("x"), pauli("z")
+    with pytest.raises(ValidationError, match="alpha"):
+        SkewEngine(rho).pairs(x.mat, ())
+    with pytest.raises(ValidationError, match="alpha"):
+        SkewEngine(rho, rho).stacked_pairs(x.mat[None], ())
+    with pytest.raises(ValidationError, match="alpha"):
+        heisenberg_type_checks(rho, x, z, ())
 
 
 # --- projective basis --------------------------------------------------------

@@ -143,12 +143,12 @@ def test_stacked_scoring_has_the_bits_of_one_state_scoring(d):
     for alphas in (ALPHAS, *((a,) for a in ALPHAS)):
         for hs, pick in ((shared, lambda i: shared), (per_state, lambda i: per_state[i])):
             scored = eng.stacked_pairs(hs, alphas)
-            assert len(scored) == len(rhos)
-            for i, (rho, pairs) in enumerate(zip(rhos, scored)):
+            assert all(x.shape == (len(rhos), len(pick(0)), len(alphas)) for x in scored)
+            for i, rho in enumerate(rhos):
                 expected = _one_state_scores(rho, pick(i), alphas)
-                got = [[(p.i_alpha, p.j_alpha, p.u_alpha) for p in row] for row in pairs]
-                assert _same_bits(got, expected)
-                assert pairs == engine(rho).stacked_pairs(pick(i), alphas)[0]
+                assert _same_bits(np.stack([x[i] for x in scored], -1), expected)
+                alone = engine(rho).stacked_pairs(pick(i), alphas)
+                assert all(_same_bits(x[i], y) for x, y in zip(scored, alone))
 
 
 @pytest.mark.parametrize("d_b", [2, 3, 4])
@@ -356,6 +356,28 @@ def test_a_value_below_the_noise_floor_raises_for_the_first_state_that_has_one()
     assert str(stacked.value).startswith("skew information = -")
 
 
+def test_a_bad_dual_is_named_before_a_later_bad_skew_information():
+    """The first bad value in (state, observable, alpha) order is named: here
+    J of state 1 at alpha 0.3, before I of state 1 at 0.6 and I of state 2."""
+    rhos = [random_density(EnsembleSpec("full_rank", 3, 412), index=i) for i in range(3)]
+    h = random_hermitian(3, 413).mat
+    alphas = (0.3, 0.6)
+    eng = SkewEngine(*rhos)
+    bent_i, bent_j = (np.array(w) for w in eng.weights(alphas))
+    bent_j[1, 0] = -bent_j[1, 0] - 1e-3
+    bent_i[1, 1] = -bent_i[1, 1] - 1e-3
+    bent_i[2] = -bent_i[2] - 1e-3
+    eng._weights[alphas] = (bent_i, bent_j)
+    alone = SkewEngine(rhos[1])
+    alone._weights[alphas] = (bent_i[1], bent_j[1])
+    with pytest.raises(NumericalConsistencyError) as stacked:
+        eng.stacked_pairs(h[None], alphas)
+    with pytest.raises(NumericalConsistencyError) as single:
+        alone.pairs(h, alphas)
+    assert str(stacked.value) == str(single.value)
+    assert str(stacked.value).startswith("dual skew information = -")
+
+
 def test_stacks_need_states_of_one_shape():
     with pytest.raises(ShapeError):
         SkewEngine(random_density(EnsembleSpec("full_rank", 2, 1)),
@@ -370,6 +392,16 @@ def test_stacks_need_states_of_one_shape():
         heisenberg_type_checks([rho, rho], [pauli("x")], [pauli("z")], (0.3,))
     with pytest.raises(ShapeError):
         memory_bounds([werner_swap(0.1)] * 2, pauli_basis("x"), pauli_basis("z"), 0.3, [0.0])
+    # one R, S or D for a whole stack
+    with pytest.raises(ShapeError):
+        heisenberg_type_checks([rho, rho], pauli("x"), [pauli("z")] * 2, (0.3,))
+    with pytest.raises(ShapeError):
+        heisenberg_type_checks([rho, rho], [pauli("x")] * 2, pauli("z"), (0.3,))
+    with pytest.raises(ShapeError):
+        heisenberg_type_checks([rho], pauli("x"), pauli("z"), (0.3,))
+    for stack in ([werner_swap(0.1)] * 2, [werner_swap(0.1)]):
+        with pytest.raises(ShapeError):
+            memory_bounds(stack, pauli_basis("x"), pauli_basis("z"), 0.3, 0.1)
 
 
 # --- alpha validation ----------------------------------------------------------
