@@ -31,7 +31,9 @@ from .linalg import (
     BipartiteDensityMatrix,
     DensityMatrix,
     HermitianOperator,
+    as_real,
     check_alpha,
+    check_type,
     reduced_states,
     state_stack,
 )
@@ -95,8 +97,7 @@ def heisenberg_type_checks(rho, r, s, alphas: tuple[float, ...]) -> list:
     ``linalg.state_stack``), ``r`` and ``s`` hold one observable per state."""
     states, stacked = state_stack(rho)
     rs, ss = _per_state(r, states, stacked, "R"), _per_state(s, states, stacked, "S")
-    for state, r_op, s_op in zip(states, rs, ss):
-        _check_dims(state, r_op, s_op)
+    _check_dims(states[0], *rs, *ss)   # the states share one dimension
     hs = _stacked([np.stack((r_op.mat, s_op.mat)) for r_op, s_op in zip(rs, ss)])
     r_mats, s_mats = hs[..., 0, :, :], hs[..., 1, :, :]
     comm = r_mats @ s_mats - s_mats @ r_mats
@@ -125,14 +126,6 @@ def heisenberg_type_check(rho: DensityMatrix, r: HermitianOperator,
     return heisenberg_type_checks(rho, r, s, (alpha,))[0]
 
 
-def _check_d_value(d_value: float) -> float:
-    d_value = float(d_value)
-    if d_value < -NEG_CLIP:
-        raise ValidationError(
-            f"quantum correlation must be nonnegative, got {d_value:.3e}")
-    return max(d_value, 0.0)
-
-
 def memory_bounds(rho_ab, phi: ProjectiveBasis, psi: ProjectiveBasis, alpha: float,
                   d_value) -> tuple[BoundReport, BoundReport] | list:
     """Product and sum bounds with memory, from one evaluation of their
@@ -143,11 +136,12 @@ def memory_bounds(rho_ab, phi: ProjectiveBasis, psi: ProjectiveBasis, alpha: flo
     For a stack of states (see ``linalg.state_stack``), ``d_value`` holds one
     value per state.
     """
-    alpha = check_alpha(alpha)
-    states, stacked = state_stack(rho_ab)
-    d_values = [_check_d_value(d) for d in _per_state(d_value, states, stacked, "D value")]
+    states, stacked = state_stack(rho_ab, BipartiteDensityMatrix)
+    # a D above -NEG_CLIP is float noise around 0
+    d_values = [max(as_real(d, "quantum correlation", -NEG_CLIP), 0.0)
+                for d in _per_state(d_value, states, stacked, "D value")]
     d_a = states[0].d_A
-    if phi.dim != d_a or psi.dim != d_a:
+    if {check_type(basis, ProjectiveBasis, "basis").dim for basis in (phi, psi)} != {d_a}:
         raise ValidationError(
             f"both bases must live on the measured subsystem (dimension {d_a})")
     # both bases' embedded projectors from one rotation into each joint eigenbasis
@@ -216,10 +210,8 @@ def example_closed_forms(example_id: int, side: str, p: float,
     alpha = check_alpha(alpha)
     if side not in ("product", "sum"):
         raise ValidationError(f"side must be 'product' or 'sum', got {side!r}")
-    p = float(p)
     if example_id == 1:
-        if not (-1.0 <= p <= 1.0):
-            raise ValidationError(f"example 1 needs p in [-1, 1], got {p}")
+        p = as_real(p, "p", -1.0, 1.0)
         t = (_pow0(3.0 - 3.0 * p, alpha) * _pow0(1.0 + p, 1.0 - alpha)
              + _pow0(1.0 + p, alpha) * _pow0(3.0 - 3.0 * p, 1.0 - alpha))
         x = max(_snap((2.0 - p) / 12.0 - t / 24.0), 0.0)
@@ -228,8 +220,7 @@ def example_closed_forms(example_id: int, side: str, p: float,
             return 4.0 * x * y, (2.0 * x) ** 2
         return 4.0 * np.sqrt(x) * np.sqrt(y), max(_snap((2.0 - p) / 3.0 - t / 6.0), 0.0)
     if example_id == 3:
-        if not (0.0 <= p <= 1.0):
-            raise ValidationError(f"example 3 needs p in [0, 1], got {p}")
+        p = as_real(p, "p", 0.0, 1.0)
         s = (_pow0(1.0 - p, alpha) * _pow0(1.0 + 3.0 * p, 1.0 - alpha)
              + _pow0(1.0 - p, 1.0 - alpha) * _pow0(1.0 + 3.0 * p, alpha))
         x = max(_snap((1.0 + p) / 8.0 - s / 16.0), 0.0)

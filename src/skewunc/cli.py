@@ -32,7 +32,7 @@ from .errors import (
     SkewuncError,
     ValidationError,
 )
-from .linalg import HermitianOperator, kron
+from .linalg import HermitianOperator, as_real, check_alpha, kron
 from .serialize import fmt17, load_state
 from .states import EnsembleSpec, example2_state, pauli, pauli_basis
 from .sweeps import (
@@ -100,7 +100,7 @@ class SweepConfig:
 def _parse_alpha_list(text: str) -> tuple[float, ...]:
     """The ``--alpha`` text as numbers, for the ``alphas`` reader to check."""
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(float(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"cannot parse alpha list {text!r}") from exc
 
@@ -148,15 +148,6 @@ def _int_reader(key: str, minimum: int):
     return lambda value: _config_int(key, value, minimum)
 
 
-def _config_float(value) -> float:
-    """A finite JSON number; bools, strings, NaN and infinities are errors."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("not a number")
-    if not np.isfinite(value):
-        raise ValueError("not finite")
-    return float(value)
-
-
 def _reader(convert, ok, reason: str):
     """A setting's reader: convert the value, then reject it unless ``ok``
     holds. ``_converted`` reports either failure as a config error."""
@@ -176,12 +167,11 @@ def _choice(*choices):
     return _reader(lambda v: v, ok, f"must be one of {choices}")
 
 
-_positive_float = _reader(_config_float, lambda x: x > 0, "must be positive")
-_unit_float = _reader(_config_float, lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]")
-_alphas = _reader(lambda values: tuple(map(_unit_float, values)), bool,
+_positive_float = _reader(as_real, lambda x: x > 0, "must be positive")
+_alphas = _reader(lambda values: tuple(map(check_alpha, values)), bool,
                   "must be a nonempty subset of [0, 1]")
 _string = _reader(lambda v: v, lambda v: isinstance(v, str), "must be a string")
-_bases = _reader(lambda text: tuple(t.strip() for t in text.split(",") if t.strip()),
+_bases = _reader(lambda text: tuple(t.strip() for t in text.split(",")),
                  lambda axes: len(axes) == 2 and set(axes) <= {"x", "y", "z"},
                  "must be two of x, y, z")
 
@@ -330,7 +320,7 @@ def _report_dict(rep: BoundReport) -> dict:
 
 # How each eval setting is read; eval takes flags only.
 _EVAL_KEYS = {
-    "state": _string, "bases": _bases, "alpha": _unit_float,
+    "state": _string, "bases": _bases, "alpha": check_alpha,
     "oracle": _choice("grid", "optimizer"), "seed": _int_reader("seed", 0),
     "out": _string,
 }
@@ -409,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # and the dest of its flag, if it has one.
 _SWEEP_KEYS = {
     "example": _choice(1, 2, 3, "custom"), "alphas": _alphas,
-    "p_start": _config_float, "p_stop": _config_float, "p_step": _positive_float,
+    "p_start": as_real, "p_stop": as_real, "p_step": _positive_float,
     "oracle": _choice("grid", "optimizer"), "seed": _int_reader("seed", 0),
     "out": _string, "format": _choice("csv", "json"), "state": _string,
 }

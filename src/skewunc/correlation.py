@@ -23,7 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalConsistencyError, OptimizerError, ShapeError, ValidationError
-from .linalg import BipartiteDensityMatrix, check_alpha, is_int, reduced_states, state_stack
+from .linalg import (BipartiteDensityMatrix, as_int, check_alpha, check_type,
+                     reduced_states, state_stack)
 from .skew import NEG_CLIP, ProjectiveBasis, embedded, engine
 from .states import pauli
 
@@ -84,7 +85,7 @@ class DeficitEvaluator:
 
     def __init__(self, rho_ab, alpha: float):
         self.alpha = check_alpha(alpha)
-        states, self._stacked = state_stack(rho_ab)
+        states, self._stacked = state_stack(rho_ab, BipartiteDensityMatrix)
         self.d_A = states[0].d_A
         self.d_B = states[0].d_B
         self._eng_ab = engine(*states)
@@ -186,7 +187,8 @@ def correlation_deficit(rho_ab: BipartiteDensityMatrix, basis: ProjectiveBasis,
     Nonnegative up to float noise (local monotonicity of the skew
     information); small negatives are clipped to zero.
     """
-    if basis.dim != rho_ab.d_A:
+    check_type(rho_ab, BipartiteDensityMatrix, "rho_ab")
+    if check_type(basis, ProjectiveBasis, "basis").dim != rho_ab.d_A:
         raise ShapeError(
             f"basis dimension {basis.dim} != measured subsystem {rho_ab.d_A}")
     ev = DeficitEvaluator(rho_ab, alpha)
@@ -271,8 +273,7 @@ def quantum_correlation_D(rho_ab: BipartiteDensityMatrix, alpha: float,
     for a qubit subsystem ``brute_force_D_qubit`` gives the exact value.
     Deterministic for a fixed ``seed``, an integer >= 0.
     """
-    if not is_int(seed, 0):
-        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    seed = as_int(seed, 0, "seed")
     ev = DeficitEvaluator(rho_ab, alpha)
     d = ev.d_A
     nparams = d * d
@@ -332,7 +333,7 @@ def brute_force_D_qubit(rho_ab, alpha: float) -> float | list[float]:
     The command line and configs select it as oracle ``"grid"``. A stack of
     states (see ``linalg.state_stack``) gets one minimum per state.
     """
-    states, stacked = state_stack(rho_ab)
+    states, stacked = state_stack(rho_ab, BipartiteDensityMatrix)
     if states[0].d_A != 2:
         raise ValidationError(
             f"qubit oracle requires a qubit subsystem, got d_A = {states[0].d_A}")

@@ -1,6 +1,8 @@
 """Dense complex linear algebra: validated operator types, Hermitian
 eigendecomposition with deterministic tie-breaking, fractional matrix powers,
-tensor products and partial traces.
+tensor products and partial traces; and the coercion of every public input
+(matrices, integers, real numbers, package types and stacks of states) that
+raises a ValidationError naming the input.
 
 Index convention for composite systems: basis state |i>_A |j>_B maps to the
 flat index i * d_B + j (row-major), which is exactly what ``numpy.kron``
@@ -9,6 +11,7 @@ produces. Every module in this package relies on that convention.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -39,7 +42,10 @@ def as_complex_matrix(a, ndim: int = 2) -> np.ndarray:
 
     Returns a fresh read-only copy so validated values can be shared freely.
     """
-    mat = np.array(a, dtype=np.complex128, copy=True)
+    try:
+        mat = np.array(a, dtype=np.complex128, copy=True)
+    except (TypeError, ValueError) as exc:   # a ragged sequence, or entries that are not numbers
+        raise ValidationError(f"expected a matrix of numbers ({exc})") from exc
     if mat.ndim != ndim or mat.shape[-1] != mat.shape[-2]:
         raise ShapeError(f"expected a square matrix, got shape {mat.shape}")
     if mat.size == 0:
@@ -146,22 +152,23 @@ class BipartiteDensityMatrix(DensityMatrix):
 
     def __init__(self, mat, d_A: int, d_B: int):
         super().__init__(mat)
-        self._set_factors(d_A, d_B)
+        self.d_A, self.d_B = self._factors(d_A, d_B, self.dim)
+        self._reduced: DensityMatrix | None = None
 
     @classmethod
     def _stacked(cls, mats: np.ndarray, d_A: int, d_B: int) -> list:
+        d_A, d_B = cls._factors(d_A, d_B, mats.shape[-1])
         states = super()._stacked(mats)
         for state in states:
-            state._set_factors(d_A, d_B)
+            state.d_A, state.d_B, state._reduced = d_A, d_B, None
         return states
 
-    def _set_factors(self, d_A: int, d_B: int) -> None:
-        if d_A < 1 or d_B < 1 or d_A * d_B != self.dim:
-            raise ShapeError(
-                f"declared factors {d_A}x{d_B} do not match dimension {self.dim}")
-        self.d_A = int(d_A)
-        self.d_B = int(d_B)
-        self._reduced: DensityMatrix | None = None
+    @staticmethod
+    def _factors(d_A, d_B, dim: int) -> tuple[int, int]:
+        d_A, d_B = as_int(d_A, 1, "d_A"), as_int(d_B, 1, "d_B")
+        if d_A * d_B != dim:
+            raise ShapeError(f"declared factors {d_A}x{d_B} do not match dimension {dim}")
+        return d_A, d_B
 
     def reduced(self) -> DensityMatrix:
         """The reduced state rho_A, computed once and cached (mat is immutable)."""
@@ -252,7 +259,7 @@ def stacked_eig(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def herm_eig(op: HermitianOperator) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian operator (``stacked_eig``)."""
-    w, v = stacked_eig(op.mat)
+    w, v = stacked_eig(check_type(op, HermitianOperator, "op").mat)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
@@ -260,8 +267,6 @@ def clipped_spectrum(rho: DensityMatrix) -> np.ndarray:
     """Eigenvalues of a validated state with its accepted negatives clipped
     to 0. Positive values under SPECTRUM_FLOOR times the spectral radius are
     snapped to exact zeros as well (roundoff, not rank)."""
-    if not isinstance(rho, DensityMatrix):
-        raise ValidationError(f"expected a validated state, got {type(rho).__name__}")
     w = np.maximum(rho.spectral().eigenvalues, 0.0)
     top = float(w[-1])
     if top > 0.0:
@@ -275,33 +280,50 @@ def powered_spectrum(w: np.ndarray, alpha: float) -> np.ndarray:
     return np.power(w, alpha, out=np.zeros_like(w), where=w > 0.0)
 
 
+def as_int(x, minimum: int, name: str) -> int:
+    """``x`` as an int >= ``minimum``; a bool or a float is not an integer here."""
+    if (type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral))
+            or x < minimum):
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {x!r}")
+    return int(x)
+
+
+def as_real(x, name: str = "value", lo: float = -math.inf, hi: float = math.inf) -> float:
+    """``x`` as a finite float in [lo, hi]; a bool, a string or a complex
+    number is not real here."""
+    if (type(x) is not float and (isinstance(x, bool) or not isinstance(x, numbers.Real))
+            or not math.isfinite(x)):
+        raise ValidationError(f"{name} must be a finite real number, got {x!r}")
+    x = float(x)
+    if not lo <= x <= hi:
+        raise ValidationError(f"{name} must lie in [{lo:g}, {hi:g}], got {x}")
+    return x
+
+
 def check_alpha(alpha: float) -> float:
-    """Validate the fractional-power exponent, a real number (not a bool)."""
-    if type(alpha) is not float and (isinstance(alpha, bool)
-                                     or not isinstance(alpha, numbers.Real)):
-        raise ValidationError(f"alpha must be a real number, got {alpha!r}")
-    alpha = float(alpha)
-    if not (0.0 <= alpha <= 1.0):
-        raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
+    """The fractional-power exponent, a real number in [0, 1]."""
+    return as_real(alpha, "alpha", 0.0, 1.0)
 
 
-def is_int(x, minimum: int) -> bool:
-    """``x`` is an integer >= ``minimum``; a bool is not an integer here."""
-    return not isinstance(x, bool) and isinstance(x, numbers.Integral) and x >= minimum
+def check_type(x, kind: type, name: str):
+    """``x`` if it is a ``kind``; a ``ValidationError`` naming it if not."""
+    if not isinstance(x, kind):
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {type(x).__name__}")
+    return x
 
 
-def state_stack(states) -> tuple[tuple[HermitianOperator, ...], bool]:
-    """``((state,), False)`` for one state, ``(tuple(states), True)`` for a
-    nonempty sequence of states of one dimension (and one d_A if bipartite):
-    the functions that take either score a stack and answer per state."""
-    if isinstance(states, HermitianOperator):
-        return (states,), False
-    states = tuple(states)
+def state_stack(states, kind: type = DensityMatrix) -> tuple[tuple[DensityMatrix, ...], bool]:
+    """``((state,), False)`` for one ``kind`` of state, ``(tuple(states), True)``
+    for a nonempty list or tuple of them of one dimension (and one d_A if
+    bipartite): the functions that take either score a stack and answer per state."""
+    stacked = isinstance(states, (list, tuple))
+    states = tuple(states) if stacked else (states,)
+    if not all(isinstance(s, kind) for s in states):
+        raise ValidationError(f"expected a {kind.__name__} or a list of them")
     if len(states) != 1 and (len({s.dim for s in states}) != 1 or len(
             {s.d_A for s in states if isinstance(s, BipartiteDensityMatrix)}) > 1):
         raise ShapeError("a state stack needs one or more states of one shape")
-    return states, True
+    return states, stacked
 
 
 def fractional_power(rho: DensityMatrix, alpha: float) -> HermitianOperator:
@@ -312,15 +334,15 @@ def fractional_power(rho: DensityMatrix, alpha: float) -> HermitianOperator:
     projector, not the identity).
     """
     alpha = check_alpha(alpha)
-    w = powered_spectrum(clipped_spectrum(rho), alpha)
+    w = powered_spectrum(clipped_spectrum(check_type(rho, DensityMatrix, "rho")), alpha)
     v = rho.spectral().eigenvectors
     m = (v * w) @ v.conj().T
     return HermitianOperator(0.5 * (m + m.conj().T))
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with the row-major convention |i>|j> -> i*d_B + j."""
-    return np.kron(np.asarray(a), np.asarray(b))
+def kron(a, b) -> np.ndarray:
+    """Tensor product of two complex square matrices, row-major: |i>|j> -> i*d_B + j."""
+    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
 # Reduction of a valid state is a valid state; its PSD guard is loosened only
@@ -332,7 +354,7 @@ def partial_trace(rho: BipartiteDensityMatrix, keep: str) -> DensityMatrix:
     """Trace out one factor of a bipartite state; ``keep`` is 'A' or 'B'."""
     if keep not in ("A", "B"):
         raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
-    da, db = rho.d_A, rho.d_B
+    da, db = check_type(rho, BipartiteDensityMatrix, "rho").d_A, rho.d_B
     t = rho.mat.reshape(da, db, da, db)
     reduced = np.einsum('ijkj->ik', t) if keep == "A" else np.einsum('ijil->jl', t)
     return DensityMatrix(reduced, psd_tol=_REDUCED_PSD_TOL)
@@ -341,6 +363,7 @@ def partial_trace(rho: BipartiteDensityMatrix, keep: str) -> DensityMatrix:
 def reduced_states(states) -> tuple[DensityMatrix, ...]:
     """``reduced()`` of each of a stack of bipartite states of one shape; those
     not cached yet come from one ``einsum`` and one ``DensityMatrix.stack``."""
+    states, _ = state_stack(states, BipartiteDensityMatrix)
     todo = [state for state in states if state._reduced is None]
     if len(todo) > 1:
         da, db = todo[0].d_A, todo[0].d_B
@@ -351,19 +374,21 @@ def reduced_states(states) -> tuple[DensityMatrix, ...]:
     return tuple(state.reduced() for state in states)
 
 
-def _check_same_dim(a: HermitianOperator, b: HermitianOperator) -> None:
-    if a.dim != b.dim:
-        raise ShapeError(f"dimension mismatch: {a.dim} vs {b.dim}")
+def check_dims(*operators: HermitianOperator) -> None:
+    """Each of ``operators`` is a Hermitian operator, all of one dimension."""
+    dims = [check_type(op, HermitianOperator, "operator").dim for op in operators]
+    if len(set(dims)) > 1:
+        raise ShapeError(f"dimension mismatch: {' vs '.join(map(str, dims))}")
 
 
 def commutator(a: HermitianOperator, b: HermitianOperator) -> np.ndarray:
     """AB - BA (anti-Hermitian for Hermitian inputs)."""
-    _check_same_dim(a, b)
+    check_dims(a, b)
     return a.mat @ b.mat - b.mat @ a.mat
 
 
 def anticommutator(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     """AB + BA, returned as a validated Hermitian operator."""
-    _check_same_dim(a, b)
+    check_dims(a, b)
     m = a.mat @ b.mat + b.mat @ a.mat
     return HermitianOperator(0.5 * (m + m.conj().T))

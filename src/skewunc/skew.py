@@ -27,10 +27,13 @@ from .errors import NumericalConsistencyError, ShapeError, ValidationError
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
+    as_complex_matrix,
+    as_int,
     check_alpha,
+    check_dims,
+    check_type,
     clipped_spectrum,
     fractional_power,
-    is_int,
     powered_spectrum,
     state_stack,
 )
@@ -69,11 +72,7 @@ class ProjectiveBasis:
     __slots__ = ("columns", "projector_stack")
 
     def __init__(self, columns):
-        cols = np.array(columns, dtype=np.complex128, copy=True)
-        if cols.ndim != 2 or cols.shape[0] != cols.shape[1] or cols.size == 0:
-            raise ShapeError(f"expected a nonempty square column matrix, got {cols.shape}")
-        if not np.all(np.isfinite(cols)):
-            raise ValidationError("basis vectors contain NaN or Inf entries")
+        cols = as_complex_matrix(columns)
         d = cols.shape[0]
         gram = cols.conj().T @ cols
         if not float(np.max(np.abs(gram - np.eye(d)))) <= BASIS_TOL:
@@ -82,7 +81,7 @@ class ProjectiveBasis:
         if not float(np.max(np.abs(resolution - np.eye(d)))) <= BASIS_TOL:
             raise ValidationError("basis projectors do not sum to the identity")
         stack = cols.T[:, :, None] * cols.conj().T[:, None, :]
-        cols.flags.writeable = stack.flags.writeable = False
+        stack.flags.writeable = False
         self.columns = cols
         self.projector_stack = stack
 
@@ -201,6 +200,8 @@ class SkewEngine:
 
     def pairs(self, h: np.ndarray, alphas: tuple[float, ...]) -> list[SkewPair]:
         """One ``SkewPair`` per alpha of one observable, on a one-state engine."""
+        if self.eigenvalues.ndim != 1:
+            raise ShapeError("pairs needs an engine of one state")
         [i], [j], [u] = (x.tolist() for x in self.stacked_pairs(h[None], alphas))
         return [SkewPair(i_alpha=i_a, j_alpha=j_a, u_alpha=u_a, alpha=float(alpha))
                 for alpha, i_a, j_a, u_a in zip(alphas, i, j, u)]
@@ -220,9 +221,7 @@ def engine(*states: DensityMatrix) -> SkewEngine:
 
 
 def _check_dims(rho: DensityMatrix, *observables: HermitianOperator) -> None:
-    for h in observables:
-        if rho.dim != h.dim:
-            raise ShapeError(f"state dimension {rho.dim} != observable dimension {h.dim}")
+    check_dims(check_type(rho, DensityMatrix, "rho"), *observables)
 
 
 def skew_information_I(rho: DensityMatrix, h: HermitianOperator, alpha: float) -> float:
@@ -264,9 +263,9 @@ def measurement_uncertainty_terms(rho: DensityMatrix, basis: ProjectiveBasis,
     composite system whose second factor has that dimension; the state must
     then live on the composite space.
     """
-    if not is_int(memory_dim, 1):
-        raise ValidationError(f"memory_dim must be an integer >= 1, got {memory_dim!r}")
-    if basis.dim * memory_dim != rho.dim:
+    memory_dim = as_int(memory_dim, 1, "memory_dim")
+    _check_dims(rho)
+    if check_type(basis, ProjectiveBasis, "basis").dim * memory_dim != rho.dim:
         raise ShapeError(
             f"basis dimension {basis.dim} x memory {memory_dim} != state "
             f"dimension {rho.dim}")

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import BipartiteDensityMatrix, DensityMatrix, HermitianOperator, is_int, kron
+from .linalg import (BipartiteDensityMatrix, DensityMatrix, HermitianOperator, as_int,
+                     as_real, check_type, kron)
 from .skew import ProjectiveBasis
 
 # The isotropic family is separable exactly up to this mixing weight.
@@ -45,14 +46,14 @@ _PAULI_BASES = {
 
 def pauli(axis: str) -> HermitianOperator:
     """The Pauli observable for axis 'x', 'y' or 'z'."""
-    if axis not in _PAULI:
+    if not isinstance(axis, str) or axis not in _PAULI:
         raise ValidationError(f"axis must be one of x, y, z, got {axis!r}")
     return HermitianOperator(_PAULI[axis])
 
 
 def pauli_basis(axis: str) -> ProjectiveBasis:
     """Eigenbasis of a Pauli observable, ordered (+1, -1) eigenvectors."""
-    if axis not in _PAULI_BASES:
+    if not isinstance(axis, str) or axis not in _PAULI_BASES:
         raise ValidationError(f"axis must be one of x, y, z, got {axis!r}")
     return _PAULI_BASES[axis]
 
@@ -60,11 +61,7 @@ def pauli_basis(axis: str) -> ProjectiveBasis:
 def _mixing_parameters(p, lo: float, hi: float) -> np.ndarray:
     """``p``, one value or a sequence of them, as an (n, 1, 1) float array
     that broadcasts against the matrices; each value must lie in [lo, hi]."""
-    ps = np.array(p, dtype=float).reshape(-1, 1, 1)
-    for value in ps.ravel().tolist():
-        if not (lo <= value <= hi):
-            raise ValidationError(f"p must lie in [{lo:g}, {hi:g}], got {value}")
-    return ps
+    return np.array([as_real(x, "p", lo, hi) for x in np.ravel(p).tolist()]).reshape(-1, 1, 1)
 
 
 def werner_swap(p):
@@ -139,12 +136,13 @@ class EnsembleSpec:
         if self.kind in bipartite_only and not isinstance(self.dims, tuple):
             raise ValidationError(f"kind {self.kind!r} needs dims = (d_A, d_B)")
         factors = self.dims if isinstance(self.dims, tuple) else (self.dims, 1)
-        if len(factors) != 2 or not all(is_int(d, 1) for d in factors):
+        if len(factors) != 2:
             raise ValidationError(f"dims must be one or two integers >= 1, got {self.dims!r}")
-        if not is_int(self.seed, 0):
-            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for d in factors:
+            as_int(d, 1, "dims")
+        as_int(self.seed, 0, "seed")
         if self.kind == "fixed_rank":
-            if not is_int(self.rank, 1) or self.rank > self.total_dim:
+            if as_int(self.rank, 1, "rank") > self.total_dim:
                 raise ValidationError(
                     f"fixed_rank needs 1 <= rank <= {self.total_dim}, got {self.rank}")
         elif self.rank is not None:
@@ -161,7 +159,8 @@ class EnsembleSpec:
 
 def child_rng(seed: int, index: int = 0) -> np.random.Generator:
     """Independent generator for draw ``index`` of a seeded sequence."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
+    ss = np.random.SeedSequence(entropy=as_int(seed, 0, "seed"),
+                                spawn_key=(as_int(index, 0, "index"),))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -238,6 +237,7 @@ def random_density(spec: EnsembleSpec,
 def random_densities(spec: EnsembleSpec, indices) -> list:
     """``random_density(spec, i)`` for each i of ``indices``, bit for bit, built
     as one stack; each draw still comes from its own ``child_rng(seed, i)``."""
+    check_type(spec, EnsembleSpec, "spec")
     mats = [_draw_matrix(spec, child_rng(spec.seed, i)) for i in indices]
     if spec.bipartite:
         return BipartiteDensityMatrix.stack(mats, *spec.dims)
@@ -246,16 +246,16 @@ def random_densities(spec: EnsembleSpec, indices) -> list:
 
 def random_hermitian(d: int, seed: int, index: int = 0) -> HermitianOperator:
     """GUE-style random observable: Hermitian part of a Ginibre draw."""
-    rng = child_rng(seed, index)
-    g = _complex_gaussian(rng, (d, d))
+    d = as_int(d, 1, "d")
+    g = _complex_gaussian(child_rng(seed, index), (d, d))
     return HermitianOperator(0.5 * (g + g.conj().T))
 
 
 def random_unitary(d: int, seed: int, index: int = 0) -> np.ndarray:
     """Haar-distributed unitary: QR of a Ginibre draw with the phases fixed
     so the triangular factor has a real positive diagonal."""
-    rng = child_rng(seed, index)
-    z = _complex_gaussian(rng, (d, d))
+    d = as_int(d, 1, "d")
+    z = _complex_gaussian(child_rng(seed, index), (d, d))
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
     q = q * (diag / np.abs(diag))

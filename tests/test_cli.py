@@ -483,6 +483,36 @@ def test_eval_bad_bases(tmp_path):
     assert run_cli("eval", str(path), "--bases", "x,q") == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--bases", "x,,z"), ("--bases", "x,z,"), ("--alpha", "0.2,,0.5"), ("--alpha", "0.2,0.5,"),
+], ids=["bases_empty_item", "bases_trailing_comma", "alpha_empty_item", "alpha_trailing_comma"])
+def test_list_typos_exit_2(tmp_path, capsys, flag, value):
+    # an empty item is a typo, not an item to skip
+    path = tmp_path / "bell.json"
+    save_state(str(path), werner_isotropic(1.0))
+    argv = (("eval", str(path)) if flag == "--bases"
+            else ("reproduce", "--example", "1", "--out", str(tmp_path / "out.csv")))
+    assert run_cli(*argv, flag, value) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_eval_ignores_extra_state_file_keys(tmp_path, capsys):
+    # a bipartite property's witness carries alpha and the bases next to the
+    # state, and loads straight into eval
+    plain, witness = tmp_path / "plain.json", tmp_path / "witness.json"
+    save_state(str(plain), werner_isotropic(0.7))
+    doc = json.loads(plain.read_text())
+    witness.write_text(json.dumps({"property": "bounds_theorems_oracle_certified", **doc,
+                                   "alpha": 0.3, "d_tilde": 0.1, "phi": [[1.0, 0.0]] * 4}))
+    reports = []
+    for path in (plain, witness):
+        assert run_cli("eval", str(path), "--alpha", "0.3") == 0
+        reports.append(json.loads(capsys.readouterr().out))
+        del reports[-1]["state_file"]
+    assert reports[0] == reports[1]
+
+
 # --- check -------------------------------------------------------------------
 
 CHECK_CFG = {"n_samples": 20, "n_optimizer": 2, "n_theorem": 2,
