@@ -1,18 +1,23 @@
 """Output bytes, locked by digest.
 
-Each case writes one CLI output file and compares its sha256 with a digest
-recorded before the scoring layer gained its state axis. The digests belong
-to numpy 2.4.6 with OpenBLAS 0.3.31 on the x86-64 machine that recorded them
-(2 vCPUs with AVX-512); another numpy, BLAS or CPU may round differently and
-fail here without any change to skewunc. A deliberate byte change updates
-the digest in this file and is logged in CHANGES.md.
+Each case writes one output file (of the CLI, or a check witness) and
+compares its sha256 with a digest recorded before a change that had to keep
+those bytes: the scoring layer's state axis for the first ten, the single
+code path of each file, state and reduction primitive for the last three.
+The digests belong to numpy 2.4.6 with OpenBLAS 0.3.31 on the x86-64 machine
+that recorded them (2 vCPUs with AVX-512); another numpy, BLAS or CPU may
+round differently and fail here without any change to skewunc. A deliberate
+byte change updates the digest in this file and is logged in CHANGES.md.
 """
 
 import hashlib
 import json
+import math
 
 import pytest
 
+from skewunc import checks
+from skewunc.checks import CheckConfig, prop_local_monotonicity, run_checks
 from skewunc.cli import main
 from skewunc.serialize import save_state
 from skewunc.states import EnsembleSpec, random_density
@@ -41,6 +46,21 @@ CHECK = (
 # properties (checks._STACK = 100)
 CHECK_BLOCKS = (
     "c97b6dc17ae104e8716fdfc618d33fe592dfab1f819f28e7be9b09fee20d3159")
+
+
+# reproduce --example 2 --format json at the default alphas
+REPRODUCE_EXAMPLE2_JSON = (
+    "fd489fe93fe87ee6a10a8e94c3af1fdce3c78cfbcbe1eea55d1864a240b21791")
+
+# the reproduce CSV of a "custom" sweep of a seeded full-rank 2 x 3 state file
+# at alphas 0.2,0.5
+REPRODUCE_CUSTOM = (
+    "43ac2338343b1d6943db7a76be416e07ad3bfbf2a69a04b16fdef9ab97c03535")
+
+# the witness file of skew_local_monotonicity at seed 5 and 30 samples when
+# no slack passes, so that its worst sample is written
+WITNESS = (
+    "759bec05457237977d0f079efce12f7b69c1bc36b33e31ea1f022ef05133d3dd")
 
 
 def _sha256(path) -> str:
@@ -81,3 +101,28 @@ def test_check_report_digest_across_blocks(work):
         {"n_samples": 250, "n_optimizer": 1, "n_theorem": 5}))
     assert main(["check", "--config", "cfg.json", "--out", "report.json"]) == 0
     assert _sha256(work / "report.json") == CHECK_BLOCKS
+
+
+def test_reproduce_example2_json_digest(work):
+    assert main(["reproduce", "--example", "2", "--format", "json",
+                 "--out", "rows.json"]) == 0
+    assert _sha256(work / "rows.json") == REPRODUCE_EXAMPLE2_JSON
+
+
+def test_reproduce_custom_csv_digest(work):
+    save_state("state.json", random_density(EnsembleSpec("full_rank", (2, 3), 7)))
+    (work / "cfg.json").write_text(json.dumps({"example": "custom", "state": "state.json"}))
+    assert main(["reproduce", "--config", "cfg.json", "--alpha", "0.2,0.5",
+                 "--out", "rows.csv"]) == 0
+    assert _sha256(work / "rows.csv") == REPRODUCE_CUSTOM
+
+
+def test_failing_property_witness_digest(work, monkeypatch):
+    result = checks._result
+    monkeypatch.setattr(checks, "_result",
+                        lambda name, tol, samples: result(name, -math.inf, samples))
+    [res] = run_checks(CheckConfig(seed=5, n_samples=30), witness_dir=str(work),
+                       properties=(prop_local_monotonicity,)).results
+    assert not res.passed
+    assert res.witness == str(work / "witness_skew_local_monotonicity.json")
+    assert _sha256(work / "witness_skew_local_monotonicity.json") == WITNESS
