@@ -40,9 +40,10 @@ from .linalg import (
     partial_trace,
     reduced_states,
 )
-from .serialize import matrix_to_pairs
+from .serialize import matrix_to_pairs, write_text
 from .skew import (
     ProjectiveBasis,
+    embedded,
     engine,
     skew_information_I,
     skew_information_via_powers,
@@ -190,19 +191,19 @@ def _grouped(keys, score, *columns) -> list:
 
 
 def _draws(cfg: CheckConfig, tag: str, n: int, dims, kind: str = "full_rank",
-           alphas=None, reduce: bool = True):
+           alphas=None):
     """Yield ``n`` samples ``(i, seed, state, alpha)`` as blocks of at most
     ``_STACK``, in index order: ``seed`` is the property's seed for ``tag``,
     ``state`` is draw ``i`` of ``kind`` at the next of ``dims``, and ``alpha``
     the next of ``alphas`` (``cfg.alphas``). A block's states are drawn (and,
-    if bipartite and ``reduce``, reduced) as one stack per entry of ``dims``."""
+    if bipartite, reduced) as one stack per entry of ``dims``."""
     seed = _tag_seed(cfg.seed, tag)
     alphas = cfg.alphas if alphas is None else alphas
     specs = [EnsembleSpec(kind, dim, seed) for dim in dims]
     for block in _blocks(n):
         block_specs = [specs[i % len(specs)] for i in block]
         states = _grouped(block_specs, random_densities, block)
-        if reduce and specs[0].bipartite:
+        if specs[0].bipartite:
             _grouped(block_specs, lambda _, stack: reduced_states(stack), states)
         yield [(i, seed, rho, alphas[i % len(alphas)]) for i, rho in zip(block, states)]
 
@@ -264,7 +265,7 @@ def prop_fractional_power_pair(cfg: CheckConfig):
 @_property("linalg_partial_trace", 1e-9)
 def prop_partial_trace(cfg: CheckConfig):
     for _, _, rho, _ in chain.from_iterable(
-            _draws(cfg, "partial_trace", cfg.n_samples, _bipartite_dims(cfg), reduce=False)):
+            _draws(cfg, "partial_trace", cfg.n_samples, _bipartite_dims(cfg))):
         bad = 0.0
         for keep in ("A", "B"):
             red = partial_trace(rho, keep)
@@ -348,7 +349,7 @@ def prop_local_monotonicity(cfg: CheckConfig):
         rhos = [rho for _, _, rho, _ in block]
         xs = [random_hermitian(rho.d_A, seed + 1, index=i).mat for i, seed, rho, _ in block]
         wanted = [(alpha,) for *_, alpha in block]
-        joint = _skew_ij(rhos, [kron(x, np.eye(rho.d_B)) for x, rho in zip(xs, rhos)], wanted)
+        joint = _skew_ij(rhos, [embedded(x[None], rho.d_B)[0] for x, rho in zip(xs, rhos)], wanted)
         local = _skew_ij([rho.reduced() for rho in rhos], xs, wanted)
         for (_, _, rho, alpha), x, [(i_ab, _)], [(i_a, _)] in zip(block, xs, joint, local):
             yield i_ab - i_a, {"state": rho, "alpha": alpha, "observable": x}
@@ -394,7 +395,7 @@ def prop_oracle_consistency(cfg: CheckConfig):
 def prop_local_unitary_covariance(cfg: CheckConfig):
     for i, seed, rho, alpha in chain.from_iterable(
             _draws(cfg, "lu_covariance", cfg.n_optimizer, [(2, 2)])):
-        u = kron(random_unitary(rho.d_A, seed + 1, index=i), np.eye(rho.d_B))
+        [u] = embedded(random_unitary(rho.d_A, seed + 1, index=i)[None], rho.d_B)
         rotated = BipartiteDensityMatrix(u @ rho.mat @ u.conj().T, rho.d_A, rho.d_B)
         err = abs(brute_force_D_qubit(rho, alpha) - brute_force_D_qubit(rotated, alpha))
         yield -err, {"state": rho, "alpha": alpha}
@@ -585,12 +586,7 @@ class CheckReport:
 
 def _write_witness(witness_dir: str, name: str, payload: dict) -> str:
     path = os.path.join(witness_dir, f"witness_{name}.json")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"property": name, **payload}, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write witness {path}: {exc}") from exc
+    write_text(path, json.dumps({"property": name, **payload}, indent=2) + "\n", "witness")
     return path
 
 

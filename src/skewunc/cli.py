@@ -32,8 +32,9 @@ from .errors import (
     SkewuncError,
     ValidationError,
 )
-from .linalg import HermitianOperator, as_real, check_alpha, kron
-from .serialize import fmt17, load_state
+from .linalg import HermitianOperator, as_real, check_alpha
+from .serialize import fmt17, load_state, read_json_object, write_text
+from .skew import embedded
 from .states import EnsembleSpec, example2_state, pauli, pauli_basis
 from .sweeps import (
     EXAMPLE_P_RANGES,
@@ -121,21 +122,6 @@ def _reject_unknown_keys(doc: dict, known, what: str) -> None:
         raise ConfigError(f"unknown {what} settings: {sorted(unknown)}")
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config file must contain a JSON object")
-    return doc
-
-
 def _config_int(key: str, value, minimum: int) -> int:
     """An integral JSON number >= ``minimum``; bools and fractions are errors."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
@@ -180,7 +166,8 @@ def _settings(args, keys: dict, file_keys=None) -> dict:
     """Every setting of ``keys`` that is given: read from the ``--config``
     file if any, then overridden by the flag of the same name, both through
     the setting's reader. The file may hold only ``file_keys`` (default: all)."""
-    doc = _load_config_file(getattr(args, "config", None))
+    path = getattr(args, "config", None)
+    doc = {} if path is None else read_json_object(path, "config")
     _reject_unknown_keys(doc, keys if file_keys is None else file_keys, args.command)
     settings = {key: _converted(key, value, keys[key]) for key, value in doc.items()}
     for key, read in keys.items():
@@ -188,15 +175,6 @@ def _settings(args, keys: dict, file_keys=None) -> dict:
         if flag is not None:
             settings[key] = _converted(key, flag, read)
     return settings
-
-
-def _write_text(path: str, text: str) -> None:
-    """Write an output file; a path that cannot be written is a config error."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _csv_cell(value) -> str:
@@ -223,7 +201,7 @@ def _write_rows(cfg: SweepConfig, rows: list[dict], notes: list[str]) -> str:
             "notes": notes,
         }
         text = json.dumps(doc, indent=2) + "\n"
-    _write_text(out, text)
+    write_text(out, text, "output file")
     return out
 
 
@@ -302,7 +280,8 @@ def cmd_check(args) -> int:
                             f"{'PASS' if r.passed else 'FAIL'} {r.name}: "
                             f"worst slack {r.worst_slack:.3e} over {r.samples} "
                             f"samples (tol {r.tol:.0e})"))
-    _write_text(out, json.dumps(report.to_dict(cfg), indent=2, allow_nan=False) + "\n")
+    write_text(out, json.dumps(report.to_dict(cfg), indent=2, allow_nan=False) + "\n",
+               "output file")
     print(f"report written to {out}; all_pass={report.all_pass}")
     return EXIT_OK if report.all_pass else EXIT_VIOLATION
 
@@ -333,9 +312,8 @@ def cmd_eval(args) -> int:
     d_value = certified_d(state, alpha, settings["oracle"], settings.get("seed", 0))
     prod, summ = memory_bounds(state, pauli_basis(axes[0]), pauli_basis(axes[1]),
                                alpha, d_value)
-    eye_b = np.eye(state.d_B)
-    r = HermitianOperator(kron(pauli(axes[0]).mat, eye_b))
-    s = HermitianOperator(kron(pauli(axes[1]).mat, eye_b))
+    r, s = map(HermitianOperator,
+               embedded(np.stack([pauli(axis).mat for axis in axes]), state.d_B))
     heis = heisenberg_type_check(state, r, s, alpha)
     doc = {
         "state_file": settings["state"],
@@ -352,7 +330,7 @@ def cmd_eval(args) -> int:
     text = json.dumps(doc, indent=2)
     print(text)
     if "out" in settings:
-        _write_text(settings["out"], text + "\n")
+        write_text(settings["out"], text + "\n", "output file")
     all_hold = heis.holds and prod.holds and summ.holds
     return EXIT_OK if all_hold else EXIT_VIOLATION
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,10 +128,10 @@ class DensityMatrix(HermitianOperator):
         one that building them in order raises first (and a ``SolverError``
         names the matrix that failed)."""
         try:
-            if len(mats) > 1:
-                return cls._stacked(as_complex_matrix(mats, ndim=3), *args)
+            return cls._stacked(as_complex_matrix(mats, ndim=3), *args)
         except (ValidationError, SolverError):
-            pass
+            if not hasattr(mats, "__iter__"):   # not a sequence of matrices either
+                raise
         return [cls(mat, *args) for mat in mats]
 
     @classmethod
@@ -171,9 +172,9 @@ class BipartiteDensityMatrix(DensityMatrix):
         return d_A, d_B
 
     def reduced(self) -> DensityMatrix:
-        """The reduced state rho_A, computed once and cached (mat is immutable)."""
+        """The reduced state rho_A (``reduced_states``), computed once and cached."""
         if self._reduced is None:
-            self._reduced = partial_trace(self, "A")
+            reduced_states((self,))
         return self._reduced
 
     def __repr__(self):
@@ -289,10 +290,10 @@ def as_int(x, minimum: int, name: str) -> int:
 
 
 def as_real(x, name: str = "value", lo: float = -math.inf, hi: float = math.inf) -> float:
-    """``x`` as a finite float in [lo, hi]; a bool, a string or a complex
-    number is not real here."""
+    """``x`` as a finite float in [lo, hi]; a bool, a string, a complex
+    number or an integer too large for a float is not real here."""
     if (type(x) is not float and (isinstance(x, bool) or not isinstance(x, numbers.Real))
-            or not math.isfinite(x)):
+            or not -sys.float_info.max <= x <= sys.float_info.max):   # NaN fails here too
         raise ValidationError(f"{name} must be a finite real number, got {x!r}")
     x = float(x)
     if not lo <= x <= hi:
@@ -351,27 +352,28 @@ _REDUCED_PSD_TOL = 1e-9
 
 
 def partial_trace(rho: BipartiteDensityMatrix, keep: str) -> DensityMatrix:
-    """Trace out one factor of a bipartite state; ``keep`` is 'A' or 'B'."""
+    """Trace out one factor of a bipartite state; ``keep`` is 'A' (``rho.reduced()``) or 'B'."""
     if keep not in ("A", "B"):
         raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
-    da, db = check_type(rho, BipartiteDensityMatrix, "rho").d_A, rho.d_B
-    t = rho.mat.reshape(da, db, da, db)
-    reduced = np.einsum('ijkj->ik', t) if keep == "A" else np.einsum('ijil->jl', t)
-    return DensityMatrix(reduced, psd_tol=_REDUCED_PSD_TOL)
+    check_type(rho, BipartiteDensityMatrix, "rho")
+    if keep == "A":
+        return rho.reduced()
+    t = rho.mat.reshape(rho.d_A, rho.d_B, rho.d_A, rho.d_B)
+    return DensityMatrix(np.einsum('ijil->jl', t), psd_tol=_REDUCED_PSD_TOL)
 
 
 def reduced_states(states) -> tuple[DensityMatrix, ...]:
-    """``reduced()`` of each of a stack of bipartite states of one shape; those
-    not cached yet come from one ``einsum`` and one ``DensityMatrix.stack``."""
+    """``reduced()`` of each of a stack of bipartite states of one shape, cached on
+    each; those not cached yet come from one ``einsum`` and one ``DensityMatrix.stack``."""
     states, _ = state_stack(states, BipartiteDensityMatrix)
     todo = [state for state in states if state._reduced is None]
-    if len(todo) > 1:
+    if todo:
         da, db = todo[0].d_A, todo[0].d_B
         t = np.stack([state.mat for state in todo]).reshape(-1, da, db, da, db)
         mats = np.einsum('...ijkj->...ik', t)
         for state, red in zip(todo, DensityMatrix.stack(mats, _REDUCED_PSD_TOL)):
             state._reduced = red
-    return tuple(state.reduced() for state in states)
+    return tuple(state._reduced for state in states)
 
 
 def check_dims(*operators: HermitianOperator) -> None:

@@ -1,4 +1,5 @@
-"""State-file serialization. The on-disk format is a single JSON document
+"""File access (no other module opens a file): reading a JSON-object file,
+writing an output file, and state files. A state file is one JSON document
 
     {"d_A": 2, "d_B": 2, "matrix": [[re, im], [re, im], ...]}
 
@@ -15,6 +16,31 @@ import numpy as np
 
 from .errors import ConfigError
 from .linalg import BipartiteDensityMatrix
+
+
+def read_json_object(path: str, kind: str) -> dict:
+    """The JSON object in the file at ``path``; a file that cannot be read,
+    is not JSON or holds no object is a ConfigError naming its ``kind``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {kind} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{kind} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{kind} {path} must contain a JSON object")
+    return doc
+
+
+def write_text(path: str, text: str, kind: str) -> None:
+    """Write ``text`` to the file at ``path``; a path that cannot be written
+    is a ConfigError naming its ``kind``."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {kind} {path}: {exc}") from exc
 
 
 def fmt17(x: float) -> str:
@@ -53,22 +79,12 @@ def state_to_json(state: BipartiteDensityMatrix) -> str:
 
 
 def save_state(path: str, state: BipartiteDensityMatrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(state_to_json(state))
-        fh.write("\n")
+    write_text(path, state_to_json(state) + "\n", "state file")
 
 
 def load_state(path: str) -> BipartiteDensityMatrix:
     """Load and validate a bipartite state file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read state file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"state file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("state file must contain a JSON object")
+    doc = read_json_object(path, "state file")
     missing = {"d_A", "d_B", "matrix"} - doc.keys()
     if missing:
         raise ConfigError(f"state file is missing fields: {sorted(missing)}")

@@ -200,6 +200,7 @@ class SkewEngine:
 
     def pairs(self, h: np.ndarray, alphas: tuple[float, ...]) -> list[SkewPair]:
         """One ``SkewPair`` per alpha of one observable, on a one-state engine."""
+        check_type(h, np.ndarray, "h")
         if self.eigenvalues.ndim != 1:
             raise ShapeError("pairs needs an engine of one state")
         [i], [j], [u] = (x.tolist() for x in self.stacked_pairs(h[None], alphas))

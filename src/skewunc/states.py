@@ -12,6 +12,7 @@ callers derive independent child streams per draw via
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,11 @@ def pauli_basis(axis: str) -> ProjectiveBasis:
 def _mixing_parameters(p, lo: float, hi: float) -> np.ndarray:
     """``p``, one value or a sequence of them, as an (n, 1, 1) float array
     that broadcasts against the matrices; each value must lie in [lo, hi]."""
-    return np.array([as_real(x, "p", lo, hi) for x in np.ravel(p).tolist()]).reshape(-1, 1, 1)
+    try:
+        values = np.ravel(p).tolist()
+    except ValueError as exc:   # a ragged sequence
+        raise ValidationError(f"p must be a number or a flat sequence of them ({exc})") from exc
+    return np.array([as_real(x, "p", lo, hi) for x in values]).reshape(-1, 1, 1)
 
 
 def werner_swap(p):
@@ -176,7 +181,7 @@ def _box_muller(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    n = int(np.prod(shape))
+    n = math.prod(shape)
     z = _box_muller(rng, 2 * n)
     return ((z[:n] + 1j * z[n:]) / np.sqrt(2.0)).reshape(shape)
 

@@ -16,9 +16,9 @@ from .bounds import example_closed_forms, memory_bounds
 from .correlation import brute_force_D_qubit, quantum_correlation_D
 from .errors import ValidationError
 from .linalg import BipartiteDensityMatrix, state_stack
-from .states import example2_state, pauli_basis, werner_isotropic, werner_swap
+from .states import pauli_basis, werner_isotropic, werner_swap
 
-EXAMPLE_P_RANGES = {1: (-1.0, 1.0), 2: None, 3: (0.0, 1.0)}
+EXAMPLE_P_RANGES = {1: (-1.0, 1.0), 3: (0.0, 1.0)}
 
 # Most points a p grid may have; the default grids have 101 to 201.
 MAX_GRID_POINTS = 100_000
@@ -48,8 +48,6 @@ def example_states(example_id: int, ps: tuple) -> tuple[BipartiteDensityMatrix, 
         return tuple(werner_swap(ps))
     if example_id == 3:
         return tuple(werner_isotropic(ps))
-    if example_id == 2:
-        return (example2_state(),) * len(ps)
     raise ValidationError(f"unknown example id {example_id}")
 
 

@@ -292,6 +292,16 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["reproduce", "check", "eval"])
+def test_unreadable_config_or_state_file_exits_2(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.json")
+    argv = ("eval", missing) if command == "eval" else (command, "--config", missing)
+    assert run_cli(*argv, "--out", str(tmp_path / "out.json")) == 2
+    kind = "state file" if command == "eval" else "config"
+    assert f"configuration error: cannot read {kind} {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_unwritable_witness_exits_2(tmp_path, capsys, monkeypatch):
     # a report (and witness) path under a regular file is refused by the
     # pre-check in cmd_check before the failing property runs; the witness

@@ -58,6 +58,7 @@ CASES = [
     ("DensityMatrix", lambda: DensityMatrix("abc")),
     ("DensityMatrix", lambda: DensityMatrix.stack([ARRAY, RAGGED])),
     ("DensityMatrix", lambda: DensityMatrix.stack(["ab", "cd"])),
+    ("DensityMatrix", lambda: DensityMatrix.stack(None)),
     ("HermitianOperator", lambda: HermitianOperator(RAGGED)),
     ("HermitianOperator", lambda: HermitianOperator("abc")),
     ("HermitianOperator", lambda: HermitianOperator([["a", 0], [0, 1]])),
@@ -84,6 +85,7 @@ CASES = [
     ("measurement_uncertainty_UN", lambda: measurement_uncertainty_UN(ARRAY, BX, 0.5)),
     ("measurement_uncertainty_UN", lambda: measurement_uncertainty_UN(RHO, BX, 0.5, 2.0)),
     ("SkewEngine.pairs", lambda: SkewEngine(RHO, werner_swap(0.4)).pairs(X.mat, (0.5,))),
+    ("SkewEngine.pair", lambda: SkewEngine(MONO).pair(X, 0.5)),
     ("heisenberg_type_check", lambda: heisenberg_type_check(MONO, ARRAY, Z, 0.5)),
     ("heisenberg_type_checks", lambda: heisenberg_type_checks(MONO, X, Z, (0.5, "x"))),
     ("heisenberg_type_checks", lambda: heisenberg_type_checks(ARRAY, X, Z, (0.5,))),
@@ -99,6 +101,7 @@ CASES = [
     ("memory_bounds", lambda: memory_bounds(MONO, BX, BZ, 0.5, 0.0)),
     ("example_closed_forms", lambda: example_closed_forms(1, "sum", None, 0.5)),
     ("example_closed_forms", lambda: example_closed_forms(3, "product", "0.5", 0.5)),
+    ("example_closed_forms", lambda: example_closed_forms(1, "sum", 10**400, 0.5)),
     ("correlation_deficit", lambda: correlation_deficit(RHO, ARRAY, 0.5)),
     ("correlation_deficit", lambda: correlation_deficit(MONO, BX, 0.5)),
     ("quantum_correlation_D", lambda: quantum_correlation_D(MONO, 0.5)),
@@ -109,6 +112,7 @@ CASES = [
     ("pauli_basis", lambda: pauli_basis([])),
     ("werner_swap", lambda: werner_swap("abc")),
     ("werner_swap", lambda: werner_swap([0.1, None])),
+    ("werner_swap", lambda: werner_swap([[0.1], [0.2, 0.3]])),
     ("werner_isotropic", lambda: werner_isotropic(True)),
     ("EnsembleSpec", lambda: EnsembleSpec("full_rank", 2, "1")),
     ("EnsembleSpec", lambda: EnsembleSpec("fixed_rank", 4, 1, rank=1.5)),

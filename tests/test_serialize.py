@@ -1,18 +1,25 @@
-"""State-file schema: exact round trips and validation of corrupt inputs."""
+"""File access: the state-file schema, exact round trips, validation of
+corrupt inputs, and the one reader and writer that every file goes through."""
 
+import ast
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skewunc
 from skewunc.errors import ConfigError, InvalidStateError
 from skewunc.serialize import (
     fmt17,
     load_state,
     matrix_to_pairs,
     pairs_to_matrix,
+    read_json_object,
     save_state,
     state_to_json,
+    write_text,
 )
 from skewunc.states import EnsembleSpec, random_density, werner_isotropic
 
@@ -106,3 +113,50 @@ def test_load_rejects_bad_dims(tmp_path):
 def test_state_to_json_is_deterministic():
     state = random_density(EnsembleSpec("full_rank", (2, 2), 6))
     assert state_to_json(state) == state_to_json(state)
+
+
+@pytest.mark.parametrize("target", ["missing", "directory", "latin-1"])
+def test_unreadable_files_are_config_errors(tmp_path, target):
+    path = tmp_path / target
+    if target == "directory":
+        path.mkdir()
+    elif target == "latin-1":
+        path.write_bytes('{"d_A": "\u00e9"}'.encode("latin-1"))
+    with pytest.raises(ConfigError, match=re.escape(f"cannot read state file {path}")):
+        load_state(str(path))
+    with pytest.raises(ConfigError, match=re.escape(f"cannot read config {path}")):
+        read_json_object(str(path), "config")
+
+
+@pytest.mark.parametrize("text, problem", [("{", "is not valid JSON"),
+                                           ("[1, 2]", "must contain a JSON object")])
+def test_files_without_a_json_object_are_config_errors(tmp_path, text, problem):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    for kind in ("state file", "config"):
+        with pytest.raises(ConfigError, match=re.escape(f"{kind} {path} {problem}")):
+            read_json_object(str(path), kind)
+    with pytest.raises(ConfigError, match=problem):
+        load_state(str(path))
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "afile/out.json", "."])
+def test_unwritable_paths_are_config_errors(tmp_path, target):
+    (tmp_path / "afile").write_text("not a directory\n")
+    path = str(tmp_path / target)
+    with pytest.raises(ConfigError, match="cannot write state file"):
+        save_state(path, werner_isotropic(1.0))
+    with pytest.raises(ConfigError, match="cannot write output file"):
+        write_text(path, "text\n", "output file")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
+def test_only_serialize_opens_files():
+    """File access stays in one module: no other module of the package calls
+    ``open`` (as a builtin or as an attribute, such as ``os.open``)."""
+    calls = {
+        path.stem for path in Path(skewunc.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None),
+                                                     getattr(node.func, "attr", None))}
+    assert calls == {"serialize"}

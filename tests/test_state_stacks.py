@@ -26,6 +26,7 @@ from skewunc.linalg import (
     DensityMatrix,
     _canonical_eigenspace,
     clipped_spectrum,
+    partial_trace,
     powered_spectrum,
     reduced_states,
 )
@@ -323,7 +324,14 @@ def test_degenerate_and_one_state_stacks_have_the_bits_of_one_state():
     spec = EnsembleSpec("full_rank", (2, 3), 417)
     [one] = random_densities(spec, [5])
     _assert_same_states([one], [random_density(spec, 5)])
+    # a stack of one has the bits of a lone build, and its reduction those
+    # of the one-state trace
+    _assert_same_states([one], [BipartiteDensityMatrix(one.mat, 2, 3)])
+    _assert_same_states(DensityMatrix.stack([one.mat]), [DensityMatrix(one.mat)])
+    traced = np.einsum('ijkj->ik', one.mat.reshape(2, 3, 2, 3))
+    assert _same_bits(one.reduced().mat.view(np.float64), traced.view(np.float64))
     assert reduced_states([one]) == (one.reduced(),)
+    assert partial_trace(one, "A") is one.reduced()
 
 
 @pytest.mark.parametrize("example_id", [1, 3])

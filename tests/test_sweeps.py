@@ -19,7 +19,7 @@ from skewunc.checks import (
 )
 from skewunc.cli import main
 from skewunc.serialize import save_state
-from skewunc.states import EnsembleSpec, random_density
+from skewunc.states import EnsembleSpec, example2_state, random_density
 from skewunc.sweeps import ROW_COLUMNS, example_states, state_rows, sweep_row
 
 
@@ -46,67 +46,6 @@ def _count_calls(monkeypatch, owner, name, counts):
         monkeypatch.setattr(target, name, counted)
 
 
-def test_example1_row_builds_each_spectral_object_once(monkeypatch):
-    counts = {"__init__": 0, "herm_eig": 0, "partial_trace": 0}
-    _count_calls(monkeypatch, skew.SkewEngine, "__init__", counts)
-    _count_calls(monkeypatch, linalg, "herm_eig", counts)
-    _count_calls(monkeypatch, linalg, "partial_trace", counts)
-    sweep_row(1, 0.3, 0.5, "grid")
-    # joint and reduced engine; joint and reduced eigendecomposition; one
-    # reduction of the joint state
-    assert counts == {"__init__": 2, "herm_eig": 2, "partial_trace": 1}
-
-
-def test_eval_builds_each_spectral_object_once(monkeypatch, tmp_path, capsys):
-    path = tmp_path / "state.json"
-    save_state(str(path), random_density(EnsembleSpec("full_rank", (2, 2), 5)))
-    counts = {"__init__": 0, "herm_eig": 0, "partial_trace": 0}
-    _count_calls(monkeypatch, skew.SkewEngine, "__init__", counts)
-    _count_calls(monkeypatch, linalg, "herm_eig", counts)
-    _count_calls(monkeypatch, linalg, "partial_trace", counts)
-    assert main(["eval", str(path)]) == 0
-    # D, both memory bounds and the Heisenberg check share the joint engine
-    assert counts == {"__init__": 2, "herm_eig": 2, "partial_trace": 1}
-    assert '"holds": true' in capsys.readouterr().out
-
-
-def test_sweep_row_scores_each_basis_in_one_call(monkeypatch):
-    counts = {"__init__": 0, "herm_eig": 0, "stacked_pairs": 0, "pair": 0}
-    _count_calls(monkeypatch, skew.SkewEngine, "__init__", counts)
-    _count_calls(monkeypatch, linalg, "herm_eig", counts)
-    _count_calls(monkeypatch, skew.SkewEngine, "stacked_pairs", counts)
-    _count_calls(monkeypatch, skew.SkewEngine, "pair", counts)
-    sweep_row(1, 0.3, 0.5, "grid")
-    # one stacked scoring for both bases' embedded projectors on the joint
-    # state, one for both bases' projectors on the reduced state
-    assert counts == {"__init__": 2, "herm_eig": 2, "stacked_pairs": 2, "pair": 0}
-
-
-def test_rows_at_one_p_share_one_state(monkeypatch):
-    counts = {"__init__": 0, "herm_eig": 0, "partial_trace": 0, "werner_swap": 0,
-              "stacked_pairs": 0}
-    _count_calls(monkeypatch, skew.SkewEngine, "__init__", counts)
-    _count_calls(monkeypatch, linalg, "herm_eig", counts)
-    _count_calls(monkeypatch, linalg, "partial_trace", counts)
-    _count_calls(monkeypatch, states, "werner_swap", counts)
-    _count_calls(monkeypatch, skew.SkewEngine, "stacked_pairs", counts)
-    sweep_row(1, 0.3, 0.3, "grid")
-    sweep_row(1, 0.3, 0.7, "grid")
-    # the second alpha's row reuses the state, its reduction and both engines
-    assert counts == {"__init__": 2, "herm_eig": 2, "partial_trace": 1,
-                      "werner_swap": 1, "stacked_pairs": 4}
-
-
-def test_sweep_rows_equal_rows_of_freshly_built_states():
-    for example_id in (1, 3):
-        lo, hi = sweeps.EXAMPLE_P_RANGES[example_id]
-        for p in sweeps.p_grid(lo, hi, 0.05):
-            for alpha in (0.0, 0.37, 1.0):
-                [fresh] = example_states.__wrapped__(example_id, (p,))
-                assert [sweep_row(example_id, p, alpha, "grid")] == state_rows(
-                    (fresh,), (p,), (alpha,), "grid", example_id=example_id)
-
-
 def _count_decompositions(monkeypatch, counts):
     """Count ``linalg.stacked_eig`` calls (``"stacked_eig"``), the states they
     cover (``"decomposed"``) and the most states one call covers (``"widest"``)."""
@@ -120,6 +59,87 @@ def _count_decompositions(monkeypatch, counts):
         return original(mats)
 
     monkeypatch.setattr(linalg, "stacked_eig", counted)
+
+
+def _count_reductions(monkeypatch, counts):
+    """Count the ``linalg.reduced_states`` calls that reduce a state not yet
+    reduced (``"reductions"``): every reduction to rho_A runs through it,
+    ``reduced()`` and ``partial_trace(rho, "A")`` included."""
+    original = linalg.reduced_states
+
+    def counted(stack):
+        todo = stack if isinstance(stack, (list, tuple)) else (stack,)
+        counts["reductions"] += any(state._reduced is None for state in todo)
+        return original(stack)
+
+    for mod in [mod for key, mod in sys.modules.items() if key.startswith("skewunc")
+                and vars(mod).get("reduced_states") is original]:
+        monkeypatch.setattr(mod, "reduced_states", counted)
+
+
+def test_example1_row_builds_each_spectral_object_once(monkeypatch):
+    counts = {"__init__": 0, "stacked_eig": 0, "decomposed": 0, "reductions": 0}
+    _count_calls(monkeypatch, skew.SkewEngine, "__init__", counts)
+    _count_decompositions(monkeypatch, counts)
+    _count_reductions(monkeypatch, counts)
+    sweep_row(1, 0.3, 0.5, "grid")
+    # joint and reduced engine; joint and reduced eigendecomposition; one
+    # reduction of the joint state
+    assert counts == {"__init__": 2, "stacked_eig": 2, "decomposed": 2, "widest": 1,
+                      "reductions": 1}
+
+
+def test_eval_builds_each_spectral_object_once(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    save_state(str(path), random_density(EnsembleSpec("full_rank", (2, 2), 5)))
+    counts = {"__init__": 0, "stacked_eig": 0, "decomposed": 0, "reductions": 0}
+    _count_calls(monkeypatch, skew.SkewEngine, "__init__", counts)
+    _count_decompositions(monkeypatch, counts)
+    _count_reductions(monkeypatch, counts)
+    assert main(["eval", str(path)]) == 0
+    # D, both memory bounds and the Heisenberg check share the joint engine
+    assert counts == {"__init__": 2, "stacked_eig": 2, "decomposed": 2, "widest": 1,
+                      "reductions": 1}
+    assert '"holds": true' in capsys.readouterr().out
+
+
+def test_sweep_row_scores_each_basis_in_one_call(monkeypatch):
+    counts = {"__init__": 0, "stacked_eig": 0, "decomposed": 0, "stacked_pairs": 0,
+              "pair": 0}
+    _count_calls(monkeypatch, skew.SkewEngine, "__init__", counts)
+    _count_decompositions(monkeypatch, counts)
+    _count_calls(monkeypatch, skew.SkewEngine, "stacked_pairs", counts)
+    _count_calls(monkeypatch, skew.SkewEngine, "pair", counts)
+    sweep_row(1, 0.3, 0.5, "grid")
+    # one stacked scoring for both bases' embedded projectors on the joint
+    # state, one for both bases' projectors on the reduced state
+    assert counts == {"__init__": 2, "stacked_eig": 2, "decomposed": 2, "widest": 1,
+                      "stacked_pairs": 2, "pair": 0}
+
+
+def test_rows_at_one_p_share_one_state(monkeypatch):
+    counts = {"__init__": 0, "stacked_eig": 0, "decomposed": 0, "reductions": 0,
+              "werner_swap": 0, "stacked_pairs": 0}
+    _count_calls(monkeypatch, skew.SkewEngine, "__init__", counts)
+    _count_decompositions(monkeypatch, counts)
+    _count_reductions(monkeypatch, counts)
+    _count_calls(monkeypatch, states, "werner_swap", counts)
+    _count_calls(monkeypatch, skew.SkewEngine, "stacked_pairs", counts)
+    sweep_row(1, 0.3, 0.3, "grid")
+    sweep_row(1, 0.3, 0.7, "grid")
+    # the second alpha's row reuses the state, its reduction and both engines
+    assert counts == {"__init__": 2, "stacked_eig": 2, "decomposed": 2, "widest": 1,
+                      "reductions": 1, "werner_swap": 1, "stacked_pairs": 4}
+
+
+def test_sweep_rows_equal_rows_of_freshly_built_states():
+    for example_id in (1, 3):
+        lo, hi = sweeps.EXAMPLE_P_RANGES[example_id]
+        for p in sweeps.p_grid(lo, hi, 0.05):
+            for alpha in (0.0, 0.37, 1.0):
+                [fresh] = example_states.__wrapped__(example_id, (p,))
+                assert [sweep_row(example_id, p, alpha, "grid")] == state_rows(
+                    (fresh,), (p,), (alpha,), "grid", example_id=example_id)
 
 
 def test_heisenberg_campaign_builds_one_engine_per_dimension(monkeypatch):
@@ -209,10 +229,19 @@ def test_sampled_bipartite_campaign_builds_engines_per_block(monkeypatch, prop, 
 
 @pytest.mark.parametrize("example_id, p", [(1, -0.4), (2, None), (3, 0.6)])
 def test_rows_follow_the_schema(example_id, p):
-    row = sweep_row(example_id, p, 0.3, "grid")
+    # example 2 has no p grid: reproduce scores its one state with state_rows
+    [row] = (state_rows((example2_state(),), (p,), (0.3,), "grid") if example_id == 2
+             else [sweep_row(example_id, p, 0.3, "grid")])
     assert tuple(row) == ROW_COLUMNS
     closed = [row[c] for c in ROW_COLUMNS if c.startswith("closed_form")]
     assert all(v is None for v in closed) == (example_id == 2)
+
+
+def test_only_the_example_families_have_sweep_rows():
+    from skewunc.errors import ValidationError
+
+    with pytest.raises(ValidationError, match="unknown example id 2"):
+        sweep_row(2, None, 0.3, "grid")
 
 
 def test_grid_point_count_has_a_ceiling():
