@@ -584,12 +584,6 @@ class CheckReport:
         }
 
 
-def _write_witness(witness_dir: str, name: str, payload: dict) -> str:
-    path = os.path.join(witness_dir, f"witness_{name}.json")
-    write_text(path, json.dumps({"property": name, **payload}, indent=2) + "\n", "witness")
-    return path
-
-
 def run_checks(cfg: CheckConfig, witness_dir: str | None = None,
                properties=None, progress=None) -> CheckReport:
     """Run a property campaign; returns all results in declaration order.
@@ -606,8 +600,9 @@ def run_checks(cfg: CheckConfig, witness_dir: str | None = None,
         pairs = outcome if isinstance(outcome, list) else [outcome]
         for res, payload in pairs:
             if not res.passed and payload is not None and witness_dir:
-                path = _write_witness(witness_dir, res.name, payload)
-                res = replace(res, witness=path)
+                res = replace(res, witness=os.path.join(witness_dir, f"witness_{res.name}.json"))
+                text = json.dumps({"property": res.name, **payload}, indent=2)
+                write_text(res.witness, text + "\n", "witness")
             results.append(res)
             if progress is not None:
                 progress(res)

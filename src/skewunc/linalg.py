@@ -173,9 +173,7 @@ class BipartiteDensityMatrix(DensityMatrix):
 
     def reduced(self) -> DensityMatrix:
         """The reduced state rho_A (``reduced_states``), computed once and cached."""
-        if self._reduced is None:
-            reduced_states((self,))
-        return self._reduced
+        return reduced_states((self,))[0]
 
     def __repr__(self):
         return f"BipartiteDensityMatrix(d_A={self.d_A}, d_B={self.d_B})"
