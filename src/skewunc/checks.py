@@ -31,8 +31,8 @@ from .correlation import (
 from .errors import ConfigError, ValidationError
 from .linalg import (
     BipartiteDensityMatrix,
+    as_alphas,
     as_int,
-    check_alpha,
     check_type,
     fractional_power,
     herm_eig,
@@ -99,10 +99,9 @@ class CheckConfig:
             for name, minimum in (("seed", 0), ("n_samples", 1), ("n_optimizer", 1),
                                   ("n_theorem", 1)):
                 as_int(getattr(self, name), minimum, name)
-            if not self.alphas or not self.dims:
-                raise ValidationError("alphas and dims must be nonempty")
-            for alpha in self.alphas:
-                check_alpha(alpha)
+            as_alphas(self.alphas)
+            if not self.dims:
+                raise ValidationError("dims must be nonempty")
             for d in self.dims:
                 as_int(d, 2, "dims")
             for run in self.ensembles:
@@ -285,6 +284,7 @@ def prop_kron_roundtrip(cfg: CheckConfig):
                              [2 * i + k for i in block]) for k in (0, 1))
         joints = _grouped(shapes, lambda shape, a_s, b_s: BipartiteDensityMatrix.stack(
             [kron(a.mat, b.mat) for a, b in zip(a_s, b_s)], *shape), a_s, b_s)
+        _grouped(shapes, lambda _, stack: reduced_states(stack), joints)
         for a, b, joint in zip(a_s, b_s, joints):
             err = max(float(np.max(np.abs(partial_trace(joint, "A").mat - a.mat))),
                       float(np.max(np.abs(partial_trace(joint, "B").mat - b.mat))))

@@ -30,10 +30,11 @@ from .errors import (
     NumericalConsistencyError,
     OptimizerError,
     SkewuncError,
+    SolverError,
     ValidationError,
 )
-from .linalg import HermitianOperator, as_real, check_alpha
-from .serialize import fmt17, load_state, read_json_object, write_text
+from .linalg import HermitianOperator, as_alphas, as_real, check_alpha
+from .serialize import fmt17, json_int, load_state, read_json_object, write_text
 from .skew import embedded
 from .states import EnsembleSpec, example2_state, pauli, pauli_basis
 from .sweeps import (
@@ -122,18 +123,6 @@ def _reject_unknown_keys(doc: dict, known, what: str) -> None:
         raise ConfigError(f"unknown {what} settings: {sorted(unknown)}")
 
 
-def _config_int(key: str, value, minimum: int) -> int:
-    """An integral JSON number >= ``minimum``; bools and fractions are errors."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer() or value < minimum):
-        raise ConfigError(f"{key!r} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
-def _int_reader(key: str, minimum: int):
-    return lambda value: _config_int(key, value, minimum)
-
-
 def _reader(convert, ok, reason: str):
     """A setting's reader: convert the value, then reject it unless ``ok``
     holds. ``_converted`` reports either failure as a config error."""
@@ -154,8 +143,6 @@ def _choice(*choices):
 
 
 _positive_float = _reader(as_real, lambda x: x > 0, "must be positive")
-_alphas = _reader(lambda values: tuple(map(check_alpha, values)), bool,
-                  "must be a nonempty subset of [0, 1]")
 _string = _reader(lambda v: v, lambda v: isinstance(v, str), "must be a string")
 _bases = _reader(lambda text: tuple(t.strip() for t in text.split(",")),
                  lambda axes: len(axes) == 2 and set(axes) <= {"x", "y", "z"},
@@ -245,25 +232,26 @@ def _ensemble_runs_from_config(items) -> tuple[EnsembleRun, ...]:
                              "ensemble entry")
         try:
             dims = item["dims"]
-            dims = (tuple(_config_int("dims", d, 1) for d in dims)
-                    if isinstance(dims, list) else _config_int("dims", dims, 1))
+            dims = (tuple(json_int(d, 1, "dims") for d in dims)
+                    if isinstance(dims, list) else json_int(dims, 1, "dims"))
             rank = item.get("rank")
             spec = EnsembleSpec(kind=item["kind"], dims=dims,
-                                seed=_config_int("seed", item.get("seed", 0), 0),
-                                rank=None if rank is None else _config_int("rank", rank, 1))
+                                seed=json_int(item.get("seed", 0), 0, "seed"),
+                                rank=None if rank is None else json_int(rank, 1, "rank"))
         except (KeyError, TypeError, ValidationError) as exc:
             raise ConfigError(f"bad ensemble entry {item!r}: {exc}") from exc
-        n_samples = _config_int("n_samples", item.get("n_samples", 1), 1)
+        n_samples = json_int(item.get("n_samples", 1), 1, "n_samples")
         runs.append(EnsembleRun(spec=spec, n_samples=n_samples))
     return tuple(runs)
 
 
 # How each check setting is read; 'out' is a flag only.
 _CHECK_KEYS = {
-    "seed": _int_reader("seed", 0), "n_samples": _int_reader("n_samples", 1),
-    "n_optimizer": _int_reader("n_optimizer", 1),
-    "n_theorem": _int_reader("n_theorem", 1), "alphas": _alphas,
-    "dims": lambda ds: tuple(_config_int("dims", d, 2) for d in ds),
+    "seed": lambda x: json_int(x, 0, "seed"), "alphas": as_alphas,
+    "n_samples": lambda x: json_int(x, 1, "n_samples"),
+    "n_optimizer": lambda x: json_int(x, 1, "n_optimizer"),
+    "n_theorem": lambda x: json_int(x, 1, "n_theorem"),
+    "dims": lambda ds: tuple(json_int(d, 2, "dims") for d in ds),
     "ensembles": _ensemble_runs_from_config, "out": _string,
 }
 
@@ -300,7 +288,7 @@ def _report_dict(rep: BoundReport) -> dict:
 # How each eval setting is read; eval takes flags only.
 _EVAL_KEYS = {
     "state": _string, "bases": _bases, "alpha": check_alpha,
-    "oracle": _choice("grid", "optimizer"), "seed": _int_reader("seed", 0),
+    "oracle": _choice("grid", "optimizer"), "seed": lambda x: json_int(x, 0, "seed"),
     "out": _string,
 }
 
@@ -376,9 +364,9 @@ def _build_parser() -> argparse.ArgumentParser:
 # How each reproduce setting is read. A setting's name is its config-file key
 # and the dest of its flag, if it has one.
 _SWEEP_KEYS = {
-    "example": _choice(1, 2, 3, "custom"), "alphas": _alphas,
+    "example": _choice(1, 2, 3, "custom"), "alphas": as_alphas,
     "p_start": as_real, "p_stop": as_real, "p_step": _positive_float,
-    "oracle": _choice("grid", "optimizer"), "seed": _int_reader("seed", 0),
+    "oracle": _choice("grid", "optimizer"), "seed": lambda x: json_int(x, 0, "seed"),
     "out": _string, "format": _choice("csv", "json"), "state": _string,
 }
 
@@ -400,7 +388,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalConsistencyError, OptimizerError) as exc:
+    except (NumericalConsistencyError, OptimizerError, SolverError) as exc:
         print(f"numerical-consistency error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except SkewuncError as exc:

@@ -1,7 +1,7 @@
 """Dense complex linear algebra: validated operator types, Hermitian
 eigendecomposition with deterministic tie-breaking, fractional matrix powers,
 tensor products and partial traces; and the coercion of every public input
-(matrices, integers, real numbers, package types and stacks of states) that
+(matrices, integers, real numbers, alpha lists, package types and stacks) that
 raises a ValidationError naming the input.
 
 Index convention for composite systems: basis state |i>_A |j>_B maps to the
@@ -302,6 +302,13 @@ def as_real(x, name: str = "value", lo: float = -math.inf, hi: float = math.inf)
 def check_alpha(alpha: float) -> float:
     """The fractional-power exponent, a real number in [0, 1]."""
     return as_real(alpha, "alpha", 0.0, 1.0)
+
+
+def as_alphas(alphas) -> tuple[float, ...]:
+    """A nonempty list or tuple of alphas (``check_alpha``) as a tuple of floats."""
+    if not isinstance(alphas, (list, tuple)) or not alphas:
+        raise ValidationError(f"alphas must be a nonempty list or tuple, got {alphas!r}")
+    return tuple(map(check_alpha, alphas))
 
 
 def check_type(x, kind: type, name: str):

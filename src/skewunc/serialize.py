@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import BipartiteDensityMatrix
+from .linalg import BipartiteDensityMatrix, as_real
 
 
 def read_json_object(path: str, kind: str) -> dict:
@@ -26,7 +26,7 @@ def read_json_object(path: str, kind: str) -> dict:
             doc = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {kind} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deep to parse
         raise ConfigError(f"{kind} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{kind} {path} must contain a JSON object")
@@ -41,6 +41,15 @@ def write_text(path: str, text: str, kind: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {kind} {path}: {exc}") from exc
+
+
+def json_int(x, minimum: int, name: str) -> int:
+    """``x`` as an int >= ``minimum``; an integral JSON number such as ``2.0``
+    is one, a bool or a fraction is not (a ConfigError naming ``name``)."""
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or isinstance(x, float) and not x.is_integer() or x < minimum):
+        raise ConfigError(f"{name!r} must be an integer >= {minimum}, got {x!r}")
+    return int(x)
 
 
 def fmt17(x: float) -> str:
@@ -61,12 +70,12 @@ def pairs_to_matrix(pairs, dim: int) -> np.ndarray:
         raise ConfigError(
             f"matrix has {len(pairs)} entries, expected {dim * dim}")
     flat = np.empty(dim * dim, dtype=np.complex128)
-    for i, pair in enumerate(pairs):
-        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in pair)):
-            raise ConfigError(f"matrix entry {i} is not a [re, im] pair: {pair!r}")
-        flat[i] = complex(pair[0], pair[1])
+    try:
+        for i, pair in enumerate(pairs):
+            re, im = pair if isinstance(pair, (list, tuple)) else ()
+            flat[i] = complex(as_real(re), as_real(im))
+    except ValueError as exc:   # a pair of the wrong length, or not two finite reals
+        raise ConfigError(f"matrix entry {i} is not a [re, im] pair: {pair!r}") from exc
     return flat.reshape(dim, dim)
 
 
@@ -88,8 +97,5 @@ def load_state(path: str) -> BipartiteDensityMatrix:
     missing = {"d_A", "d_B", "matrix"} - doc.keys()
     if missing:
         raise ConfigError(f"state file is missing fields: {sorted(missing)}")
-    d_a, d_b = doc["d_A"], doc["d_B"]
-    if any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in (d_a, d_b)):
-        raise ConfigError(f"d_A and d_B must be positive integers, got {d_a!r}, {d_b!r}")
-    mat = pairs_to_matrix(doc["matrix"], d_a * d_b)
-    return BipartiteDensityMatrix(mat, d_a, d_b)
+    d_a, d_b = (json_int(doc[key], 1, key) for key in ("d_A", "d_B"))
+    return BipartiteDensityMatrix(pairs_to_matrix(doc["matrix"], d_a * d_b), d_a, d_b)

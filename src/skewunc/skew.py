@@ -27,6 +27,7 @@ from .errors import NumericalConsistencyError, ShapeError, ValidationError
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
+    as_alphas,
     as_complex_matrix,
     as_int,
     check_alpha,
@@ -157,9 +158,7 @@ class SkewEngine:
     def weights(self, alphas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
         """Symmetric I and J pair-weight matrices in each eigenbasis, one per
         (state and) alpha, stacked as ([n_states,] n_alphas, d, d)."""
-        alphas = tuple(map(check_alpha, alphas))
-        if not alphas:
-            raise ValidationError("alphas must hold at least one alpha")
+        alphas = as_alphas(alphas)
         if alphas not in self._weights:
             if len(self._weights) >= _WEIGHT_SETS:
                 self._weights.clear()

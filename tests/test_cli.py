@@ -246,13 +246,29 @@ def test_reproduce_rejects_bad_optimizer_setting(tmp_path, capsys, block):
     # the basis search and the verdict tolerances have no settings
     ("reproduce", {"example": 1, "optimizer": {}}),
     ("check", {"bound_tol": 1e-9}),
+    # alphas are a list, not a string read one character at a time
+    ("check", {"alphas": "0.2"}),
+    ("reproduce", {"example": 1, "alphas": "0.2"}),
 ])
 def test_config_parse_failure_exits_2(tmp_path, capsys, command, doc):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert run_cli(command, "--config", str(cfg),
                    "--out", str(tmp_path / "out.json")) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    if doc.get("alphas") == "0.2":   # named whole, not as its first character
+        assert "bad value for 'alphas': '0.2'" in err and "'0'" not in err
+
+
+@pytest.mark.parametrize("command", ["reproduce", "eval"])
+def test_json_nested_too_deep_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = ("eval", str(path)) if command == "eval" else (command, "--config", str(path))
+    assert run_cli(*argv, "--out", str(tmp_path / "out.json")) == 2
+    kind = "state file" if command == "eval" else "config"
+    assert f"configuration error: {kind} {path} is not valid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, doc", [
@@ -401,6 +417,18 @@ def test_numerical_error_exit_code(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_solver_error_exit_code(tmp_path, capsys, monkeypatch):
+    def explode(*args, **kwargs):
+        raise np.linalg.LinAlgError("synthetic failure")
+
+    path = tmp_path / "bell.json"
+    save_state(str(path), werner_isotropic(1.0))
+    monkeypatch.setattr(np.linalg, "eigh", explode)
+    assert run_cli("eval", str(path)) == 3
+    assert ("numerical-consistency error: eigendecomposition failed: synthetic failure"
+            in capsys.readouterr().err)
+
+
 # --- eval --------------------------------------------------------------------
 
 def test_eval_bell_state(tmp_path, capsys):
@@ -474,8 +502,9 @@ def test_eval_parse_failure_exit_code(tmp_path):
 
 @pytest.mark.parametrize("d_a, d_b, first, message", [
     (2, 2, [0.25, False], "matrix entry 0"),
-    (True, 4, [0.25, 0.0], "d_A and d_B"),   # read as 1: "need a qubit subsystem A"
-    (2, True, [0.5, 0.0], "d_A and d_B"),    # read as 1: a valid 2x1 state
+    # read as 1, True would give "need a qubit subsystem A" as d_A, a valid 2x1 state as d_B
+    (True, 4, [0.25, 0.0], "'d_A' must be an integer >= 1, got True"),
+    (2, True, [0.5, 0.0], "'d_B' must be an integer >= 1, got True"),
 ], ids=["matrix_entry", "d_A", "d_B"])
 def test_eval_rejects_booleans_as_numbers(tmp_path, capsys, d_a, d_b, first, message):
     dim = int(d_a) * int(d_b)
@@ -485,6 +514,24 @@ def test_eval_rejects_booleans_as_numbers(tmp_path, capsys, d_a, d_b, first, mes
     path.write_text(json.dumps({"d_A": d_a, "d_B": d_b, "matrix": matrix}))
     assert run_cli("eval", str(path)) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d_a, first, message", [
+    ("2", f"[{10**400}, 0]", "matrix entry 0 is not a [re, im] pair: [1000"),
+    ("2", "[NaN, 0]", "matrix entry 0 is not a [re, im] pair: [nan, 0]"),
+    ("2", "[Infinity, 0]", "matrix entry 0 is not a [re, im] pair: [inf, 0]"),
+    (str(10**400), "[0.5, 0.0]", "matrix has 16 entries, expected 4000"),
+    ("1e400", "[0.5, 0.0]", "'d_A' must be an integer >= 1, got inf"),
+], ids=["entry_beyond_float", "entry_nan", "entry_infinity", "d_A_beyond_float",
+        "d_A_infinity"])
+def test_eval_rejects_state_file_numbers_out_of_range(tmp_path, capsys, d_a, first, message):
+    # the Bell state, with d_A and its first entry as given (JSON text)
+    rest = ", ".join("[0.5, 0]" if i in (3, 12, 15) else "[0, 0]" for i in range(1, 16))
+    path = tmp_path / "state.json"
+    path.write_text(f'{{"d_A": {d_a}, "d_B": 2, "matrix": [{first}, {rest}]}}')
+    assert run_cli("eval", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
 
 
 def test_eval_bad_bases(tmp_path):

@@ -89,6 +89,8 @@ CASES = [
     ("heisenberg_type_check", lambda: heisenberg_type_check(MONO, ARRAY, Z, 0.5)),
     ("heisenberg_type_checks", lambda: heisenberg_type_checks(MONO, X, Z, (0.5, "x"))),
     ("heisenberg_type_checks", lambda: heisenberg_type_checks(ARRAY, X, Z, (0.5,))),
+    ("heisenberg_type_checks", lambda: heisenberg_type_checks(MONO, X, Z, 0.5)),
+    ("heisenberg_type_checks", lambda: heisenberg_type_checks(MONO, X, Z, "0.5")),
     ("product_bound_check", lambda: product_bound_check(RHO, BX, BZ, 0.5, "abc")),
     ("product_bound_check", lambda: product_bound_check(RHO, BX, BZ, 0.5, None)),
     ("product_bound_check", lambda: product_bound_check(RHO, BX, BZ, 0.5, 1j)),

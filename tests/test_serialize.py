@@ -13,6 +13,7 @@ import skewunc
 from skewunc.errors import ConfigError, InvalidStateError
 from skewunc.serialize import (
     fmt17,
+    json_int,
     load_state,
     matrix_to_pairs,
     pairs_to_matrix,
@@ -110,6 +111,40 @@ def test_load_rejects_bad_dims(tmp_path):
         load_state(str(path))
 
 
+def test_load_reads_integral_json_numbers_as_dims(tmp_path):
+    path = tmp_path / "state.json"
+    save_state(str(path), werner_isotropic(1.0))
+    path.write_text(path.read_text().replace('"d_A":2,', '"d_A":2.0,'))
+    loaded = load_state(str(path))
+    assert type(loaded.d_A) is int and loaded.d_A == 2
+    assert np.array_equal(loaded.mat, werner_isotropic(1.0).mat)
+
+
+@pytest.mark.parametrize("value", [True, 2.5, 0, float("inf"), float("nan"), "2", None])
+def test_json_int_refuses_what_is_not_an_integer(value):
+    with pytest.raises(ConfigError, match=re.escape(f"'d_A' must be an integer >= 1, got {value!r}")):
+        json_int(value, 1, "d_A")
+
+
+def test_json_int_takes_integral_numbers_beyond_float_range():
+    # an integer beyond float range is compared as an integer, not through float()
+    assert json_int(10**400, 1, "d_A") == 10**400
+    assert json_int(3.0, 1, "d_A") == 3
+    with pytest.raises(ConfigError, match="'seed' must be an integer >= 0"):
+        json_int(-10**400, 0, "seed")
+
+
+@pytest.mark.parametrize("entry", [f"[{10**400}, 0]", "[NaN, 0]", "[0, -Infinity]", "[true, 0]",
+                                   "[0.5]", "[0.5, 0, 0]", '["0.5", 0]'],
+                         ids=["beyond_float", "nan", "minus_infinity", "bool", "short", "long",
+                              "string"])
+def test_load_rejects_entries_that_are_not_two_finite_reals(tmp_path, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"d_A": 1, "d_B": 1, "matrix": [{entry}]}}')
+    with pytest.raises(ConfigError, match=re.escape("matrix entry 0 is not a [re, im] pair")):
+        load_state(str(path))
+
+
 def test_state_to_json_is_deterministic():
     state = random_density(EnsembleSpec("full_rank", (2, 2), 6))
     assert state_to_json(state) == state_to_json(state)
@@ -128,8 +163,9 @@ def test_unreadable_files_are_config_errors(tmp_path, target):
         read_json_object(str(path), "config")
 
 
-@pytest.mark.parametrize("text, problem", [("{", "is not valid JSON"),
-                                           ("[1, 2]", "must contain a JSON object")])
+@pytest.mark.parametrize("text, problem", [
+    ("{", "is not valid JSON"), ("[1, 2]", "must contain a JSON object"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "is not valid JSON", id="nested_too_deep")])
 def test_files_without_a_json_object_are_config_errors(tmp_path, text, problem):
     path = tmp_path / "doc.json"
     path.write_text(text)
@@ -160,3 +196,24 @@ def test_only_serialize_opens_files():
         if isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None),
                                                      getattr(node.func, "attr", None))}
     assert calls == {"serialize"}
+
+
+def _names_a_number_test(node) -> bool:
+    """``isinstance(..., bool)``, alone or in a tuple, or a use or import of ``numbers``."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+        kinds = node.args[-1]
+        kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+        return any(getattr(kind, "id", None) == "bool" for kind in kinds)
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return "numbers" in [getattr(node, "module", None), *(a.name for a in node.names)]
+    return isinstance(node, ast.Name) and node.id == "numbers"
+
+
+def test_only_linalg_and_serialize_test_numbers():
+    """Each input rule for numbers has one copy: ``linalg`` coerces library
+    inputs, ``serialize`` the integers of JSON files. Elsewhere an
+    ``isinstance(..., bool)`` or the ``numbers`` module marks a hand-rolled copy."""
+    modules = {
+        path.stem for path in Path(skewunc.__file__).parent.glob("*.py")
+        if any(map(_names_a_number_test, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))}
+    assert modules <= {"linalg", "serialize"}

@@ -13,6 +13,7 @@ from skewunc.checks import (
     prop_closed_form_agreement,
     prop_deficit_nonnegative,
     prop_heisenberg,
+    prop_kron_roundtrip,
     prop_local_monotonicity,
     prop_relabel_invariance,
     prop_skew_ordering,
@@ -200,6 +201,20 @@ def test_sampled_campaign_decomposes_each_state_once_in_capped_stacks(
     assert res.samples == 250
     assert counts == {"herm_eig": 0, "stacked_eig": sides * n_stacks,
                       "decomposed": sides * 250, "widest": widest}
+
+
+def test_kron_roundtrip_reduces_each_block_of_joints_once(monkeypatch):
+    counts = {"herm_eig": 0, "stacked_eig": 0, "decomposed": 0}
+    _count_calls(monkeypatch, linalg, "herm_eig", counts)
+    _count_decompositions(monkeypatch, counts)
+    res, _ = prop_kron_roundtrip(CheckConfig(n_samples=250))
+    # per block (100 + 100 + 50 samples of 2x2 and 2x3), one stacked call
+    # for the A factors, and per shape one for the B factors, one for the
+    # joints and one for their reductions to rho_A: 7 calls; each reduction
+    # to rho_B is a state of its own, one herm_eig each
+    assert res.samples == 250
+    assert counts == {"herm_eig": 250, "stacked_eig": 3 * 7 + 250, "decomposed": 5 * 250,
+                      "widest": 100}
 
 
 @pytest.mark.parametrize("prop, per_block", [
