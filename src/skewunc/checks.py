@@ -56,6 +56,7 @@ from .states import (
     random_density,
     random_hermitian,
     random_unitary,
+    stream_words,
     werner_isotropic,
     werner_swap,
 )
@@ -121,9 +122,9 @@ class PropertyResult:
 
 
 def _tag_seed(seed: int, tag: str) -> int:
-    ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=(zlib.crc32(tag.encode()),))
-    return int(ss.generate_state(1)[0])
+    """The property seed for ``tag``: the first 32-bit state word of stream
+    ``crc32(tag)`` of ``seed``."""
+    return int(stream_words(seed, zlib.crc32(tag.encode()))[0]) & 0xFFFFFFFF
 
 
 def _witness(inputs: dict) -> dict:
@@ -207,6 +208,15 @@ def _draws(cfg: CheckConfig, tag: str, n: int, dims, kind: str = "full_rank",
         yield [(i, seed, rho, alphas[i % len(alphas)]) for i, rho in zip(block, states)]
 
 
+def _per_sample(draw, block, offset: int = 1, local: bool = False) -> list:
+    """``draw(d, seed + offset, i)`` for each sample ``(i, seed, rho, _)`` of a
+    ``_draws`` block, with d the state's dimension (its d_A if ``local``): one
+    block draw per dimension."""
+    seed = block[0][1] + offset
+    return _grouped([rho.d_A if local else rho.dim for _, _, rho, _ in block],
+                    lambda d, idx: draw(d, seed, idx), [i for i, *_ in block])
+
+
 def _skew_ij(states, hs, wanted) -> list[list[list[float]]]:
     """``[I, J]`` of each state against its observable ``hs[k]`` at each alpha of ``wanted[k]``:
     one stacked scoring per state dimension, at every alpha that its states want."""
@@ -237,13 +247,14 @@ def _deficits(block, bases) -> list[list[float]]:
 def prop_eig_reconstruction(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "eig_reconstruction")
     dims = (2, 3, 4, 6)
-    for i in range(cfg.n_samples):
-        h = random_hermitian(dims[i % len(dims)], seed, index=i)
-        dec = herm_eig(h)
-        resid = float(np.max(np.abs(dec.reconstruct() - h.mat)))
-        orth = float(np.max(np.abs(
-            dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(h.dim))))
-        yield -max(resid, orth), {"dim": h.dim, "matrix": h.mat}
+    for block in _blocks(cfg.n_samples):
+        for h in _grouped([dims[i % len(dims)] for i in block],
+                          lambda d, idx: random_hermitian(d, seed, idx), block):
+            dec = herm_eig(h)
+            resid = float(np.max(np.abs(dec.reconstruct() - h.mat)))
+            orth = float(np.max(np.abs(
+                dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(h.dim))))
+            yield -max(resid, orth), {"dim": h.dim, "matrix": h.mat}
 
 
 @_property("linalg_fractional_power_pair", 1e-9)
@@ -298,7 +309,7 @@ def prop_kron_roundtrip(cfg: CheckConfig):
 @_property("skew_ordering_J_ge_I_ge_0")
 def prop_skew_ordering(cfg: CheckConfig):
     for block in _draws(cfg, "skew_ordering", cfg.n_samples, cfg.dims):
-        hs = [random_hermitian(rho.dim, seed + 1, index=i).mat for i, seed, rho, _ in block]
+        hs = [h.mat for h in _per_sample(random_hermitian, block)]
         scored = _skew_ij([rho for _, _, rho, _ in block], hs,
                           [(alpha,) for *_, alpha in block])
         for (_, _, rho, alpha), h, [(i, j)] in zip(block, hs, scored):
@@ -308,7 +319,7 @@ def prop_skew_ordering(cfg: CheckConfig):
 @_property("skew_pure_state_reduction", 1e-9)
 def prop_pure_reduction(cfg: CheckConfig):
     for block in _draws(cfg, "pure_reduction", cfg.n_samples, cfg.dims, "pure"):
-        hs = [random_hermitian(rho.dim, seed + 1, index=i) for i, seed, rho, _ in block]
+        hs = _per_sample(random_hermitian, block)
         scored = _skew_ij([rho for _, _, rho, _ in block], [h.mat for h in hs],
                           [cfg.alphas] * len(block))
         for (_, _, rho, _), h, scores in zip(block, hs, scored):
@@ -319,7 +330,7 @@ def prop_pure_reduction(cfg: CheckConfig):
 @_property("skew_alpha_symmetry", 1e-10)
 def prop_alpha_symmetry(cfg: CheckConfig):
     for block in _draws(cfg, "alpha_symmetry", cfg.n_samples, cfg.dims):
-        hs = [random_hermitian(rho.dim, seed + 1, index=i).mat for i, seed, rho, _ in block]
+        hs = [h.mat for h in _per_sample(random_hermitian, block)]
         scored = _skew_ij([rho for _, _, rho, _ in block], hs,
                           [(alpha, 1 - alpha) for *_, alpha in block])
         for (_, _, rho, alpha), ((i_at, j_at), (i_mirrored, j_mirrored)) in zip(block, scored):
@@ -331,23 +342,22 @@ def prop_alpha_symmetry(cfg: CheckConfig):
 def prop_half_alpha_agreement(cfg: CheckConfig):
     import scipy.linalg   # the only scipy user here; loaded on first use
 
-    for i, seed, rho, _ in chain.from_iterable(
-            _draws(cfg, "half_alpha", cfg.n_samples, cfg.dims)):
-        h = random_hermitian(rho.dim, seed + 1, index=i)
-        main = skew_information_I(rho, h, 0.5)
-        root = scipy.linalg.sqrtm(rho.mat)
-        direct = float((np.trace(rho.mat @ h.mat @ h.mat)
-                        - np.trace(root @ h.mat @ root @ h.mat)).real)
-        via_powers = skew_information_via_powers(rho, h, 0.5)
-        err = max(abs(main - direct), abs(main - via_powers))
-        yield -err, {"state": rho, "observable": h.mat}
+    for block in _draws(cfg, "half_alpha", cfg.n_samples, cfg.dims):
+        for (_, _, rho, _), h in zip(block, _per_sample(random_hermitian, block)):
+            main = skew_information_I(rho, h, 0.5)
+            root = scipy.linalg.sqrtm(rho.mat)
+            direct = float((np.trace(rho.mat @ h.mat @ h.mat)
+                            - np.trace(root @ h.mat @ root @ h.mat)).real)
+            via_powers = skew_information_via_powers(rho, h, 0.5)
+            err = max(abs(main - direct), abs(main - via_powers))
+            yield -err, {"state": rho, "observable": h.mat}
 
 
 @_property("skew_local_monotonicity")
 def prop_local_monotonicity(cfg: CheckConfig):
     for block in _draws(cfg, "local_monotonicity", cfg.n_samples, _bipartite_dims(cfg)):
         rhos = [rho for _, _, rho, _ in block]
-        xs = [random_hermitian(rho.d_A, seed + 1, index=i).mat for i, seed, rho, _ in block]
+        xs = [x.mat for x in _per_sample(random_hermitian, block, local=True)]
         wanted = [(alpha,) for *_, alpha in block]
         joint = _skew_ij(rhos, [embedded(x[None], rho.d_B)[0] for x, rho in zip(xs, rhos)], wanted)
         local = _skew_ij([rho.reduced() for rho in rhos], xs, wanted)
@@ -362,8 +372,8 @@ def prop_local_monotonicity(cfg: CheckConfig):
 @_property("correlation_deficit_nonnegative")
 def prop_deficit_nonnegative(cfg: CheckConfig):
     for block in _draws(cfg, "deficit_nonneg", cfg.n_samples, _bipartite_dims(cfg)):
-        bases = [ProjectiveBasis(random_unitary(rho.d_A, seed + 1, index=i)).columns
-                 for i, seed, rho, _ in block]
+        bases = [ProjectiveBasis(u).columns
+                 for u in _per_sample(random_unitary, block, local=True)]
         for (_, _, rho, alpha), basis, [total] in zip(
                 block, bases, _deficits(block, [(basis,) for basis in bases])):
             yield total, {"state": rho, "alpha": alpha, "basis": basis}
@@ -372,7 +382,7 @@ def prop_deficit_nonnegative(cfg: CheckConfig):
 @_property("correlation_relabel_invariance", 1e-12)
 def prop_relabel_invariance(cfg: CheckConfig):
     for block in _draws(cfg, "relabel", cfg.n_samples, [(2, 2)]):
-        us = [random_unitary(rho.d_A, seed + 1, index=i) for i, seed, rho, _ in block]
+        us = _per_sample(random_unitary, block, local=True)
         for (_, _, rho, alpha), (t1, t2) in zip(
                 block, _deficits(block, [(u, u[:, ::-1]) for u in us])):
             yield -abs(t1 - t2), {"state": rho, "alpha": alpha}
@@ -393,12 +403,12 @@ def prop_oracle_consistency(cfg: CheckConfig):
 
 @_property("correlation_local_unitary_covariance", 1e-4)
 def prop_local_unitary_covariance(cfg: CheckConfig):
-    for i, seed, rho, alpha in chain.from_iterable(
-            _draws(cfg, "lu_covariance", cfg.n_optimizer, [(2, 2)])):
-        [u] = embedded(random_unitary(rho.d_A, seed + 1, index=i)[None], rho.d_B)
-        rotated = BipartiteDensityMatrix(u @ rho.mat @ u.conj().T, rho.d_A, rho.d_B)
-        err = abs(brute_force_D_qubit(rho, alpha) - brute_force_D_qubit(rotated, alpha))
-        yield -err, {"state": rho, "alpha": alpha}
+    for block in _draws(cfg, "lu_covariance", cfg.n_optimizer, [(2, 2)]):
+        for (_, _, rho, alpha), u in zip(block, _per_sample(random_unitary, block, local=True)):
+            [u] = embedded(u[None], rho.d_B)
+            rotated = BipartiteDensityMatrix(u @ rho.mat @ u.conj().T, rho.d_A, rho.d_B)
+            err = abs(brute_force_D_qubit(rho, alpha) - brute_force_D_qubit(rotated, alpha))
+            yield -err, {"state": rho, "alpha": alpha}
 
 
 @_property("correlation_classical_quantum_nullity", ORACLE_TOL)
@@ -423,8 +433,8 @@ def prop_heisenberg(cfg: CheckConfig):
     for d in cfg.dims:
         for n in _blocks(cfg.n_samples):
             rhos = random_densities(EnsembleSpec("full_rank", d, seed + d), n)
-            rs = [random_hermitian(d, seed + 10 * d, index=i) for i in n]
-            ss = [random_hermitian(d, seed + 20 * d, index=i) for i in n]
+            rs = random_hermitian(d, seed + 10 * d, n)
+            ss = random_hermitian(d, seed + 20 * d, n)
             checked = heisenberg_type_checks(rhos, rs, ss, cfg.alphas)
             for rho, r, s, reports in zip(rhos, rs, ss, checked):
                 for alpha, rep in zip(cfg.alphas, reports):
@@ -434,28 +444,28 @@ def prop_heisenberg(cfg: CheckConfig):
 def prop_theorems_with_oracle(cfg: CheckConfig):
     """Theorem checks and the proof-chain links, sharing one oracle run."""
     thm, links = [], []
-    for i, seed, rho, alpha in chain.from_iterable(
-            _draws(cfg, "theorems", cfg.n_theorem, [(2, 2)])):
-        phi = ProjectiveBasis(random_unitary(rho.d_A, seed + 1, index=i))
-        psi = ProjectiveBasis(random_unitary(rho.d_A, seed + 2, index=i))
-        d_val = brute_force_D_qubit(rho, alpha)
-        prod, summ = memory_bounds(rho, phi, psi, alpha, d_val)
-        inputs = {"state": rho, "alpha": alpha, "d_tilde": d_val,
-                  "phi": phi.columns, "psi": psi.columns}
-        thm.append((min(prod.slack, summ.slack), inputs))
+    for block in _draws(cfg, "theorems", cfg.n_theorem, [(2, 2)]):
+        phis, psis = (_per_sample(random_unitary, block, k, local=True) for k in (1, 2))
+        for (_, _, rho, alpha), phi, psi in zip(block, phis, psis):
+            phi, psi = ProjectiveBasis(phi), ProjectiveBasis(psi)
+            d_val = brute_force_D_qubit(rho, alpha)
+            prod, summ = memory_bounds(rho, phi, psi, alpha, d_val)
+            inputs = {"state": rho, "alpha": alpha, "d_tilde": d_val,
+                      "phi": phi.columns, "psi": psi.columns}
+            thm.append((min(prod.slack, summ.slack), inputs))
 
-        # chain links of the product bound's proof
-        mid = float(sum(prod.terms["per_k_I_phi"])) * float(sum(prod.terms["per_k_I_psi"]))
-        both = np.concatenate((phi.projector_stack, psi.projector_stack))
-        i_a = engine(rho.reduced()).stacked_pairs(both, (alpha,))[0][:, 0].tolist()
-        i_a_phi, i_a_psi = i_a[:2], i_a[2:]
-        mid2 = (d_val + sum(i_a_phi)) * (d_val + sum(i_a_psi))
-        mid3 = d_val**2 + sum(a * b for a, b in zip(i_a_phi, i_a_psi))
-        tight = min(prod.lhs - mid, mid2 - mid3, mid3 - prod.rhs)
-        # the link through the minimum inherits the oracle's certification
-        oracle_link = mid - mid2
-        violation = max(-tight - BOUND_TOL, -oracle_link - ORACLE_TOL)
-        links.append((-violation, inputs))
+            # chain links of the product bound's proof
+            mid = float(sum(prod.terms["per_k_I_phi"])) * float(sum(prod.terms["per_k_I_psi"]))
+            both = np.concatenate((phi.projector_stack, psi.projector_stack))
+            i_a = engine(rho.reduced()).stacked_pairs(both, (alpha,))[0][:, 0].tolist()
+            i_a_phi, i_a_psi = i_a[:2], i_a[2:]
+            mid2 = (d_val + sum(i_a_phi)) * (d_val + sum(i_a_psi))
+            mid3 = d_val**2 + sum(a * b for a, b in zip(i_a_phi, i_a_psi))
+            tight = min(prod.lhs - mid, mid2 - mid3, mid3 - prod.rhs)
+            # the link through the minimum inherits the oracle's certification
+            oracle_link = mid - mid2
+            violation = max(-tight - BOUND_TOL, -oracle_link - ORACLE_TOL)
+            links.append((-violation, inputs))
     return [_result("bounds_theorems_oracle_certified", ORACLE_TOL, thm),
             _result("bounds_proof_chain_consistency", 0.0, links)]
 
@@ -512,13 +522,13 @@ def _twirl_invariance(cfg: CheckConfig, tag: str, family, p_lo: float, conj: boo
     """``family(p)`` commutes with ``u (x) u``, or ``u (x) u*`` if ``conj``."""
     seed = _tag_seed(cfg.seed, tag)
     rng = np.random.default_rng(seed)
-    for i in range(max(1, cfg.n_samples // 10)):
-        p = float(rng.uniform(p_lo, 1.0))
-        rho = family(p)
-        u = random_unitary(2, seed + 1, index=i)
-        uu = kron(u, u.conj() if conj else u)
-        err = float(np.max(np.abs(uu @ rho.mat @ uu.conj().T - rho.mat)))
-        yield -err, {"p": p}
+    for block in _blocks(max(1, cfg.n_samples // 10)):
+        for u in random_unitary(2, seed + 1, block):
+            p = float(rng.uniform(p_lo, 1.0))
+            rho = family(p)
+            uu = kron(u, u.conj() if conj else u)
+            err = float(np.max(np.abs(uu @ rho.mat @ uu.conj().T - rho.mat)))
+            yield -err, {"p": p}
 
 
 @_property("states_werner_swap_symmetry", 1e-10)

@@ -3,6 +3,7 @@ validation."""
 
 import json
 import math
+import zlib
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -24,7 +25,7 @@ from skewunc.errors import ConfigError
 from skewunc.linalg import BipartiteDensityMatrix, DensityMatrix, HermitianOperator
 from skewunc.serialize import pairs_to_matrix
 from skewunc.skew import ProjectiveBasis
-from skewunc.states import EnsembleSpec, random_density
+from skewunc.states import EnsembleSpec, random_density, random_hermitian, random_unitary
 
 SMALL = CheckConfig(seed=42, n_samples=24, n_optimizer=2, n_theorem=3,
                     alphas=(0.2, 0.5, 0.8), dims=(2, 3))
@@ -93,6 +94,26 @@ def test_draws_match_the_per_property_loop(monkeypatch, dims, kind, alphas):
             assert rho._reduced is not None
             assert np.array_equal(rho._reduced.mat, ref_rho.reduced().mat)
 
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**32 + 1, 2**130])
+def test_tag_seed_is_the_first_seed_sequence_word(seed):
+    for tag in ("probe", "theorems", "ensembles", "swap_symmetry", "", "\u00e9"):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(zlib.crc32(tag.encode()),))
+        assert checks._tag_seed(seed, tag) == int(ss.generate_state(1)[0])
+
+
+def test_per_sample_draws_match_lone_draws():
+    # one block draw per dimension: the samples alternate 2x2 and 2x3 states
+    [block] = checks._draws(SMALL, "probe", 7, checks._bipartite_dims(SMALL))
+    hs = checks._per_sample(random_hermitian, block)
+    xs = checks._per_sample(random_hermitian, block, 3, local=True)
+    us = checks._per_sample(random_unitary, block, 2, local=True)
+    assert {rho.dim for _, _, rho, _ in block} == {4, 6}
+    for (i, seed, rho, _), h, x, u in zip(block, hs, xs, us, strict=True):
+        assert np.array_equal(h.mat, random_hermitian(rho.dim, seed + 1, i).mat)
+        assert np.array_equal(x.mat, random_hermitian(rho.d_A, seed + 3, i).mat)
+        assert np.array_equal(u, random_unitary(rho.d_A, seed + 2, i))
 
 def test_small_campaign_passes(tmp_path):
     report = run_checks(SMALL, witness_dir=str(tmp_path))

@@ -1,5 +1,6 @@
 """Grid-oracle runs never load scipy; the basis optimizer loads it on use.
-Grid runs load no hashlib either: only an eigensolver failure needs it."""
+Grid runs load no hashlib either: only an eigensolver failure needs it. Nor
+do they load numpy.random: only a random draw or the optimizer needs it."""
 
 import json
 import os
@@ -17,7 +18,7 @@ tmp = Path(sys.argv[1])
 steps = []
 
 def record(step):
-    steps.append([step, "scipy" in sys.modules])
+    steps.append([step, "scipy" in sys.modules, "numpy.random" in sys.modules])
 
 import skewunc
 record("import skewunc")
@@ -49,9 +50,9 @@ def test_grid_oracle_runs_load_no_scipy(tmp_path):
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["grid_hashlib"] is False
     assert out["steps"] == [
-        ["import skewunc", False],
-        ["import skewunc.cli", False],
-        ["grid reproduce (exit 0)", False],
-        ["grid eval (exit 0)", False],
-        ["quantum_correlation_D", True],
+        ["import skewunc", False, False],
+        ["import skewunc.cli", False, False],
+        ["grid reproduce (exit 0)", False, False],
+        ["grid eval (exit 0)", False, False],
+        ["quantum_correlation_D", True, True],
     ]

@@ -126,6 +126,19 @@ CASES = [
     ("random_hermitian", lambda: random_hermitian(2, -1)),
     ("random_unitary", lambda: random_unitary(None, 0)),
     ("random_unitary", lambda: random_unitary(2, 0, float("nan"))),
+    # the sequence-of-indices forms: each index an integer >= 0, the
+    # sequence flat and nonempty
+    ("random_density", lambda: random_density(SPEC, [0, 1])),
+    ("random_hermitian", lambda: random_hermitian(2, 0, [0, -1])),
+    ("random_hermitian", lambda: random_hermitian(2, 0, [0, True])),
+    ("random_hermitian", lambda: random_hermitian(2, 0, [0, 1.0])),
+    ("random_hermitian", lambda: random_hermitian(2, 0, [[0, 1], [2]])),
+    ("random_hermitian", lambda: random_hermitian(2, 0, [])),
+    ("random_unitary", lambda: random_unitary(2, 0, (0, -1))),
+    ("random_unitary", lambda: random_unitary(2, 0, (True,))),
+    ("random_unitary", lambda: random_unitary(2, 0, np.array([0.0, 1.0]))),
+    ("random_unitary", lambda: random_unitary(2, 0, [[0, 1], [2]])),
+    ("random_unitary", lambda: random_unitary(2, 0, range(0))),
 ]
 
 # Names that take no malformed input: exceptions, constants, result
