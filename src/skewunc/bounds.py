@@ -34,7 +34,7 @@ from .linalg import (
     as_real,
     check_alpha,
     check_type,
-    reduced_states,
+    partial_trace,
     state_stack,
 )
 from .skew import (
@@ -149,7 +149,7 @@ def memory_bounds(rho_ab, phi: ProjectiveBasis, psi: ProjectiveBasis, alpha: flo
                   states[0].d_B)
     i, _, u = (x.reshape(len(states), 2, -1).tolist()
                for x in engine(*states).stacked_pairs(hs, (alpha,)))
-    per_state_l = compat_terms(reduced_states(states),
+    per_state_l = compat_terms(partial_trace(states, "A"),
                                phi.projector_stack, psi.projector_stack, alpha)
     out = []
     for (i_phi, i_psi), (u_phi, u_psi), per_k_l, d in zip(i, u, per_state_l, d_values):

@@ -38,7 +38,6 @@ from .linalg import (
     herm_eig,
     kron,
     partial_trace,
-    reduced_states,
 )
 from .serialize import matrix_to_pairs, write_text
 from .skew import (
@@ -190,6 +189,12 @@ def _grouped(keys, score, *columns) -> list:
     return out
 
 
+def _partial_traces(states, keep: str) -> list:
+    """``partial_trace(state, keep)`` of each bipartite state: one stacked call per shape."""
+    return _grouped([(rho.d_A, rho.d_B) for rho in states],
+                    lambda _, stack: partial_trace(stack, keep), states)
+
+
 def _draws(cfg: CheckConfig, tag: str, n: int, dims, kind: str = "full_rank",
            alphas=None):
     """Yield ``n`` samples ``(i, seed, state, alpha)`` as blocks of at most
@@ -204,7 +209,7 @@ def _draws(cfg: CheckConfig, tag: str, n: int, dims, kind: str = "full_rank",
         block_specs = [specs[i % len(specs)] for i in block]
         states = _grouped(block_specs, random_densities, block)
         if specs[0].bipartite:
-            _grouped(block_specs, lambda _, stack: reduced_states(stack), states)
+            _partial_traces(states, "A")
         yield [(i, seed, rho, alphas[i % len(alphas)]) for i, rho in zip(block, states)]
 
 
@@ -274,14 +279,14 @@ def prop_fractional_power_pair(cfg: CheckConfig):
 
 @_property("linalg_partial_trace", 1e-9)
 def prop_partial_trace(cfg: CheckConfig):
-    for _, _, rho, _ in chain.from_iterable(
-            _draws(cfg, "partial_trace", cfg.n_samples, _bipartite_dims(cfg))):
-        bad = 0.0
-        for keep in ("A", "B"):
-            red = partial_trace(rho, keep)
-            bad = max(bad, abs(float(np.trace(red.mat).real) - 1.0),
-                      max(0.0, -float(np.linalg.eigvalsh(red.mat)[0])))
-        yield -bad, {"state": rho}
+    for block in _draws(cfg, "partial_trace", cfg.n_samples, _bipartite_dims(cfg)):
+        rhos = [rho for _, _, rho, _ in block]
+        for rho, *pair in zip(rhos, *(_partial_traces(rhos, keep) for keep in ("A", "B"))):
+            bad = 0.0
+            for red in pair:
+                bad = max(bad, abs(float(np.trace(red.mat).real) - 1.0),
+                          max(0.0, -float(np.linalg.eigvalsh(red.mat)[0])))
+            yield -bad, {"state": rho}
 
 
 @_property("linalg_kron_roundtrip", 1e-12)
@@ -295,10 +300,10 @@ def prop_kron_roundtrip(cfg: CheckConfig):
                              [2 * i + k for i in block]) for k in (0, 1))
         joints = _grouped(shapes, lambda shape, a_s, b_s: BipartiteDensityMatrix.stack(
             [kron(a.mat, b.mat) for a, b in zip(a_s, b_s)], *shape), a_s, b_s)
-        _grouped(shapes, lambda _, stack: reduced_states(stack), joints)
-        for a, b, joint in zip(a_s, b_s, joints):
-            err = max(float(np.max(np.abs(partial_trace(joint, "A").mat - a.mat))),
-                      float(np.max(np.abs(partial_trace(joint, "B").mat - b.mat))))
+        for a, b, joint, red_a, red_b in zip(a_s, b_s, joints, *(
+                _partial_traces(joints, keep) for keep in ("A", "B"))):
+            err = max(float(np.max(np.abs(red_a.mat - a.mat))),
+                      float(np.max(np.abs(red_b.mat - b.mat))))
             yield -err, {"state": joint}
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericalConsistencyError, OptimizerError, ShapeError, ValidationError
 from .linalg import (BipartiteDensityMatrix, as_int, check_alpha, check_type,
-                     reduced_states, state_stack)
+                     partial_trace, state_stack)
 from .skew import NEG_CLIP, ProjectiveBasis, embedded, engine
 from .states import pauli
 
@@ -89,7 +89,7 @@ class DeficitEvaluator:
         self.d_A = states[0].d_A
         self.d_B = states[0].d_B
         self._eng_ab = engine(*states)
-        self._eng_a = engine(*reduced_states(states))
+        self._eng_a = engine(*partial_trace(states, "A"))
         self._u = self._eng_ab.eigenvectors
         # eigenvector matrix indexed (a, (b, eigenindex)) for the embedding trick
         self._u_flat = np.ascontiguousarray(

@@ -6,7 +6,8 @@ raises a ValidationError naming the input.
 
 Index convention for composite systems: basis state |i>_A |j>_B maps to the
 flat index i * d_B + j (row-major), which is exactly what ``numpy.kron``
-produces. Every module in this package relies on that convention.
+produces. Only this module spells that layout out: every other module goes
+through ``kron``, ``stacked_kron`` and ``partial_trace``.
 """
 
 from __future__ import annotations
@@ -172,8 +173,8 @@ class BipartiteDensityMatrix(DensityMatrix):
         return d_A, d_B
 
     def reduced(self) -> DensityMatrix:
-        """The reduced state rho_A (``reduced_states``), computed once and cached."""
-        return reduced_states((self,))[0]
+        """The reduced state rho_A (``partial_trace``), computed once and cached."""
+        return partial_trace(self, "A")
 
     def __repr__(self):
         return f"BipartiteDensityMatrix(d_A={self.d_A}, d_B={self.d_B})"
@@ -236,16 +237,13 @@ def stacked_eig(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = w.shape[-1]
     flat_w, flat_v = w.reshape(-1, n), v.reshape(-1, n, n)
     gtol = DEGENERACY_TOL * np.abs(flat_w).max(-1, initial=1.0)
-    ties = np.diff(flat_w) <= gtol[:, None]
-    for k in ties.any(-1).nonzero()[0]:
-        i = 0
-        while i < n:
-            j = i + 1
-            while j < n and ties[k, j - 1]:
-                j += 1
-            if j - i > 1:
-                flat_v[k, :, i:j] = _canonical_eigenspace(flat_v[k, :, i:j])
-            i = j
+    # ties between neighbours, padded with False: each run of ties between
+    # edges a and b of matrix k is the degenerate eigenspace a:b + 1
+    run = np.zeros((len(flat_w), n + 1), dtype=bool)
+    run[:, 1:-1] = np.diff(flat_w) <= gtol[:, None]
+    ks, edges = np.nonzero(np.diff(run))
+    for k, a, b in zip(ks[::2].tolist(), edges[::2].tolist(), edges[1::2].tolist()):
+        flat_v[k, :, a:b + 1] = _canonical_eigenspace(flat_v[k, :, a:b + 1])
     # global phases: largest-magnitude component real positive, all at once
     pivots = flat_v[np.arange(len(flat_v))[:, None], np.abs(flat_v).argmax(-2), np.arange(n)]
     safe = np.abs(pivots)
@@ -351,34 +349,37 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
+def stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``kron(a[k], b[k])`` over the broadcast leading axes of two arrays of
+    square matrices, by broadcasting and without coercion."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    d = a.shape[-1] * b.shape[-1]
+    return out.reshape(out.shape[:-4] + (d, d))
+
+
 # Reduction of a valid state is a valid state; its PSD guard is loosened only
 # enough to absorb the einsum rounding.
 _REDUCED_PSD_TOL = 1e-9
 
 
-def partial_trace(rho: BipartiteDensityMatrix, keep: str) -> DensityMatrix:
-    """Trace out one factor of a bipartite state; ``keep`` is 'A' (``rho.reduced()``) or 'B'."""
+def partial_trace(rho, keep: str):
+    """Keep factor ``keep`` ('A' or 'B') of a bipartite state, or of each of a
+    stack (``state_stack``: one ``einsum`` and one ``DensityMatrix.stack``,
+    returned as a tuple); rho_A is cached on each state as its ``reduced()``."""
     if keep not in ("A", "B"):
         raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
-    check_type(rho, BipartiteDensityMatrix, "rho")
-    if keep == "A":
-        return rho.reduced()
-    t = rho.mat.reshape(rho.d_A, rho.d_B, rho.d_A, rho.d_B)
-    return DensityMatrix(np.einsum('ijil->jl', t), psd_tol=_REDUCED_PSD_TOL)
-
-
-def reduced_states(states) -> tuple[DensityMatrix, ...]:
-    """``reduced()`` of each of a stack of bipartite states of one shape, cached on
-    each; those not cached yet come from one ``einsum`` and one ``DensityMatrix.stack``."""
-    states, _ = state_stack(states, BipartiteDensityMatrix)
-    todo = [state for state in states if state._reduced is None]
+    states, stacked = state_stack(rho, BipartiteDensityMatrix)
+    todo = [state for state in states if keep == "B" or state._reduced is None]
     if todo:
         da, db = todo[0].d_A, todo[0].d_B
         t = np.stack([state.mat for state in todo]).reshape(-1, da, db, da, db)
-        mats = np.einsum('...ijkj->...ik', t)
-        for state, red in zip(todo, DensityMatrix.stack(mats, _REDUCED_PSD_TOL)):
+        reds = DensityMatrix.stack(
+            np.einsum('...ijkj->...ik' if keep == "A" else '...ijil->...jl', t), _REDUCED_PSD_TOL)
+        if keep == "B":
+            return tuple(reds) if stacked else reds[0]
+        for state, red in zip(todo, reds):
             state._reduced = red
-    return tuple(state._reduced for state in states)
+    return tuple(state._reduced for state in states) if stacked else states[0]._reduced
 
 
 def check_dims(*operators: HermitianOperator) -> None:

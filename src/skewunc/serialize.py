@@ -67,8 +67,8 @@ def pairs_to_matrix(pairs, dim: int) -> np.ndarray:
     if not isinstance(pairs, (list, tuple)):
         raise ConfigError(f"matrix must be a list of [re, im] pairs, got {pairs!r}")
     if len(pairs) != dim * dim:
-        raise ConfigError(
-            f"matrix has {len(pairs)} entries, expected {dim * dim}")
+        raise ConfigError(f"matrix has {len(pairs)} entries, expected "
+                          f"{dim * dim if dim < 10**6 else 'at least 10**12'}")
     flat = np.empty(dim * dim, dtype=np.complex128)
     try:
         for i, pair in enumerate(pairs):

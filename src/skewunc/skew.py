@@ -36,6 +36,7 @@ from .linalg import (
     clipped_spectrum,
     fractional_power,
     powered_spectrum,
+    stacked_kron,
     state_stack,
 )
 
@@ -249,10 +250,8 @@ def uncertainty_U(rho: DensityMatrix, h: HermitianOperator, alpha: float) -> Ske
 
 def embedded(ps: np.ndarray, memory_dim: int) -> np.ndarray:
     """Each P of the (m, d, d) stack ``ps`` as P (x) I, I of dimension
-    ``memory_dim``: the entries of np.kron by broadcasting, without its overhead."""
-    m, d, _ = ps.shape
-    eye = np.eye(memory_dim)[None, None, :, None, :]
-    return (ps[:, :, None, :, None] * eye).reshape(m, d * memory_dim, d * memory_dim)
+    ``memory_dim`` (``stacked_kron``)."""
+    return stacked_kron(ps, np.eye(memory_dim))
 
 
 def measurement_uncertainty_terms(rho: DensityMatrix, basis: ProjectiveBasis,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (BipartiteDensityMatrix, DensityMatrix, HermitianOperator, as_int,
-                     as_real, check_type, kron)
+                     as_real, check_type, kron, stacked_kron)
 from .skew import ProjectiveBasis
 
 # The isotropic family is separable exactly up to this mixing weight.
@@ -309,12 +309,6 @@ def _dirichlet_uniform(rngs: list, n: int) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``kron(a[k], b[k])`` for each k of the stack ``b``; a 2-D ``a`` serves every k."""
-    d = a.shape[-1] * b.shape[-1]
-    return (a[..., :, None, :, None] * b[:, None, :, None, :]).reshape(-1, d, d)
-
-
 def _draw_matrices(spec: EnsembleSpec, rngs: list) -> np.ndarray:
     """One draw of ``spec`` from each generator, as an (n, d, d) stack."""
     d = spec.total_dim
@@ -326,20 +320,20 @@ def _draw_matrices(spec: EnsembleSpec, rngs: list) -> np.ndarray:
         return _ginibre_densities(rngs, d, spec.rank)
     da, db = spec.dims  # bipartite kinds from here on
     if spec.kind == "product":
-        return _kron_pairs(_ginibre_densities(rngs, da, da), _ginibre_densities(rngs, db, db))
+        return stacked_kron(_ginibre_densities(rngs, da, da), _ginibre_densities(rngs, db, db))
     mat = np.zeros((len(rngs), d, d), dtype=np.complex128)
     if spec.kind == "classical_quantum":
         weights = _dirichlet_uniform(rngs, da)
         for k in range(da):
             pk = np.zeros((da, da), dtype=np.complex128)
             pk[k, k] = 1.0
-            mat += weights[:, k, None, None] * _kron_pairs(pk, _ginibre_densities(rngs, db, db))
+            mat += weights[:, k, None, None] * stacked_kron(pk, _ginibre_densities(rngs, db, db))
         return mat
     if spec.kind == "separable_mixture":
         weights = _dirichlet_uniform(rngs, da * db)
         for k in range(da * db):
-            mat += weights[:, k, None, None] * _kron_pairs(_pure_densities(rngs, da),
-                                                           _pure_densities(rngs, db))
+            mat += weights[:, k, None, None] * stacked_kron(_pure_densities(rngs, da),
+                                                            _pure_densities(rngs, db))
         return mat
     raise ValidationError(f"unhandled ensemble kind {spec.kind!r}")
 

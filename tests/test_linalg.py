@@ -1,8 +1,12 @@
 """Validated operator types, eigendecomposition, powers, and tensor algebra."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import skewunc
 from skewunc.errors import (
     InvalidStateError,
     ShapeError,
@@ -18,6 +22,7 @@ from skewunc.linalg import (
     herm_eig,
     kron,
     partial_trace,
+    stacked_kron,
 )
 from skewunc.states import EnsembleSpec, pauli, random_density, random_hermitian
 
@@ -244,6 +249,19 @@ def test_kron_block_structure():
     assert np.allclose(out[2:, 2:], 0.0)
 
 
+def test_stacked_kron_is_kron_over_broadcast_leading_axes():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    b = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+    out = stacked_kron(a, b)
+    assert out.shape == (3, 6, 6)
+    for k in range(3):
+        assert np.allclose(out[k], kron(a[k], b[k]), rtol=0, atol=1e-15)
+    # a lone factor serves every matrix of the other's stack, either side
+    assert np.array_equal(stacked_kron(a[0], b)[2], stacked_kron(a[:1], b[2])[0])
+    assert np.array_equal(stacked_kron(a[1], np.eye(3)), np.kron(a[1], np.eye(3)))
+
+
 def test_partial_trace_product_state():
     a = random_density(EnsembleSpec("full_rank", 2, 3))
     b = random_density(EnsembleSpec("full_rank", 3, 4))
@@ -288,3 +306,13 @@ def test_anticommutator_pauli():
 def test_commutator_shape_mismatch():
     with pytest.raises(ShapeError):
         commutator(pauli("x"), HermitianOperator(np.eye(3)))
+
+
+def test_only_linalg_spells_the_composite_index():
+    """The row-major layout |i>|j> -> i * d_B + j has one home: no module but
+    ``linalg`` holds the broadcast tensor index or a partial-trace ``einsum``
+    subscript; the others go through ``kron``, ``stacked_kron`` and ``partial_trace``."""
+    spelled = re.compile(r":, None, :, None\]|ijkj|ijil")
+    modules = {path.stem for path in Path(skewunc.__file__).parent.glob("*.py")
+               if spelled.search(path.read_text(encoding="utf-8"))}
+    assert modules == {"linalg"}

@@ -73,6 +73,11 @@ CASES = [
     ("fractional_power", lambda: fractional_power(ARRAY, 0.5)),
     ("fractional_power", lambda: fractional_power(MONO, "0.5")),
     ("partial_trace", lambda: partial_trace(MONO, "A")),
+    # the stack forms: a nonempty list of bipartite states of one shape
+    ("partial_trace", lambda: partial_trace([], "A")),
+    ("partial_trace", lambda: partial_trace([RHO, BipartiteDensityMatrix(RHO.mat, 1, 4)], "B")),
+    ("partial_trace", lambda: partial_trace([RHO, MONO], "A")),
+    ("partial_trace", lambda: partial_trace([RHO, RHO], "C")),
     ("commutator", lambda: commutator(X, ARRAY)),
     ("anticommutator", lambda: anticommutator(ARRAY, X)),
     ("skew_information_I", lambda: skew_information_I(MONO, ARRAY, 0.5)),

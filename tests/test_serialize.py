@@ -67,8 +67,18 @@ def test_load_rejects_missing_fields(tmp_path):
 def test_load_rejects_wrong_entry_count(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"d_A": 2, "d_B": 2, "matrix": [[1.0, 0.0]]}')
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^matrix has 1 entries, expected 16$"):
         load_state(str(path))
+
+
+@pytest.mark.parametrize("digits", [7, 400, 4000])
+def test_wrong_entry_count_message_stays_short_for_any_dims(tmp_path, digits):
+    # an expected count of 10**12 or more is named by its size, never spelled out
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"d_A": {10**digits}, "d_B": 2, "matrix": [[1.0, 0.0]]}}')
+    with pytest.raises(ConfigError) as err:
+        load_state(str(path))
+    assert str(err.value) == "matrix has 1 entries, expected at least 10**12"
 
 
 @pytest.mark.parametrize("matrix", ["5", "null", '{"re": 1}'])

@@ -28,7 +28,6 @@ from skewunc.linalg import (
     clipped_spectrum,
     partial_trace,
     powered_spectrum,
-    reduced_states,
 )
 from skewunc.skew import (
     PAIR_DEGENERACY_TOL,
@@ -39,6 +38,7 @@ from skewunc.skew import (
     uncertainty_U,
 )
 from skewunc.states import (
+    ENSEMBLE_KINDS,
     EnsembleSpec,
     pauli,
     pauli_basis,
@@ -298,7 +298,7 @@ def test_stacked_draws_have_the_bits_of_one_at_a_time_draws(kind, d):
         indices = (0, 3, 1, 7, 2, 5)
         stacked = random_densities(spec, indices)
         if spec.bipartite:
-            reduced_states(stacked)   # the reductions as one stack
+            partial_trace(stacked, "A")   # the reductions as one stack
         _assert_same_states(stacked, [random_density(spec, i) for i in indices])
 
 
@@ -308,7 +308,7 @@ def test_stacked_family_grids_have_the_bits_of_one_at_a_time_builds(family, lo, 
     ps = sweeps.p_grid(lo, 1.0, 0.01)
     assert len(ps) == n
     stacked = family(ps)
-    reduced_states(stacked)
+    partial_trace(stacked, "A")
     _assert_same_states(stacked, [family(p) for p in ps])
 
 
@@ -319,7 +319,7 @@ def test_degenerate_and_one_state_stacks_have_the_bits_of_one_state():
         _assert_same_states(DensityMatrix.stack([mixed, full, mixed]),
                             [DensityMatrix(mixed), DensityMatrix(full), DensityMatrix(mixed)])
     stacked = werner_swap([-1.0, 0.5])
-    reduced_states(stacked)
+    partial_trace(stacked, "A")
     _assert_same_states(stacked, [werner_swap(-1.0), werner_swap(0.5)])
     spec = EnsembleSpec("full_rank", (2, 3), 417)
     [one] = random_densities(spec, [5])
@@ -330,8 +330,29 @@ def test_degenerate_and_one_state_stacks_have_the_bits_of_one_state():
     _assert_same_states(DensityMatrix.stack([one.mat]), [DensityMatrix(one.mat)])
     traced = np.einsum('ijkj->ik', one.mat.reshape(2, 3, 2, 3))
     assert _same_bits(one.reduced().mat.view(np.float64), traced.view(np.float64))
-    assert reduced_states([one]) == (one.reduced(),)
+    assert partial_trace([one], "A") == (one.reduced(),)
     assert partial_trace(one, "A") is one.reduced()
+
+
+_ONE_STATE_TRACE = {"A": 'ijkj->ik', "B": 'ijil->jl'}
+
+
+@pytest.mark.parametrize("keep", ["A", "B"])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 2)], ids=lambda d: "%dx%d" % d)
+def test_stacked_partial_trace_has_the_bits_of_lone_partial_traces(dims, keep):
+    # every ensemble kind, a rank-deficient one included; the lone states
+    # are fresh draws, so no reduction is shared through a cache
+    for spec in [EnsembleSpec(kind, dims, 418, rank=2 if kind == "fixed_rank" else None)
+                 for kind in ENSEMBLE_KINDS]:
+        indices = (0, 4, 1, 6)
+        stacked = partial_trace(random_densities(spec, indices), keep)
+        joints = [random_density(spec, i) for i in indices]
+        lone = [partial_trace(joint, keep) for joint in joints]
+        assert type(stacked) is tuple and len(stacked) == len(indices)
+        for got, want, joint in zip(stacked, lone, joints):
+            traced = np.einsum(_ONE_STATE_TRACE[keep], joint.mat.reshape(dims * 2))
+            assert np.array_equal(got.mat, want.mat) and np.array_equal(got.mat, traced)
+        _assert_same_states(list(stacked), lone)
 
 
 @pytest.mark.parametrize("example_id", [1, 3])

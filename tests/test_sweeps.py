@@ -63,19 +63,20 @@ def _count_decompositions(monkeypatch, counts):
 
 
 def _count_reductions(monkeypatch, counts):
-    """Count the ``linalg.reduced_states`` calls that reduce a state not yet
-    reduced (``"reductions"``): every reduction to rho_A runs through it,
-    ``reduced()`` and ``partial_trace(rho, "A")`` included."""
-    original = linalg.reduced_states
+    """Count the ``linalg.partial_trace`` calls that reduce a state or a stack
+    (``"reductions"``): every call keeping B, and every call keeping A on a
+    state not yet reduced. Every reduction runs through it, ``reduced()``
+    included; a call that only reads cached reductions to rho_A is not one."""
+    original = linalg.partial_trace
 
-    def counted(stack):
-        todo = stack if isinstance(stack, (list, tuple)) else (stack,)
-        counts["reductions"] += any(state._reduced is None for state in todo)
-        return original(stack)
+    def counted(rho, keep):
+        todo = rho if isinstance(rho, (list, tuple)) else (rho,)
+        counts["reductions"] += keep == "B" or any(state._reduced is None for state in todo)
+        return original(rho, keep)
 
     for mod in [mod for key, mod in sys.modules.items() if key.startswith("skewunc")
-                and vars(mod).get("reduced_states") is original]:
-        monkeypatch.setattr(mod, "reduced_states", counted)
+                and vars(mod).get("partial_trace") is original]:
+        monkeypatch.setattr(mod, "partial_trace", counted)
 
 
 def test_example1_row_builds_each_spectral_object_once(monkeypatch):
@@ -160,12 +161,12 @@ def test_heisenberg_campaign_builds_one_engine_per_dimension(monkeypatch):
 
 
 def test_closed_form_campaign_scores_each_example_as_one_stack(monkeypatch):
-    counts = {"__init__": 0, "herm_eig": 0, "partial_trace": 0, "werner_swap": 0,
+    counts = {"__init__": 0, "herm_eig": 0, "reductions": 0, "werner_swap": 0,
               "werner_isotropic": 0, "sweep_row": 0, "stacked_pairs": 0,
               "bloch_quadratic": 0, "stacked_eig": 0, "decomposed": 0}
     _count_calls(monkeypatch, skew.SkewEngine, "__init__", counts)
     _count_calls(monkeypatch, linalg, "herm_eig", counts)
-    _count_calls(monkeypatch, linalg, "partial_trace", counts)
+    _count_reductions(monkeypatch, counts)
     _count_calls(monkeypatch, states, "werner_swap", counts)
     _count_calls(monkeypatch, states, "werner_isotropic", counts)
     _count_calls(monkeypatch, sweeps, "sweep_row", counts)
@@ -179,7 +180,7 @@ def test_closed_form_campaign_scores_each_example_as_one_stack(monkeypatch):
     # engine for all its states, and at each of the two alphas one Bloch form
     # for the grid oracle and two stacked scorings for the memory bounds
     assert res.passed and res.samples == 604
-    assert counts == {"__init__": 4, "herm_eig": 0, "partial_trace": 0, "werner_swap": 1,
+    assert counts == {"__init__": 4, "herm_eig": 0, "reductions": 2, "werner_swap": 1,
                       "werner_isotropic": 1, "sweep_row": 0, "stacked_pairs": 8,
                       "bloch_quadratic": 4, "stacked_eig": 4, "decomposed": 604,
                       "widest": 201}
@@ -210,36 +211,37 @@ def test_kron_roundtrip_reduces_each_block_of_joints_once(monkeypatch):
     res, _ = prop_kron_roundtrip(CheckConfig(n_samples=250))
     # per block (100 + 100 + 50 samples of 2x2 and 2x3), one stacked call
     # for the A factors, and per shape one for the B factors, one for the
-    # joints and one for their reductions to rho_A: 7 calls; each reduction
-    # to rho_B is a state of its own, one herm_eig each
+    # joints and one each for their reductions to rho_A and to rho_B: 9 calls
     assert res.samples == 250
-    assert counts == {"herm_eig": 250, "stacked_eig": 3 * 7 + 250, "decomposed": 5 * 250,
+    assert counts == {"herm_eig": 0, "stacked_eig": 3 * 9, "decomposed": 5 * 250,
                       "widest": 100}
 
 
 @pytest.mark.parametrize("prop, per_block", [
     # one evaluator, a joint and a reduced engine, per shape and alpha (2 x 9)
-    (prop_deficit_nonnegative, {"evaluators": 18, "engines": 36, "stacked_pairs": 0}),
+    (prop_deficit_nonnegative, {"evaluators": 18, "engines": 36, "stacked_pairs": 0,
+                                "reductions": 2}),
     # a joint engine per shape and one for the reduced states (qubits for
     # both shapes), each scored once
-    (prop_local_monotonicity, {"evaluators": 0, "engines": 3, "stacked_pairs": 3}),
+    (prop_local_monotonicity, {"evaluators": 0, "engines": 3, "stacked_pairs": 3,
+                               "reductions": 2}),
 ], ids=["deficit_nonnegative", "local_monotonicity"])
 def test_sampled_bipartite_campaign_builds_engines_per_block(monkeypatch, prop, per_block):
     engines, evaluators = {"__init__": 0}, {"__init__": 0}
-    counts = {"herm_eig": 0, "partial_trace": 0, "stacked_pairs": 0}
+    counts = {"herm_eig": 0, "reductions": 0, "stacked_pairs": 0}
     _count_calls(monkeypatch, skew.SkewEngine, "__init__", engines)
     _count_calls(monkeypatch, correlation.DeficitEvaluator, "__init__", evaluators)
     _count_calls(monkeypatch, linalg, "herm_eig", counts)
-    _count_calls(monkeypatch, linalg, "partial_trace", counts)
+    _count_reductions(monkeypatch, counts)
     _count_calls(monkeypatch, skew.SkewEngine, "stacked_pairs", counts)
     res, _ = prop(CheckConfig(n_samples=250))
     # three blocks (100 + 100 + 50 samples) of 2x2 and 2x3 states at nine
-    # alphas; every state and reduction decomposed with its stack
+    # alphas; every state decomposed with its stack, and each shape's
+    # reductions in one stacked call
     assert res.samples == 250
     assert {**counts, "evaluators": evaluators["__init__"],
             "engines": engines["__init__"]} == {
-        "herm_eig": 0, "partial_trace": 0,
-        **{key: 3 * n for key, n in per_block.items()}}
+        "herm_eig": 0, **{key: 3 * n for key, n in per_block.items()}}
 
 
 @pytest.mark.parametrize("example_id, p", [(1, -0.4), (2, None), (3, 0.6)])
