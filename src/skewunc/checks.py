@@ -59,7 +59,7 @@ from .states import (
     werner_isotropic,
     werner_swap,
 )
-from .sweeps import EXAMPLE_P_RANGES, SWEEP_ERR_TOL, p_grid, sweep_rows
+from .sweeps import SWEEP_ERR_TOL, example_grid, sweep_rows
 
 DEFAULT_ALPHAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -478,8 +478,7 @@ def prop_theorems_with_oracle(cfg: CheckConfig):
 @_property("bounds_closed_form_agreement", SWEEP_ERR_TOL)
 def prop_closed_form_agreement(cfg: CheckConfig):
     for example_id in (1, 3):
-        ps = p_grid(*EXAMPLE_P_RANGES[example_id], 0.01)
-        for row in sweep_rows(example_id, ps, (0.2, 0.5), "grid"):
+        for row in sweep_rows(example_id, example_grid(example_id), (0.2, 0.5), "grid"):
             yield -row["abs_err_max"], {"example": example_id, "p": row["p"],
                                         "alpha": row["alpha"],
                                         "abs_err_max": row["abs_err_max"]}
@@ -504,23 +503,30 @@ def default_ensembles(cfg: CheckConfig) -> tuple[EnsembleRun, ...]:
     return tuple(runs)
 
 
+def _raises(draw, *args) -> bool:
+    try:
+        draw(*args)
+    except Exception:
+        return True
+    return False
+
+
 @_property("states_factory_validity", 0.0)
 def prop_factory_validity(cfg: CheckConfig):
     runs = cfg.ensembles or default_ensembles(cfg)
     for run in runs:
-        for i in range(run.n_samples):
-            try:
-                random_density(run.spec, index=i)
-                yield 0.0, None
-            except Exception:
-                yield -1.0, {"kind": run.spec.kind, "dims": run.spec.dims,
-                             "seed": run.spec.seed, "index": i}
-    for p in (-1.0, -0.5, 0.0, 0.5, 1.0):
-        werner_swap(p)
-        yield 0.0, None
-    for p in (0.0, 1.0 / 3.0, 1.0):
-        werner_isotropic(p)
-        yield 0.0, None
+        for block in _blocks(run.n_samples):
+            # a block that raises is redrawn one index at a time, for the witness
+            block_raises = _raises(random_densities, run.spec, block)
+            for i in block:
+                if block_raises and _raises(random_density, run.spec, i):
+                    yield -1.0, {"kind": run.spec.kind, "dims": run.spec.dims,
+                                 "seed": run.spec.seed, "index": i}
+                else:
+                    yield 0.0, None
+    for family, ps in ((werner_swap, (-1.0, -0.5, 0.0, 0.5, 1.0)),
+                       (werner_isotropic, (0.0, 1.0 / 3.0, 1.0))):
+        yield from [(0.0, None)] * len(family(ps))   # each family's states as one stack
 
 
 def _twirl_invariance(cfg: CheckConfig, tag: str, family, p_lo: float, conj: bool):

@@ -19,7 +19,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .sweeps import (
     ROW_COLUMNS,
     SWEEP_ERR_TOL,
     certified_d,
-    p_grid,
+    example_grid,
     state_rows,
     sweep_row,
 )
@@ -59,44 +58,6 @@ EXAMPLE2_NOTE = (
     "be arithmetically inconsistent, since the two left sides share the same "
     "two factors. Only the pipeline's own arithmetic is asserted here."
 )
-
-
-@dataclass
-class SweepConfig:
-    example: int | str = 1
-    alphas: tuple[float, ...] = (0.2, 0.5)
-    p_start: float | None = None
-    p_stop: float | None = None
-    p_step: float | None = None
-    oracle: str = "grid"
-    seed: int = 42
-    out: str | None = None
-    format: str = "csv"
-    state: str | None = None
-
-    def validate(self) -> None:
-        """The checks that span settings; each setting alone was checked by
-        its reader. Fills in the default p grid of examples 1 and 3."""
-        if self.example == "custom" and not self.state:
-            raise ConfigError("custom sweeps need a 'state' file in the config")
-        if self.example != "custom" and self.state is not None:
-            raise ConfigError("a 'state' file applies only to example \"custom\"")
-        rng = EXAMPLE_P_RANGES.get(self.example)
-        if rng is None:
-            if (self.p_start, self.p_stop, self.p_step) != (None, None, None):
-                raise ConfigError("p_start, p_stop and p_step apply only to "
-                                  "examples 1 and 3")
-            return
-        lo, hi = rng
-        start = lo if self.p_start is None else self.p_start
-        stop = hi if self.p_stop is None else self.p_stop
-        step = 0.01 if self.p_step is None else self.p_step
-        if start < lo - 1e-12 or stop > hi + 1e-12 or stop < start:
-            raise ConfigError(
-                f"p grid [{start}, {stop}] outside the valid range [{lo}, {hi}]")
-        # an end within 1e-12 outside the range is the range's end
-        self.p_start, self.p_stop = (min(max(x, lo), hi) for x in (start, stop))
-        self.p_step = step
 
 
 def _parse_alpha_list(text: str) -> tuple[float, ...]:
@@ -147,17 +108,23 @@ _string = _reader(lambda v: v, lambda v: isinstance(v, str), "must be a string")
 _bases = _reader(lambda text: tuple(t.strip() for t in text.split(",")),
                  lambda axes: len(axes) == 2 and set(axes) <= {"x", "y", "z"},
                  "must be two of x, y, z")
+_oracle = _choice("grid", "optimizer")
+
+
+def _at_least(minimum: int, key: str):
+    return lambda x: json_int(x, minimum, key)
 
 
 def _settings(args, keys: dict, file_keys=None) -> dict:
-    """Every setting of ``keys`` that is given: read from the ``--config``
-    file if any, then overridden by the flag of the same name, both through
-    the setting's reader. The file may hold only ``file_keys`` (default: all)."""
+    """Every setting of ``keys`` (name -> (reader, default)): its default,
+    overridden by the ``--config`` file if any, then by the flag of the same
+    name, both read by its reader. The file may hold ``file_keys`` (default: all)."""
     path = getattr(args, "config", None)
     doc = {} if path is None else read_json_object(path, "config")
     _reject_unknown_keys(doc, keys if file_keys is None else file_keys, args.command)
-    settings = {key: _converted(key, value, keys[key]) for key, value in doc.items()}
-    for key, read in keys.items():
+    settings = {key: default for key, (_, default) in keys.items()}
+    settings.update((key, _converted(key, value, keys[key][0])) for key, value in doc.items())
+    for key, (read, _) in keys.items():
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = _converted(key, flag, read)
@@ -172,21 +139,15 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _write_rows(cfg: SweepConfig, rows: list[dict], notes: list[str]) -> str:
-    out = cfg.out or f"reproduce_example{cfg.example}.{cfg.format}"
-    if cfg.format == "csv":
+def _write_rows(cfg: dict, rows: list[dict], notes: list[str]) -> str:
+    out = cfg["out"] or f"reproduce_example{cfg['example']}.{cfg['format']}"
+    if cfg["format"] == "csv":
         lines = [",".join(ROW_COLUMNS)]
         lines += [",".join(_csv_cell(row[c]) for c in ROW_COLUMNS) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        doc = {
-            "example": cfg.example,
-            "oracle": cfg.oracle,
-            "seed": cfg.seed,
-            "columns": list(ROW_COLUMNS),
-            "rows": rows,
-            "notes": notes,
-        }
+        doc = {key: cfg[key] for key in ("example", "oracle", "seed")}
+        doc.update(columns=list(ROW_COLUMNS), rows=rows, notes=notes)
         text = json.dumps(doc, indent=2) + "\n"
     write_text(out, text, "output file")
     return out
@@ -201,26 +162,47 @@ def _load_pauli_state(path: str):
     return state
 
 
-def cmd_reproduce(cfg: SweepConfig) -> int:
-    cfg.validate()
-    rows: list[dict] = []
-    if cfg.example in (1, 3):
-        for p in p_grid(cfg.p_start, cfg.p_stop, cfg.p_step):
-            for alpha in cfg.alphas:
-                rows.append(sweep_row(cfg.example, p, alpha, cfg.oracle, cfg.seed))
+# How each reproduce setting is read, and its default. A setting's name is its
+# config-file key and the dest of its flag, if it has one.
+_SWEEP_KEYS = {
+    "example": (_choice(1, 2, 3, "custom"), 1), "alphas": (as_alphas, (0.2, 0.5)),
+    "p_start": (as_real, None), "p_stop": (as_real, None),
+    "p_step": (_positive_float, None), "oracle": (_oracle, "grid"),
+    "seed": (_at_least(0, "seed"), 42), "out": (_string, None),
+    "format": (_choice("csv", "json"), "csv"), "state": (_string, None),
+}
+
+
+def cmd_reproduce(args) -> int:
+    if args.alphas is not None:
+        args.alphas = _parse_alpha_list(args.alphas)
+    cfg = _settings(args, _SWEEP_KEYS)
+    example, grid = cfg["example"], (cfg["p_start"], cfg["p_stop"], cfg["p_step"])
+    if example == "custom" and not cfg["state"]:
+        raise ConfigError("custom sweeps need a 'state' file in the config")
+    if example != "custom" and cfg["state"] is not None:
+        raise ConfigError("a 'state' file applies only to example \"custom\"")
+    if example in EXAMPLE_P_RANGES:
+        try:
+            ps = example_grid(example, *grid)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
+        rows = [sweep_row(example, p, alpha, cfg["oracle"], cfg["seed"])
+                for p in ps for alpha in cfg["alphas"]]
+    elif grid != (None, None, None):
+        raise ConfigError("p_start, p_stop and p_step apply only to examples 1 and 3")
     else:  # example 2 or a custom state file
-        state = example2_state() if cfg.example == 2 else _load_pauli_state(cfg.state)
-        rows = state_rows((state,), (None,), cfg.alphas, cfg.oracle, cfg.seed)
-    notes = [EXAMPLE2_NOTE] if cfg.example == 2 else []
+        state = example2_state() if example == 2 else _load_pauli_state(cfg["state"])
+        rows = state_rows((state,), (None,), cfg["alphas"], cfg["oracle"], cfg["seed"])
+    notes = [EXAMPLE2_NOTE] if example == 2 else []
     out = _write_rows(cfg, rows, notes)
-    checked = [r["abs_err_max"] for r in rows if r["abs_err_max"] is not None]
-    worst = max(checked) if checked else 0.0
-    ok = worst < SWEEP_ERR_TOL
+    worst = max((r["abs_err_max"] for r in rows if r["abs_err_max"] is not None),
+                default=0.0)
     print(f"wrote {len(rows)} rows to {out}; worst closed-form deviation "
           f"{worst:.3e} (threshold {SWEEP_ERR_TOL:.0e})")
     for note in notes:
         print(f"note: {note}")
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return EXIT_OK if worst < SWEEP_ERR_TOL else EXIT_VIOLATION
 
 
 def _ensemble_runs_from_config(items) -> tuple[EnsembleRun, ...]:
@@ -245,14 +227,15 @@ def _ensemble_runs_from_config(items) -> tuple[EnsembleRun, ...]:
     return tuple(runs)
 
 
-# How each check setting is read; 'out' is a flag only.
+# How each check setting is read, and its default: the campaign's; 'out' is a flag only.
 _CHECK_KEYS = {
-    "seed": lambda x: json_int(x, 0, "seed"), "alphas": as_alphas,
-    "n_samples": lambda x: json_int(x, 1, "n_samples"),
-    "n_optimizer": lambda x: json_int(x, 1, "n_optimizer"),
-    "n_theorem": lambda x: json_int(x, 1, "n_theorem"),
-    "dims": lambda ds: tuple(json_int(d, 2, "dims") for d in ds),
-    "ensembles": _ensemble_runs_from_config, "out": _string,
+    "seed": (_at_least(0, "seed"), CheckConfig.seed), "alphas": (as_alphas, CheckConfig.alphas),
+    "n_samples": (_at_least(1, "n_samples"), CheckConfig.n_samples),
+    "n_optimizer": (_at_least(1, "n_optimizer"), CheckConfig.n_optimizer),
+    "n_theorem": (_at_least(1, "n_theorem"), CheckConfig.n_theorem),
+    "dims": (lambda ds: tuple(json_int(d, 2, "dims") for d in ds), CheckConfig.dims),
+    "ensembles": (_ensemble_runs_from_config, CheckConfig.ensembles),
+    "out": (_string, "check_report.json"),
 }
 
 
@@ -275,21 +258,14 @@ def cmd_check(args) -> int:
 
 
 def _report_dict(rep: BoundReport) -> dict:
-    return {
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "slack": rep.slack,
-        "holds": rep.holds,
-        "tolerance": rep.tolerance,
-        "terms": rep.terms,
-    }
+    return {key: getattr(rep, key)
+            for key in ("lhs", "rhs", "slack", "holds", "tolerance", "terms")}
 
 
-# How each eval setting is read; eval takes flags only.
+# How each eval setting is read, and its default; eval takes flags only.
 _EVAL_KEYS = {
-    "state": _string, "bases": _bases, "alpha": check_alpha,
-    "oracle": _choice("grid", "optimizer"), "seed": lambda x: json_int(x, 0, "seed"),
-    "out": _string,
+    "state": (_string, None), "bases": (_bases, ("x", "z")), "alpha": (check_alpha, 0.5),
+    "oracle": (_oracle, "grid"), "seed": (_at_least(0, "seed"), 0), "out": (_string, None),
 }
 
 
@@ -297,7 +273,7 @@ def cmd_eval(args) -> int:
     settings = _settings(args, _EVAL_KEYS)
     state = _load_pauli_state(settings["state"])
     axes, alpha = settings["bases"], settings["alpha"]
-    d_value = certified_d(state, alpha, settings["oracle"], settings.get("seed", 0))
+    d_value = certified_d(state, alpha, settings["oracle"], settings["seed"])
     prod, summ = memory_bounds(state, pauli_basis(axes[0]), pauli_basis(axes[1]),
                                alpha, d_value)
     r, s = map(HermitianOperator,
@@ -317,7 +293,7 @@ def cmd_eval(args) -> int:
     }
     text = json.dumps(doc, indent=2)
     print(text)
-    if "out" in settings:
+    if settings["out"] is not None:
         write_text(settings["out"], text + "\n", "output file")
     all_hold = heis.holds and prod.holds and summ.holds
     return EXIT_OK if all_hold else EXIT_VIOLATION
@@ -333,58 +309,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("reproduce", help="sweep an example family and "
                          "compare the pipeline with its closed forms")
-    rep.add_argument("--config", default=None)
-    rep.add_argument("--example", type=int, choices=(1, 2, 3), default=None)
-    rep.add_argument("--alpha", dest="alphas", default=None, metavar="LIST",
+    rep.add_argument("--config")
+    rep.add_argument("--example", type=int, choices=(1, 2, 3))
+    rep.add_argument("--alpha", dest="alphas", metavar="LIST",
                      help="comma-separated alphas, e.g. 0.2,0.5")
-    rep.add_argument("--p-start", type=float, default=None)
-    rep.add_argument("--p-stop", type=float, default=None)
-    rep.add_argument("--p-step", type=float, default=None)
-    rep.add_argument("--oracle", choices=("grid", "optimizer"), default=None)
-    rep.add_argument("--seed", type=int, default=None)
-    rep.add_argument("--out", default=None)
-    rep.add_argument("--format", choices=("csv", "json"), default=None)
+    rep.add_argument("--p-start", type=float)
+    rep.add_argument("--p-stop", type=float)
+    rep.add_argument("--p-step", type=float)
+    rep.add_argument("--oracle", choices=("grid", "optimizer"))
+    rep.add_argument("--seed", type=int)
+    rep.add_argument("--out")
+    rep.add_argument("--format", choices=("csv", "json"))
 
     chk = sub.add_parser("check", help="run the property-check campaign")
-    chk.add_argument("--config", default=None)
-    chk.add_argument("--seed", type=int, default=None)
-    chk.add_argument("--out", default="check_report.json")
+    chk.add_argument("--config")
+    chk.add_argument("--seed", type=int)
+    chk.add_argument("--out")
 
     ev = sub.add_parser("eval", help="evaluate the bound checks for one state file")
     ev.add_argument("state", metavar="state_file")
-    ev.add_argument("--bases", default="x,z")
-    ev.add_argument("--alpha", type=float, default=0.5)
-    ev.add_argument("--oracle", choices=("grid", "optimizer"), default="grid")
-    ev.add_argument("--seed", type=int, default=None)
-    ev.add_argument("--out", default=None)
+    ev.add_argument("--bases")
+    ev.add_argument("--alpha", type=float)
+    ev.add_argument("--oracle", choices=("grid", "optimizer"))
+    ev.add_argument("--seed", type=int)
+    ev.add_argument("--out")
 
     return parser
-
-
-# How each reproduce setting is read. A setting's name is its config-file key
-# and the dest of its flag, if it has one.
-_SWEEP_KEYS = {
-    "example": _choice(1, 2, 3, "custom"), "alphas": as_alphas,
-    "p_start": as_real, "p_stop": as_real, "p_step": _positive_float,
-    "oracle": _choice("grid", "optimizer"), "seed": lambda x: json_int(x, 0, "seed"),
-    "out": _string, "format": _choice("csv", "json"), "state": _string,
-}
-
-
-def _sweep_config_from(args) -> SweepConfig:
-    if args.alphas is not None:
-        args.alphas = _parse_alpha_list(args.alphas)
-    return SweepConfig(**_settings(args, _SWEEP_KEYS))
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "reproduce":
-            return cmd_reproduce(_sweep_config_from(args))
-        if args.command == "check":
-            return cmd_check(args)
-        return cmd_eval(args)
+        command = {"reproduce": cmd_reproduce, "check": cmd_check, "eval": cmd_eval}
+        return command[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

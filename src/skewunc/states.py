@@ -15,7 +15,6 @@ stream states at once, and a lone draw is the block of one.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -201,17 +200,13 @@ _STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32).T
 def _seed_pool(seed: int, n_spawn_words: int) -> tuple[np.ndarray, list]:
     """SeedSequence's pool once ``seed`` alone is mixed in, and for each of
     ``n_spawn_words`` spawn-key words the (before, after) hash constants that
-    mix it into the 4 pool words."""
-    words = _uint32_words(seed)
-    words += [0] * (4 - len(words))   # a spawned sequence pads its entropy to the pool
-    consts = iter(_hash_consts(_INIT_A, _MULT_A, 4 * (len(words) + n_spawn_words)))
-    pool = [_hashmix(w, *next(consts)) for w in words[:4]]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
-    for w, dst in itertools.product(words[4:], range(4)):   # entropy beyond the pool
-        pool[dst] = _mix(pool[dst], _hashmix(w, *next(consts)))
-    rest = np.array(list(consts), dtype=np.uint32).reshape(n_spawn_words, 4, 2)
-    return np.array(pool, dtype=np.uint32), [tuple(c) for c in rest.transpose(0, 2, 1)]
+    mix it into the 4 pool words: the seed's words, padded to the pool, took
+    4 hash steps each before them."""
+    from numpy.random import SeedSequence   # here, so that grid runs never load numpy.random
+    h = _INIT_A * pow(_MULT_A, 4 * max(len(_uint32_words(seed)), 4), 1 << 32) & _MASK32
+    rest = np.array(_hash_consts(h, _MULT_A, 4 * n_spawn_words), dtype=np.uint32)
+    rest = rest.reshape(n_spawn_words, 4, 2)
+    return SeedSequence(seed).pool, [tuple(c) for c in rest.transpose(0, 2, 1)]
 
 
 def stream_words(seed: int, index) -> np.ndarray:

@@ -115,3 +115,15 @@ def p_grid(start: float, stop: float, step: float) -> list[float]:
         raise ValidationError(f"step {step} is too small for [{start}, {stop}]: "
                               f"a grid has at most {MAX_GRID_POINTS} points")
     return [min(start + i * step, stop) for i in range(int(n) + 1)]
+
+
+def example_grid(example_id: int, start=None, stop=None, step=None) -> list[float]:
+    """``p_grid`` of example 1 or 3 from ``start`` to ``stop`` (default: its
+    range in ``EXAMPLE_P_RANGES``) in steps of ``step`` (default 0.01). An end
+    within 1e-12 outside the range is the range's end."""
+    lo, hi = EXAMPLE_P_RANGES[example_id]
+    start, stop = (lo if start is None else start), (hi if stop is None else stop)
+    if start < lo - 1e-12 or stop > hi + 1e-12 or stop < start:
+        raise ValidationError(f"p grid [{start}, {stop}] outside the valid range [{lo}, {hi}]")
+    start, stop = (min(max(x, lo), hi) for x in (start, stop))
+    return p_grid(start, stop, 0.01 if step is None else step)

@@ -118,6 +118,15 @@ def test_reproduce_step_too_small_for_its_grid_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [("--p-step", "1e-300"),
+                                   ("--p-start", "0.5", "--p-stop", "0.4")])
+def test_reproduce_grid_errors_are_configuration_errors(tmp_path, capsys, flags):
+    out = tmp_path / "x.csv"
+    assert run_cli("reproduce", "--example", "1", *flags, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
+
+
 def test_reproduce_grid_with_too_many_points_exits_2(tmp_path, capsys):
     # 2e300 points are finite but would fill memory before any row is made
     out = tmp_path / "x.csv"
@@ -249,6 +258,8 @@ def test_reproduce_rejects_bad_optimizer_setting(tmp_path, capsys, block):
     # alphas are a list, not a string read one character at a time
     ("check", {"alphas": "0.2"}),
     ("reproduce", {"example": 1, "alphas": "0.2"}),
+    # a custom sweep needs its state file
+    ("reproduce", {"example": "custom"}),
 ])
 def test_config_parse_failure_exits_2(tmp_path, capsys, command, doc):
     cfg = tmp_path / "cfg.json"
@@ -259,6 +270,8 @@ def test_config_parse_failure_exits_2(tmp_path, capsys, command, doc):
     assert "configuration error" in err
     if doc.get("alphas") == "0.2":   # named whole, not as its first character
         assert "bad value for 'alphas': '0.2'" in err and "'0'" not in err
+    if doc == {"example": "custom"}:
+        assert "custom sweeps need a 'state' file" in err
 
 
 @pytest.mark.parametrize("command", ["reproduce", "eval"])
@@ -604,6 +617,20 @@ def test_check_rejects_corrupted_tolerance(tmp_path):
     cfg = tmp_path / "check.json"
     cfg.write_text(json.dumps({**CHECK_CFG, "bound_tol": -1.0}))
     assert run_cli("check", "--config", str(cfg)) == 2
+
+
+def test_check_config_ensembles_are_drawn(tmp_path, capsys):
+    cfg = tmp_path / "check.json"
+    cfg.write_text(json.dumps({**CHECK_CFG, "ensembles": [
+        {"kind": "pure", "dims": 3, "seed": 1, "n_samples": 2},
+        {"kind": "product", "dims": [2, 3], "seed": 4}]}))
+    out = tmp_path / "report.json"
+    assert run_cli("check", "--config", str(cfg), "--out", str(out)) == 0
+    [factory] = [p for p in json.loads(out.read_text())["properties"]
+                 if p["name"] == "states_factory_validity"]
+    # 2 + 1 ensemble draws and the 5 + 3 family states
+    assert (factory["samples"], factory["pass"]) == (11, True)
+    capsys.readouterr()
 
 
 def test_check_rejects_bad_ensemble_entry(tmp_path):

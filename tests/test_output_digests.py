@@ -8,11 +8,21 @@ The digests belong to numpy 2.4.6 with OpenBLAS 0.3.31 on the x86-64 machine
 that recorded them (2 vCPUs with AVX-512); another numpy, BLAS or CPU may
 round differently and fail here without any change to skewunc. A deliberate
 byte change updates the digest in this file and is logged in CHANGES.md.
+
+A second digest of every case (``AVX2``) holds the bytes of the same machine
+on its AVX2 kernels: one subprocess writes all cases with OpenBLAS's Haswell
+kernels and numpy's AVX-512 dispatch switched off, through two environment
+variables of that process, set before numpy loads. These are the bytes an
+AVX2-only x86-64 machine computes with the same numpy and OpenBLAS.
 """
 
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,9 +72,83 @@ REPRODUCE_CUSTOM = (
 WITNESS = (
     "759bec05457237977d0f079efce12f7b69c1bc36b33e31ea1f022ef05133d3dd")
 
+# name in CASES -> digest of the case on the AVX2 kernels (see the docstring)
+AVX2 = {
+    "reproduce 1": "962342f1ca0e296a75041f390c73916a04cb55656d198eb16dd07636bbc91f18",
+    "reproduce 3": "a4cbb891335b250f4ada9ebe21d435193c30581bf0cd35ef8b6f9a626f43367b",
+    "eval 2 x,z": "d5ccdac9816e407eb180767b124ecf7aeb42a604b48290604faa0f5cdc8dab09",
+    "eval 2 y,z": "3f7fa4cce2cdf8b0fb4511d3af0c76cd0444358b2df90f34fdd39139b9fc9f09",
+    "eval 3 x,z": "16f080d134ddd17f6ceedb4a4f67df57fcc3518be84ecb40c6b246d06d2756fa",
+    "eval 3 y,z": "bfbb535b0103e37e32628000f133cc1033c72651fc5a83c7273ce8d58255e7cd",
+    "eval 4 x,z": "e16aa0d05f444ea656716ff8d40060634d6eeb85bc9588aadfe8ca6798aae926",
+    "eval 4 y,z": "17689c8ea11a0a2f8b8644fe0b4d2a6ba64cddc117911ef5113e74895a8ad49c",
+    "check": "d8fc4f9399cca0babff3774ccaaeedc7ed79850bdab6f3fdb74cb41f8dadf73f",
+    "check across blocks": "abdc65b04a96b70adc623667b720c9e8bab81ef64b08cfaef0a4814130f8e73c",
+    "reproduce example 2 json": "fd489fe93fe87ee6a10a8e94c3af1fdce3c78cfbcbe1eea55d1864a240b21791",
+    "reproduce custom csv": "2fb5f455a2a509bc6ce3f0d3d407b4ef742390465eb820a4dc31e40d28fa7c64",
+    "witness": "759bec05457237977d0f079efce12f7b69c1bc36b33e31ea1f022ef05133d3dd",
+}
+
 
 def _sha256(path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# Each case runs in the current directory and returns the file it wrote.
+
+def _reproduce_csv(example_id):
+    assert main(["reproduce", "--example", str(example_id), "--alpha", "0.2,0.5",
+                 "--out", "rows.csv"]) == 0
+    return "rows.csv"
+
+
+def _eval_json(d_b, bases):
+    save_state("state.json", random_density(EnsembleSpec("full_rank", (2, d_b), 7)))
+    assert main(["eval", "state.json", "--bases", bases, "--out", "eval.json"]) == 0
+    return "eval.json"
+
+
+def _check_report(n_samples):
+    Path("cfg.json").write_text(json.dumps(
+        {"n_samples": n_samples, "n_optimizer": 1, "n_theorem": 5}))
+    assert main(["check", "--config", "cfg.json", "--out", "report.json"]) == 0
+    return "report.json"
+
+
+def _reproduce_example2_json():
+    assert main(["reproduce", "--example", "2", "--format", "json",
+                 "--out", "rows.json"]) == 0
+    return "rows.json"
+
+
+def _reproduce_custom_csv():
+    save_state("state.json", random_density(EnsembleSpec("full_rank", (2, 3), 7)))
+    Path("cfg.json").write_text(json.dumps({"example": "custom", "state": "state.json"}))
+    assert main(["reproduce", "--config", "cfg.json", "--alpha", "0.2,0.5",
+                 "--out", "rows.csv"]) == 0
+    return "rows.csv"
+
+
+def _failing_property_witness():
+    result = checks._result
+    checks._result = lambda name, tol, samples: result(name, -math.inf, samples)
+    try:
+        [res] = run_checks(CheckConfig(seed=5, n_samples=30), witness_dir=os.getcwd(),
+                           properties=(prop_local_monotonicity,)).results
+    finally:
+        checks._result = result
+    assert not res.passed
+    assert res.witness == os.path.join(os.getcwd(), "witness_skew_local_monotonicity.json")
+    return "witness_skew_local_monotonicity.json"
+
+
+# every case as (name, writer, arguments), named as in AVX2
+CASES = ([(f"reproduce {e}", _reproduce_csv, (e,)) for e in sorted(REPRODUCE)]
+         + [(f"eval {d_b} {bases}", _eval_json, (d_b, bases)) for d_b, bases in sorted(EVAL)]
+         + [("check", _check_report, (20,)), ("check across blocks", _check_report, (250,)),
+            ("reproduce example 2 json", _reproduce_example2_json, ()),
+            ("reproduce custom csv", _reproduce_custom_csv, ()),
+            ("witness", _failing_property_witness, ())])
 
 
 @pytest.fixture
@@ -77,52 +161,55 @@ def work(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("example_id", sorted(REPRODUCE))
 def test_reproduce_csv_digest(work, example_id):
-    assert main(["reproduce", "--example", str(example_id), "--alpha", "0.2,0.5",
-                 "--out", "rows.csv"]) == 0
-    assert _sha256(work / "rows.csv") == REPRODUCE[example_id]
+    assert _sha256(_reproduce_csv(example_id)) == REPRODUCE[example_id]
 
 
 @pytest.mark.parametrize("d_b, bases", sorted(EVAL))
 def test_eval_json_digest(work, d_b, bases):
-    save_state("state.json", random_density(EnsembleSpec("full_rank", (2, d_b), 7)))
-    assert main(["eval", "state.json", "--bases", bases, "--out", "eval.json"]) == 0
-    assert _sha256(work / "eval.json") == EVAL[d_b, bases]
+    assert _sha256(_eval_json(d_b, bases)) == EVAL[d_b, bases]
 
 
 def test_check_report_digest(work):
-    (work / "cfg.json").write_text(json.dumps(
-        {"n_samples": 20, "n_optimizer": 1, "n_theorem": 5}))
-    assert main(["check", "--config", "cfg.json", "--out", "report.json"]) == 0
-    assert _sha256(work / "report.json") == CHECK
+    assert _sha256(_check_report(20)) == CHECK
 
 
 def test_check_report_digest_across_blocks(work):
-    (work / "cfg.json").write_text(json.dumps(
-        {"n_samples": 250, "n_optimizer": 1, "n_theorem": 5}))
-    assert main(["check", "--config", "cfg.json", "--out", "report.json"]) == 0
-    assert _sha256(work / "report.json") == CHECK_BLOCKS
+    assert _sha256(_check_report(250)) == CHECK_BLOCKS
 
 
 def test_reproduce_example2_json_digest(work):
-    assert main(["reproduce", "--example", "2", "--format", "json",
-                 "--out", "rows.json"]) == 0
-    assert _sha256(work / "rows.json") == REPRODUCE_EXAMPLE2_JSON
+    assert _sha256(_reproduce_example2_json()) == REPRODUCE_EXAMPLE2_JSON
 
 
 def test_reproduce_custom_csv_digest(work):
-    save_state("state.json", random_density(EnsembleSpec("full_rank", (2, 3), 7)))
-    (work / "cfg.json").write_text(json.dumps({"example": "custom", "state": "state.json"}))
-    assert main(["reproduce", "--config", "cfg.json", "--alpha", "0.2,0.5",
-                 "--out", "rows.csv"]) == 0
-    assert _sha256(work / "rows.csv") == REPRODUCE_CUSTOM
+    assert _sha256(_reproduce_custom_csv()) == REPRODUCE_CUSTOM
 
 
-def test_failing_property_witness_digest(work, monkeypatch):
-    result = checks._result
-    monkeypatch.setattr(checks, "_result",
-                        lambda name, tol, samples: result(name, -math.inf, samples))
-    [res] = run_checks(CheckConfig(seed=5, n_samples=30), witness_dir=str(work),
-                       properties=(prop_local_monotonicity,)).results
-    assert not res.passed
-    assert res.witness == str(work / "witness_skew_local_monotonicity.json")
-    assert _sha256(work / "witness_skew_local_monotonicity.json") == WITNESS
+def test_failing_property_witness_digest(work):
+    assert _sha256(_failing_property_witness()) == WITNESS
+
+
+# Writes every case in a directory of its own and prints {name: sha256} last.
+CHILD = """
+import json, os, sys
+sys.path[:0] = sys.argv[2:]
+import test_output_digests as cases
+digests = {}
+for k, (name, write, args) in enumerate(cases.CASES):
+    os.mkdir(os.path.join(sys.argv[1], str(k)))
+    os.chdir(os.path.join(sys.argv[1], str(k)))
+    digests[name] = cases._sha256(write(*args))
+print(json.dumps(digests))
+"""
+
+AVX2_ENV = {"OPENBLAS_CORETYPE": "Haswell",
+            "NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"}
+
+
+def test_digests_on_the_avx2_kernels(tmp_path):
+    here = Path(__file__).resolve().parent
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path), str(here),
+                           str(here.parent / "src")], env={**os.environ, **AVX2_ENV},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == AVX2

@@ -493,7 +493,7 @@ def test_grid_ends_further_outside_still_exit_2(tmp_path, capsys, start, stop):
 
 
 def test_validate_clamps_both_ends_into_the_range():
-    cfg = cli.SweepConfig(example=1, p_start=-1.0000000000001, p_stop=1.0000000000001)
-    cfg.validate()
-    assert (cfg.p_start, cfg.p_stop) == (-1.0, 1.0)
-    assert math.copysign(1.0, cfg.p_start) == -1.0
+    ps = sweeps.example_grid(1, -1.0000000000001, 1.0000000000001)
+    assert (ps[0], ps[-1]) == (-1.0, 1.0)
+    assert math.copysign(1.0, ps[0]) == -1.0
+    assert ps == sweeps.example_grid(1) == sweeps.p_grid(-1.0, 1.0, 0.01)
