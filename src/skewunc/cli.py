@@ -132,11 +132,7 @@ def _settings(args, keys: dict, file_keys=None) -> dict:
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return fmt17(value)
-    return str(value)
+    return "" if value is None else fmt17(value)
 
 
 def _write_rows(cfg: dict, rows: list[dict], notes: list[str]) -> str:

@@ -84,23 +84,16 @@ def _check_spectrum(eigenvalues: np.ndarray, psd_tol: float) -> None:
 class HermitianOperator:
     """Complex square matrix asserted Hermitian at construction."""
 
-    __slots__ = ("mat", "_spectral")
+    __slots__ = ("mat",)
 
     def __init__(self, mat):
         m = as_complex_matrix(mat)
         _check_hermitian(m)
         self.mat = m
-        self._spectral: SpectralDecomposition | None = None
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def spectral(self) -> "SpectralDecomposition":
-        """Eigendecomposition, computed once and cached (mat is immutable)."""
-        if self._spectral is None:
-            self._spectral = herm_eig(self)
-        return self._spectral
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
@@ -110,15 +103,18 @@ class DensityMatrix(HermitianOperator):
     """Hermitian, positive-semidefinite, unit-trace operator.
 
     Its spectrum is checked here, once: eigenvalues down to -psd_tol are
-    accepted, and everything computed from the state clips them to 0.
+    accepted, and everything computed from the state clips them to 0. A lone
+    state is built as a stack of one (``_fill``), with the same bits.
     """
 
-    __slots__ = ()
+    __slots__ = ("_spectral",)
 
-    def __init__(self, mat, psd_tol: float = PSD_TOL):
-        super().__init__(mat)
-        _check_trace(self.mat)
-        _check_spectrum(self.spectral().eigenvalues, psd_tol)
+    def __init__(self, mat, *args, **kwargs):   # psd_tol; d_A, d_B if bipartite
+        self._fill([self], as_complex_matrix(mat)[None], *args, **kwargs)
+
+    def spectral(self) -> "SpectralDecomposition":
+        """Eigendecomposition, computed once at construction (mat is immutable)."""
+        return self._spectral
 
     @classmethod
     def stack(cls, mats, *args) -> list:
@@ -129,22 +125,25 @@ class DensityMatrix(HermitianOperator):
         one that building them in order raises first (and a ``SolverError``
         names the matrix that failed)."""
         try:
-            return cls._stacked(as_complex_matrix(mats, ndim=3), *args)
+            arr = as_complex_matrix(mats, ndim=3)
+            states = [cls.__new__(cls) for _ in arr]
+            cls._fill(states, arr, *args)
+            return states
         except (ValidationError, SolverError):
             if not hasattr(mats, "__iter__"):   # not a sequence of matrices either
                 raise
         return [cls(mat, *args) for mat in mats]
 
-    @classmethod
-    def _stacked(cls, mats: np.ndarray, psd_tol: float = PSD_TOL) -> list:
+    @staticmethod
+    def _fill(states: list, mats: np.ndarray, psd_tol: float = PSD_TOL) -> None:
+        """Check the (n, d, d) stack ``mats`` as states, decompose it in one
+        ``stacked_eig`` call, and give ``states[k]`` its matrix and spectrum."""
         _check_hermitian(mats)
         _check_trace(mats)
         w, v = stacked_eig(mats)
         _check_spectrum(w, psd_tol)
-        states = [cls.__new__(cls) for _ in mats]
         for state, mat, w_k, v_k in zip(states, mats, w, v):
             state.mat, state._spectral = mat, SpectralDecomposition(w_k, v_k)
-        return states
 
 
 class BipartiteDensityMatrix(DensityMatrix):
@@ -152,25 +151,15 @@ class BipartiteDensityMatrix(DensityMatrix):
 
     __slots__ = ("d_A", "d_B", "_reduced")
 
-    def __init__(self, mat, d_A: int, d_B: int):
-        super().__init__(mat)
-        self.d_A, self.d_B = self._factors(d_A, d_B, self.dim)
-        self._reduced: DensityMatrix | None = None
-
-    @classmethod
-    def _stacked(cls, mats: np.ndarray, d_A: int, d_B: int) -> list:
-        d_A, d_B = cls._factors(d_A, d_B, mats.shape[-1])
-        states = super()._stacked(mats)
+    @staticmethod
+    def _fill(states: list, mats: np.ndarray, d_A: int, d_B: int) -> None:
+        DensityMatrix._fill(states, mats)
+        d_A, d_B = as_int(d_A, 1, "d_A"), as_int(d_B, 1, "d_B")
+        if d_A * d_B != mats.shape[-1]:
+            raise ShapeError(
+                f"declared factors {d_A}x{d_B} do not match dimension {mats.shape[-1]}")
         for state in states:
             state.d_A, state.d_B, state._reduced = d_A, d_B, None
-        return states
-
-    @staticmethod
-    def _factors(d_A, d_B, dim: int) -> tuple[int, int]:
-        d_A, d_B = as_int(d_A, 1, "d_A"), as_int(d_B, 1, "d_B")
-        if d_A * d_B != dim:
-            raise ShapeError(f"declared factors {d_A}x{d_B} do not match dimension {dim}")
-        return d_A, d_B
 
     def reduced(self) -> DensityMatrix:
         """The reduced state rho_A (``partial_trace``), computed once and cached."""
@@ -265,9 +254,7 @@ def clipped_spectrum(rho: DensityMatrix) -> np.ndarray:
     to 0. Positive values under SPECTRUM_FLOOR times the spectral radius are
     snapped to exact zeros as well (roundoff, not rank)."""
     w = np.maximum(rho.spectral().eigenvalues, 0.0)
-    top = float(w[-1])
-    if top > 0.0:
-        w[w < SPECTRUM_FLOOR * top] = 0.0
+    w[w < SPECTRUM_FLOOR * float(w[-1])] = 0.0
     return w
 
 

@@ -21,7 +21,7 @@ from skewunc.checks import (
     prop_heisenberg,
     run_checks,
 )
-from skewunc.errors import ConfigError
+from skewunc.errors import ConfigError, InvalidStateError
 from skewunc.linalg import BipartiteDensityMatrix, DensityMatrix, HermitianOperator
 from skewunc.serialize import pairs_to_matrix
 from skewunc.skew import ProjectiveBasis
@@ -38,6 +38,8 @@ def test_config_validation():
         CheckConfig(alphas=(1.2,)).validate()
     with pytest.raises(ConfigError):
         CheckConfig(dims=(1,)).validate()
+    with pytest.raises(ConfigError, match="dims must be nonempty"):
+        CheckConfig(dims=()).validate()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -94,6 +96,26 @@ def test_draws_match_the_per_property_loop(monkeypatch, dims, kind, alphas):
             assert rho._reduced is not None
             assert np.array_equal(rho._reduced.mat, ref_rho.reduced().mat)
 
+
+def test_factory_validity_redraws_a_failing_block_one_index_at_a_time(monkeypatch):
+    # index 3 of a 5-sample run fails to build, in its block and alone
+    spec = EnsembleSpec("full_rank", (2, 2), 7)
+    cfg = replace(SMALL, ensembles=(EnsembleRun(spec, 5),))
+    draws, draw = checks.random_densities, checks.random_density
+
+    def fail_on_3(indices):
+        if 3 in indices:
+            raise InvalidStateError("trace is 2, expected 1")
+
+    monkeypatch.setattr(checks, "random_densities", lambda s, idx: fail_on_3(idx) or draws(s, idx))
+    monkeypatch.setattr(checks, "random_density", lambda s, i: fail_on_3([i]) or draw(s, i))
+    named = {"kind": "full_rank", "dims": (2, 2), "seed": 7, "index": 3}
+    samples = list(checks.prop_factory_validity.__wrapped__(cfg))
+    # the five draws, then the 5 + 3 family states
+    assert samples == [(0.0, None)] * 3 + [(-1.0, named)] + [(0.0, None)] * 9
+    result, witness = checks.prop_factory_validity(cfg)
+    assert (result.passed, result.worst_slack, result.samples) == (False, -1.0, 13)
+    assert witness == named
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**32 + 1, 2**130])

@@ -260,6 +260,8 @@ def test_reproduce_rejects_bad_optimizer_setting(tmp_path, capsys, block):
     ("reproduce", {"example": 1, "alphas": "0.2"}),
     # a custom sweep needs its state file
     ("reproduce", {"example": "custom"}),
+    # an ensemble entry is an object
+    ("check", {"ensembles": [5]}),
 ])
 def test_config_parse_failure_exits_2(tmp_path, capsys, command, doc):
     cfg = tmp_path / "cfg.json"

@@ -126,6 +126,9 @@ def test_bloch_quadratic_matches_vector_path():
     n = _bloch_from_angles(th, ph)
     quad = 0.5 * ((n @ ev.bloch_quadratic()) * n).sum(axis=1)
     assert np.max(np.abs(direct - quad)) < 1e-12
+    with pytest.raises(ValidationError, match="needs d_A = 2"):
+        DeficitEvaluator(random_density(EnsembleSpec("full_rank", (3, 2), 12)),
+                         0.35).bloch_quadratic()
 
 
 def test_deficit_relabeling_invariance():

@@ -116,8 +116,8 @@ def test_eig_solver_failure_carries_input_hash(monkeypatch):
     assert err.value.input_hash is not None
 
     def explode_on_state_2(a):
-        # the stack fails, and so does state 2 alone
-        if a.ndim > 2 or np.array_equal(a, mats[2]):
+        # any stack holding state 2 fails, state 2 alone included
+        if any(np.array_equal(m, mats[2]) for m in a.reshape(-1, *a.shape[-2:])):
             raise np.linalg.LinAlgError("did not converge")
         return eigh(a)
 
@@ -129,7 +129,8 @@ def test_eig_solver_failure_carries_input_hash(monkeypatch):
     assert stacked.value.input_hash == alone.value.input_hash is not None
     assert str(stacked.value) == str(alone.value)
     # a stack whose states all decompose alone is built one state at a time
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: explode(a) if a.ndim > 2 else eigh(a))
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: explode(a) if a.ndim > 2 and len(a) > 1 else eigh(a))
     for state, mat in zip(DensityMatrix.stack(mats), mats):
         dec = herm_eig(HermitianOperator(mat))
         assert np.array_equal(state.spectral().eigenvectors, dec.eigenvectors)
@@ -170,6 +171,33 @@ def test_stack_shapes_are_checked():
         BipartiteDensityMatrix.stack([np.eye(4) / 4] * 2, 2, 3)
     with pytest.raises(ShapeError, match="square"):
         DensityMatrix.stack(np.ones((2, 2, 3)))
+
+
+def test_state_checks_come_before_the_factor_check():
+    # not Hermitian and mis-factored: alone or in a stack, the state's own
+    # check speaks first
+    bad = np.kron(np.array([[0.5, 1e-6], [0.0, 0.5]]), _GOOD)
+    for build in (lambda: BipartiteDensityMatrix(bad, 2, 3),
+                  lambda: BipartiteDensityMatrix.stack([bad], 2, 3)):
+        with pytest.raises(ValidationError, match="not Hermitian") as err:
+            build()
+        assert type(err.value) is ValidationError
+
+
+def test_every_call_form_builds_the_same_state():
+    mat = np.kron(_GOOD, _GOOD)
+    want = BipartiteDensityMatrix(mat, 2, 2)
+    for rho in (BipartiteDensityMatrix(mat, d_A=2, d_B=2), BipartiteDensityMatrix(mat, 2, d_B=2),
+                *BipartiteDensityMatrix.stack([mat], 2, 2)):
+        assert (rho.d_A, rho.d_B, rho._reduced) == (2, 2, None)
+        assert np.array_equal(rho.spectral().eigenvectors, want.spectral().eigenvectors)
+    tilted = np.diag([1.0 + 1e-9, -1e-9])
+    with pytest.raises(InvalidStateError):
+        DensityMatrix(tilted)
+    for rho in (DensityMatrix(tilted, 1e-8), DensityMatrix(tilted, psd_tol=1e-8)):
+        assert rho.spectral().eigenvalues[0] < 0
+    # only a state holds a spectrum
+    assert not hasattr(HermitianOperator(SX), "spectral")
 
 
 def test_eig_deterministic_and_canonical_for_degenerate_input():

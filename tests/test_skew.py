@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from skewunc import skew
 from skewunc.bounds import heisenberg_type_checks
 from skewunc.errors import ShapeError, ValidationError
 from skewunc.linalg import DensityMatrix, HermitianOperator
@@ -224,6 +225,9 @@ def test_compat_nonzero_generic():
 def test_compat_rejects_non_projector():
     with pytest.raises(ValidationError):
         compat_L(RHO_D, pauli("x"), pauli_basis("z").projector(0), 0.5)
+    # idempotent, but of rank 2
+    with pytest.raises(ValidationError, match="not rank 1"):
+        compat_L(RHO_D, HermitianOperator(np.eye(2)), pauli_basis("z").projector(0), 0.5)
 
 
 # --- structural properties ---------------------------------------------------
@@ -264,6 +268,18 @@ def test_engine_is_shared_per_state_and_alpha():
     for w in engine(rho).weights((0.3, 0.7)):
         with pytest.raises(ValueError):
             w[0, 0, 0] = 1.0
+
+
+def test_weight_sets_past_the_limit_are_recomputed_bit_equal():
+    eng = SkewEngine(random_density(EnsembleSpec("full_rank", 3, 64)))
+    first = eng.weights((0.3,))
+    for k in range(skew._WEIGHT_SETS):
+        eng.weights((k / skew._WEIGHT_SETS,))
+    # the set of kept tuples was full, so it was cleared
+    assert list(eng._weights) == [((skew._WEIGHT_SETS - 1) / skew._WEIGHT_SETS,)]
+    again = eng.weights((0.3,))
+    assert again is not first
+    assert all(np.array_equal(a, b) for a, b in zip(again, first))
 
 
 def test_agrees_with_sqrtm_route_at_half():

@@ -8,10 +8,16 @@ the observables into the eigenbasis and one ``einsum`` each for I and J; for
 the qubit oracle, the Bloch form, its ``eigh`` and the direct re-evaluation
 of the minimizing basis; for a state's spectrum, ``eigh``, the canonical
 basis of each degenerate eigenspace and the eigenvector phases of one matrix. Every comparison is bit for bit (the sign of a zero
-included), never within a tolerance.
+included), never within a tolerance. The last test checks the same facts
+again in a subprocess on the AVX2 kernels of ``test_output_digests``.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +55,7 @@ from skewunc.states import (
     werner_isotropic,
     werner_swap,
 )
+from test_output_digests import AVX2_ENV
 
 ALPHAS = (0.0, 0.37, 0.5, 1.0)
 
@@ -497,3 +504,79 @@ def test_validate_clamps_both_ends_into_the_range():
     assert (ps[0], ps[-1]) == (-1.0, 1.0)
     assert math.copysign(1.0, ps[0]) == -1.0
     assert ps == sweeps.example_grid(1) == sweeps.p_grid(-1.0, 1.0, 0.01)
+
+
+# --- the stack-equals-lone facts on the AVX2 kernels -----------------------------
+
+# Prints, as JSON, whether each fact the stacked code rests on holds at each
+# of 2x2, 2x3 and 3x2: each compares a stack with its states one at a time
+# (fresh lone draws, so no reduction or engine is shared through a cache),
+# bit for bit.
+_FACTS_CHILD = """
+import json
+import numpy as np
+from skewunc.correlation import brute_force_D_qubit
+from skewunc.linalg import partial_trace, stacked_eig, stacked_kron
+from skewunc.skew import SkewEngine
+from skewunc.states import (ENSEMBLE_KINDS, EnsembleSpec, random_densities, random_density,
+                            random_hermitian, werner_isotropic, werner_swap)
+
+facts = {}
+
+def record(name, pairs):
+    same = all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in ((np.asarray(a), np.asarray(b)) for a, b in pairs))
+    facts[name] = facts.get(name, True) and same
+
+for dims in ((2, 2), (2, 3), (3, 2)):
+    tag = " %dx%d" % dims
+    groups = []
+    for kind in ENSEMBLE_KINDS:
+        spec = EnsembleSpec(kind, dims, 419, rank=2 if kind == "fixed_rank" else None)
+        groups.append((random_densities(spec, range(8)),
+                       [random_density(spec, i) for i in range(8)]))
+        record("random_densities" + tag, [(a.mat, b.mat) for a, b in zip(*groups[-1])])
+    if dims == (2, 2):   # degenerate eigenspaces
+        for family, ps in ((werner_swap, np.linspace(-1, 1, 9).tolist()),
+                           (werner_isotropic, np.linspace(0, 1, 7).tolist())):
+            groups.append((family(ps), [family(p) for p in ps]))
+    for stack, lone in groups:
+        reds = {keep: (partial_trace(stack, keep), [partial_trace(s, keep) for s in lone])
+                for keep in "AB"}
+        for keep in "AB":
+            record("partial_trace" + tag, [(a.mat, b.mat) for a, b in zip(*reds[keep])])
+        for states in (stack, reds["A"][0], reds["B"][0]):
+            mats = np.stack([s.mat for s in states])
+            w, v = stacked_eig(mats)
+            for k, m in enumerate(mats):
+                (w1,), (v1,) = stacked_eig(m[None])
+                w0, v0 = stacked_eig(m)
+                record("stacked_eig (1, d, d)" + tag, [(w[k], w1), (v[k], v1)])
+                record("stacked_eig (d, d)" + tag, [(w[k], w0), (v[k], v0)])
+        for states, alone in ((stack, lone), reds["A"]):
+            hs = np.stack([h.mat for h in random_hermitian(states[0].dim, 420, range(3))])
+            got = SkewEngine(*states).stacked_pairs(hs, (0.0, 0.3, 0.5, 1.0))
+            for k, s in enumerate(alone):
+                want = SkewEngine(s).stacked_pairs(hs, (0.0, 0.3, 0.5, 1.0))
+                record("SkewEngine.stacked_pairs" + tag, [(g[k], x) for g, x in zip(got, want)])
+        if dims[0] == 2:
+            for alpha in (0.3, 0.5):
+                record("brute_force_D_qubit" + tag,
+                       [(brute_force_D_qubit(list(stack), alpha),
+                         [brute_force_D_qubit(s, alpha) for s in lone])])
+    rng = np.random.default_rng(421)
+    a, b = (rng.normal(size=(5, d, d, 2)).view(complex)[..., 0] for d in dims)
+    record("stacked_kron" + tag, [(x, np.kron(y, z)) for x, y, z in zip(stacked_kron(a, b), a, b)])
+print(json.dumps(facts))
+"""
+
+
+def test_stacks_have_the_bits_of_lone_states_on_the_avx2_kernels():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _FACTS_CHILD],
+                          env={**os.environ, **AVX2_ENV, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    facts = json.loads(proc.stdout.splitlines()[-1])
+    assert len(facts) == 20 and [name for name, held in facts.items() if not held] == []

@@ -19,6 +19,7 @@ from skewunc.checks import (
     prop_skew_ordering,
 )
 from skewunc.cli import main
+from skewunc.errors import ValidationError
 from skewunc.serialize import save_state
 from skewunc.states import EnsembleSpec, example2_state, random_density
 from skewunc.sweeps import ROW_COLUMNS, example_states, state_rows, sweep_row
@@ -132,6 +133,11 @@ def test_rows_at_one_p_share_one_state(monkeypatch):
     # the second alpha's row reuses the state, its reduction and both engines
     assert counts == {"__init__": 2, "stacked_eig": 2, "decomposed": 2, "widest": 1,
                       "reductions": 1, "werner_swap": 1, "stacked_pairs": 4}
+
+
+def test_sweep_rows_reject_an_unknown_oracle():
+    with pytest.raises(ValidationError, match="oracle must be"):
+        sweeps.sweep_rows(1, (0.3,), (0.5,), "exact")
 
 
 def test_sweep_rows_equal_rows_of_freshly_built_states():
