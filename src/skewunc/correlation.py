@@ -3,13 +3,16 @@ skew-information deficit between measuring a basis on the joint state and on
 the reduced state, minimized over all orthonormal bases of the measured
 subsystem.
 
-Two minimizers are provided. ``quantum_correlation_D`` runs BFGS from
-several starting points over unitaries parameterized as exp(iG), with the
-gradient in closed form: the deficit is a quartic in the basis vectors, its
-Euclidean gradient comes from ``DeficitEvaluator.value_and_gradient``, and
-the chain rule through exp(iG) uses the divided differences of exp (see
-Abrudan, Eriksson & Koivunen, IEEE TSP 56(3), 2008, for gradient methods on
-the unitary group). Its result is an upper bound on the true minimum.
+Two minimizers are provided. ``quantum_correlation_D`` runs BFGS (``bfgs``,
+a port of SciPy's) from several starting points over unitaries parameterized
+as exp(iG), with the gradient in closed form: the deficit is a quartic in
+the basis vectors, its Euclidean gradient comes from
+``DeficitEvaluator.value_and_gradient``, and the chain rule through exp(iG)
+uses the divided differences of exp (see Abrudan, Eriksson & Koivunen, IEEE
+TSP 56(3), 2008, for gradient methods on the unitary group). Its restarts
+run in rounds, in lockstep: one stacked objective call scores the pending
+point of every run in the round. Its result is an upper bound on the true
+minimum.
 ``brute_force_D_qubit`` is exact whenever the measured subsystem is a qubit:
 the deficit is a quadratic form in the Bloch vector, so its minimum is
 lambda_min(Q) / 2, cross-checked by direct re-evaluation.
@@ -18,7 +21,7 @@ lambda_min(Q) / 2, cross-checked by direct re-evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -126,9 +129,10 @@ class DeficitEvaluator:
             v = v[None, :]
         return self._deficit_terms(v)[0]
 
-    def value_and_gradient(self, columns: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_and_gradient(self, columns: np.ndarray):
         """Total deficit of the basis given as columns, and its Euclidean
-        gradient with respect to those columns.
+        gradient with respect to those columns; a stack of bases
+        ((..., d, d)) gets one pair per basis.
 
         Column k contributes I(P_k (x) I) - I(P_k) with P_k = u_k u_k^dag.
         Each skew information is sum W |Ht|^2 with Ht linear in P_k, so its
@@ -136,12 +140,12 @@ class DeficitEvaluator:
         joint state (E its eigenvectors, W the symmetric pair weights) and
         the same expression on the reduced state.
         """
-        v = np.asarray(columns, dtype=np.complex128).T
+        v = np.asarray(columns, dtype=np.complex128).swapaxes(-1, -2)
         per_k, b, ht, t, q = self._deficit_terms(v)
-        k_ab = np.matmul(b, ht * self._w_ab).conj().reshape(v.shape[0], -1)
+        k_ab = np.matmul(b, ht * self._w_ab).conj().reshape(*v.shape[:-1], -1)
         g_ab = k_ab @ self._u_flat.T
         g_a = (t * (q @ self._w_a)) @ self._ua_conj.T.conj()
-        return float(per_k.sum()), 4.0 * (g_ab - g_a).T
+        return per_k.sum(axis=-1), 4.0 * (g_ab - g_a).swapaxes(-1, -2)
 
     def basis_deficit(self, columns: np.ndarray):
         """Total and per-projector deficit for a basis given as columns; a
@@ -205,13 +209,14 @@ def _triangle_indices(d: int):
 
 def _generator_eig(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the Hermitian G packed as d diagonal entries
-    followed by (re, im) pairs for the strict upper triangle, row-major."""
+    followed by (re, im) pairs for the strict upper triangle, row-major;
+    one per row of a stack of parameter vectors ((..., d^2))."""
     iu, ju, diag = _triangle_indices(d)
-    g = np.zeros((d, d), dtype=np.complex128)
-    g[diag, diag] = x[:d]
-    off = x[d::2] + 1j * x[d + 1::2]
-    g[iu, ju] = off
-    g[ju, iu] = off.conj()
+    g = np.zeros((*x.shape[:-1], d, d), dtype=np.complex128)
+    g[..., diag, diag] = x[..., :d]
+    off = x[..., d::2] + 1j * x[..., d + 1::2]
+    g[..., iu, ju] = off
+    g[..., ju, iu] = off.conj()
     return np.linalg.eigh(g)
 
 
@@ -221,9 +226,10 @@ def _unitary_from_params(x: np.ndarray, d: int) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-def _deficit_and_param_gradient(x: np.ndarray,
-                                ev: DeficitEvaluator) -> tuple[float, np.ndarray]:
-    """Whole-basis deficit at U = exp(iG(x)) and its gradient in x.
+def _deficit_and_param_gradient(x: np.ndarray, ev: DeficitEvaluator):
+    """Whole-basis deficit at U = exp(iG(x)) and its gradient in x; a stack
+    of parameter vectors ((k, d^2)) gets k values and k gradients, each
+    with the bits of a lone call.
 
     With G = V diag(w) V^dag, the derivative of exp(iG) along dG is
     V (L o (V^dag dG V)) V^dag with the divided differences
@@ -234,25 +240,53 @@ def _deficit_and_param_gradient(x: np.ndarray,
     """
     d = ev.d_A
     w, v = _generator_eig(x, d)
-    vh = v.conj().T
-    value, gamma = ev.value_and_gradient((v * np.exp(1j * w)) @ vh)
-    half_sum = 0.5 * (w[:, None] + w[None, :])
-    half_diff = 0.5 * (w[:, None] - w[None, :])
+    vh = v.conj().swapaxes(-1, -2)
+    value, gamma = ev.value_and_gradient((v * np.exp(1j * w)[..., None, :]) @ vh)
+    half_sum = 0.5 * (w[..., :, None] + w[..., None, :])
+    half_diff = 0.5 * (w[..., :, None] - w[..., None, :])
     lk = 1j * np.exp(1j * half_sum) * np.sinc(half_diff / np.pi)
-    z = v @ ((vh @ gamma.conj().T @ v) * lk) @ vh
+    z = v @ ((vh @ gamma.conj().swapaxes(-1, -2) @ v) * lk) @ vh
     iu, ju, _ = _triangle_indices(d)
-    grad = np.empty(d * d)
-    grad[:d] = z.diagonal().real
-    grad[d::2] = (z[iu, ju] + z[ju, iu]).real
-    grad[d + 1::2] = (z[iu, ju] - z[ju, iu]).imag
-    return value, grad
+    grad = np.empty(x.shape)
+    grad[..., :d] = z.diagonal(axis1=-2, axis2=-1).real
+    grad[..., d::2] = (z[..., iu, ju] + z[..., ju, iu]).real
+    grad[..., d + 1::2] = (z[..., iu, ju] - z[..., ju, iu]).imag
+    return (float(value) if value.ndim == 0 else value), grad
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first call: only this
-    optimizer needs scipy, so the grid oracle never loads it."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+def minimize(round_, restart: int):
+    """The BFGS result of ``restart``, once its lockstep round (a
+    ``bfgs.Lockstep``) has run that far. The search reads every restart
+    through this one name, so a tracer can wrap it to count restarts."""
+    return round_.result(restart)
+
+
+def _round_ends(d: int, agree_count: int) -> list[int]:
+    """Where each lockstep round of restarts ends: restart 0 runs alone from
+    d_A = 3 on, since a classical-quantum state usually ends the search
+    there, at the floor; later rounds end at the multiples of
+    ``agree_count``, the fewest restarts that can end it by agreement."""
+    ends = range(agree_count, _MAX_RESTARTS, agree_count)
+    return sorted({*([1] if d > 2 else []), *ends, _MAX_RESTARTS})
+
+
+def _restarts(ev: DeficitEvaluator, rng: np.random.Generator, agree_count: int):
+    """(restart, BFGS result) in restart order. The runs of a round advance
+    in lockstep, and each step scores their pending points in one stacked
+    objective call. Restart 0 starts from the identity and every later one
+    from a seeded random generator, drawn in restart order. A caller that
+    stops reading drops the unfinished runs of the round."""
+    from . import bfgs   # loaded on first use: grid-oracle runs never need it
+    nparams = ev.d_A * ev.d_A
+    objective = partial(_deficit_and_param_gradient, ev=ev)
+    start = 0
+    for stop in _round_ends(ev.d_A, agree_count):
+        starts = {r: np.zeros(nparams) if r == 0 else rng.standard_normal(nparams) * (np.pi / 2)
+                  for r in range(start, stop)}
+        round_ = bfgs.Lockstep(objective, starts, _GRAD_TOL, _MAX_ITERS)
+        for r in starts:
+            yield r, minimize(round_, r)
+        start = stop
 
 
 def quantum_correlation_D(rho_ab: BipartiteDensityMatrix, alpha: float,
@@ -264,10 +298,12 @@ def quantum_correlation_D(rho_ab: BipartiteDensityMatrix, alpha: float,
     of exp(iG), from the identity on restart 0 and from seeded random
     generators after it, and stops at stationarity or after ``_MAX_ITERS``
     iterations; one stopped on precision loss with a small gradient has
-    converged too. At most ``_MAX_RESTARTS`` restarts run: the search ends
-    once enough converged restarts (2 at d_A = 2, else 8) agree on the best
-    value, or that value reaches the nonnegative floor; ``optimizer_trace``
-    has one entry per restart run. It fails with ``OptimizerError`` if no
+    converged too. The restarts are read in order, at most
+    ``_MAX_RESTARTS``: the search ends once enough converged restarts (2 at
+    d_A = 2, else 8) agree on the best value, or that value reaches the
+    nonnegative floor. ``optimizer_trace`` has one entry per restart read;
+    later restarts of the same lockstep round may have run and been
+    dropped, and the result does not depend on the rounds. It fails with ``OptimizerError`` if no
     restart converged. The best basis is re-evaluated through the generic
     deficit path. The returned value is an upper bound on the true minimum;
     for a qubit subsystem ``brute_force_D_qubit`` gives the exact value.
@@ -276,7 +312,6 @@ def quantum_correlation_D(rho_ab: BipartiteDensityMatrix, alpha: float,
     seed = as_int(seed, 0, "seed")
     ev = DeficitEvaluator(rho_ab, alpha)
     d = ev.d_A
-    nparams = d * d
     rng = np.random.default_rng(seed)
     agree_count = _AGREE_COUNT_QUBIT if d == 2 else _AGREE_COUNT
 
@@ -284,10 +319,7 @@ def quantum_correlation_D(rho_ab: BipartiteDensityMatrix, alpha: float,
     best_x: np.ndarray | None = None
     best_val = np.inf
     converged: list[float] = []
-    for r in range(_MAX_RESTARTS):
-        x0 = np.zeros(nparams) if r == 0 else rng.standard_normal(nparams) * (np.pi / 2)
-        res = minimize(_deficit_and_param_gradient, x0, args=(ev,), jac=True,
-                       method="BFGS", options={"gtol": _GRAD_TOL, "maxiter": _MAX_ITERS})
+    for r, res in _restarts(ev, rng, agree_count):
         trace.append((r, float(res.fun)))
         if res.success or (res.status == 2 and np.max(np.abs(res.jac)) <= _LOSS_GRAD_TOL):
             converged.append(float(res.fun))

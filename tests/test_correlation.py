@@ -4,6 +4,7 @@ multi-start optimizer, and the exact qubit oracle."""
 import numpy as np
 import pytest
 
+from skewunc import correlation
 from skewunc.correlation import (
     DeficitEvaluator,
     _deficit_and_param_gradient,
@@ -159,6 +160,47 @@ def test_deficit_gradient_matches_central_differences(dims):
              - _deficit_and_param_gradient(x - h * e, ev)[0]) / (2 * h)
             for e in np.eye(d * d)])
         assert np.max(np.abs(grad - central)) <= 1e-6 * np.max(np.abs(central))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_stacked_objective_has_the_bits_of_lone_calls(dims):
+    d = dims[0]
+    ev = DeficitEvaluator(random_density(EnsembleSpec("full_rank", dims, 44)), 0.45)
+    xs = np.random.default_rng(45).standard_normal((8, d * d)) * (np.pi / 2)
+    xs[2] = 0.0   # every eigenvalue of G ties
+    for k in range(1, 9):
+        values, grads = _deficit_and_param_gradient(xs[:k], ev)
+        assert values.shape == (k,) and grads.shape == (k, d * d)
+        for x, value, grad in zip(xs[:k], values, grads):
+            lone_value, lone_grad = _deficit_and_param_gradient(x, ev)
+            assert type(lone_value) is float and lone_value == value
+            assert lone_grad.tobytes() == grad.tobytes()
+
+
+def test_restart_rounds():
+    # restart 0 alone from d_A = 3 on, then up to each multiple of the
+    # agreement count
+    assert correlation._round_ends(2, 2) == list(range(2, 21, 2))
+    assert correlation._round_ends(3, 8) == [1, 8, 16, 20]
+
+
+@pytest.mark.parametrize("spec, index, alpha", [
+    (EnsembleSpec("full_rank", (2, 2), 16), 0, 0.4),
+    (EnsembleSpec("full_rank", (3, 2), 16), 0, 0.4),
+    (EnsembleSpec("pure", (4, 2), 1149), 149, 0.7),
+    (EnsembleSpec("fixed_rank", (3, 3), 46, rank=2), 1, 0.3),
+])
+def test_optimizer_result_does_not_depend_on_the_rounds(monkeypatch, spec, index, alpha):
+    rho = random_density(spec, index=index)
+    want = quantum_correlation_D(rho, alpha, seed=index)
+    # one restart per round: the sequential search
+    monkeypatch.setattr(correlation, "_round_ends",
+                        lambda d, agree: list(range(1, correlation._MAX_RESTARTS + 1)))
+    got = quantum_correlation_D(rho, alpha, seed=index)
+    assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes()
+    assert got.argmin_basis.columns.tobytes() == want.argmin_basis.columns.tobytes()
+    assert np.array(got.deficit_per_k).tobytes() == np.array(want.deficit_per_k).tobytes()
+    assert got.optimizer_trace == want.optimizer_trace
 
 
 def test_optimizer_classical_quantum_reaches_zero():

@@ -511,11 +511,14 @@ def test_validate_clamps_both_ends_into_the_range():
 # Prints, as JSON, whether each fact the stacked code rests on holds at each
 # of 2x2, 2x3 and 3x2: each compares a stack with its states one at a time
 # (fresh lone draws, so no reduction or engine is shared through a cache),
-# bit for bit.
+# or the BFGS port with SciPy's BFGS, bit for bit.
 _FACTS_CHILD = """
 import json
 import numpy as np
-from skewunc.correlation import brute_force_D_qubit
+from scipy.optimize import minimize
+from skewunc import bfgs
+from skewunc.correlation import (_GRAD_TOL, _MAX_ITERS, DeficitEvaluator,
+                                 _deficit_and_param_gradient, brute_force_D_qubit)
 from skewunc.linalg import partial_trace, stacked_eig, stacked_kron
 from skewunc.skew import SkewEngine
 from skewunc.states import (ENSEMBLE_KINDS, EnsembleSpec, random_densities, random_density,
@@ -567,6 +570,21 @@ for dims in ((2, 2), (2, 3), (3, 2)):
     rng = np.random.default_rng(421)
     a, b = (rng.normal(size=(5, d, d, 2)).view(complex)[..., 0] for d in dims)
     record("stacked_kron" + tag, [(x, np.kron(y, z)) for x, y, z in zip(stacked_kron(a, b), a, b)])
+    ev = DeficitEvaluator(random_density(EnsembleSpec("full_rank", dims, 422)), 0.45)
+    xs = rng.standard_normal((8, dims[0] ** 2))
+    for k in range(1, 9):
+        values, grads = _deficit_and_param_gradient(xs[:k], ev)
+        record("stacked objective" + tag,
+               [pair for x, v, g in zip(xs, values, grads)
+                for pair in zip((v, g), _deficit_and_param_gradient(x, ev))])
+    for x0 in (np.zeros(dims[0] ** 2), xs[0]):
+        want = minimize(_deficit_and_param_gradient, x0, args=(ev,), jac=True, method="BFGS",
+                        options={"gtol": _GRAD_TOL, "maxiter": _MAX_ITERS})
+        got = bfgs.Lockstep(lambda x: _deficit_and_param_gradient(x, ev), {0: x0},
+                            _GRAD_TOL, _MAX_ITERS).result(0)
+        record("bfgs port = scipy BFGS" + tag,
+               [(getattr(got, key), getattr(want, key))
+                for key in ("x", "fun", "jac", "status", "nit", "success")])
 print(json.dumps(facts))
 """
 
@@ -579,4 +597,4 @@ def test_stacks_have_the_bits_of_lone_states_on_the_avx2_kernels():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     facts = json.loads(proc.stdout.splitlines()[-1])
-    assert len(facts) == 20 and [name for name, held in facts.items() if not held] == []
+    assert len(facts) == 26 and [name for name, held in facts.items() if not held] == []
