@@ -42,6 +42,7 @@ from .sweeps import (
     SWEEP_ERR_TOL,
     certified_d,
     example_grid,
+    grid_states,
     state_rows,
     sweep_row,
 )
@@ -183,8 +184,8 @@ def cmd_reproduce(args) -> int:
             ps = example_grid(example, *grid)
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
-        rows = [sweep_row(example, p, alpha, cfg["oracle"], cfg["seed"])
-                for p in ps for alpha in cfg["alphas"]]
+        rows = [sweep_row(example, p, alpha, cfg["oracle"], cfg["seed"], state)
+                for p, state in grid_states(example, ps) for alpha in cfg["alphas"]]
     elif grid != (None, None, None):
         raise ConfigError("p_start, p_stop and p_step apply only to examples 1 and 3")
     else:  # example 2 or a custom state file

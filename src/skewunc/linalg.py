@@ -190,25 +190,33 @@ def _input_hash(mat: np.ndarray) -> str:
     return hashlib.sha1(np.ascontiguousarray(mat).tobytes()).hexdigest()[:16]
 
 
-def _canonical_eigenspace(block: np.ndarray) -> np.ndarray:
-    """Replace an eigenspace basis by a canonical one independent of the
-    solver's arbitrary choice: Gram-Schmidt the eigenspace projections of the
-    standard basis vectors, taken in index order."""
-    d, g = block.shape
-    proj = block @ block.conj().T
-    cols = []
+def _canonical_eigenspaces(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Replace the basis of each (d, g) eigenspace block of an (m, d, g) stack
+    by a canonical one independent of the solver's arbitrary choice:
+    Gram-Schmidt the block's projections of the standard basis vectors, taken
+    in index order. Dot products and norms are batched ``matmul`` calls
+    (``einsum`` would change last bits) and a block skips the steps of the
+    vectors it has not found, so each block gets the bits of a one-block
+    loop. Returns the blocks and the count of vectors each found: an
+    orthonormal block finds g (a nonzero projector Q onto the unfilled part
+    has 1 <= tr Q = sum_i |Q e_i|^2, yet each |Q e_i| <= 1e-6)."""
+    m, d, g = blocks.shape
+    proj = blocks @ blocks.conj().swapaxes(-1, -2)
+    cols = np.zeros((m, g, d), dtype=np.complex128)
+    found = np.zeros(m, dtype=np.intp)
     for i in range(d):
-        c = proj[:, i].copy()
-        for q in cols:
-            c -= q * (q.conj() @ c)
-        nrm = float(np.linalg.norm(c))
-        if nrm > 1e-6:
-            cols.append(c / nrm)
-            if len(cols) == g:
-                break
-    if len(cols) < g:  # projections were too collinear; keep solver basis
-        return block
-    return np.column_stack(cols)
+        c = proj[:, :, i].copy()
+        for j, q in enumerate(cols.swapaxes(0, 1)[:found.max()]):   # q = cols[:, j]
+            step = c - q * (q.conj()[:, None] @ c[..., None])[..., 0]
+            c = np.where((j < found)[:, None], step, c)
+        re, im = c.real[:, None], c.imag[:, None]
+        nrm = np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0])
+        take = np.flatnonzero((nrm > 1e-6) & (found < g))
+        cols[take, found[take]] = c[take] / nrm[take, None]
+        found[take] += 1
+        if found.min() == g:
+            break
+    return cols.swapaxes(-1, -2), found
 
 
 def stacked_eig(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,8 +224,8 @@ def stacked_eig(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrices over a leading ``...`` axis, from one ``eigh`` call; each
     matrix gets the bits of decomposing it alone. Deterministic: a
     degenerate eigenspace's basis is rebuilt from standard-basis projections
-    in index order, and each eigenvector's largest-magnitude component is
-    made real positive."""
+    in index order (one pass per block pattern), and each eigenvector's
+    largest-magnitude component is made real positive."""
     try:
         w, v = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:
@@ -231,8 +239,18 @@ def stacked_eig(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     run = np.zeros((len(flat_w), n + 1), dtype=bool)
     run[:, 1:-1] = np.diff(flat_w) <= gtol[:, None]
     ks, edges = np.nonzero(np.diff(run))
+    groups = {}
     for k, a, b in zip(ks[::2].tolist(), edges[::2].tolist(), edges[1::2].tolist()):
-        flat_v[k, :, a:b + 1] = _canonical_eigenspace(flat_v[k, :, a:b + 1])
+        groups.setdefault((a, b + 1), []).append(k)
+    # one pass per block pattern; a block of fewer than b - a canonical
+    # vectors is not orthonormal, so LAPACK failed it
+    for (a, b), group in groups.items():
+        flat_v[group, :, a:b], found = _canonical_eigenspaces(flat_v[group, :, a:b])
+        if found.min() < b - a:
+            k = group[int(found.argmin())]
+            raise SolverError(f"a degenerate eigenspace of dimension {b - a} spans "
+                              f"{found.min()} canonical vectors",
+                              input_hash=_input_hash(np.reshape(mats, (-1, n, n))[k]))
     # global phases: largest-magnitude component real positive, all at once
     pivots = flat_v[np.arange(len(flat_v))[:, None], np.abs(flat_v).argmax(-2), np.arange(n)]
     safe = np.abs(pivots)

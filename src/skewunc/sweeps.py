@@ -15,13 +15,16 @@ import numpy as np
 from .bounds import example_closed_forms, memory_bounds
 from .correlation import brute_force_D_qubit, quantum_correlation_D
 from .errors import ValidationError
-from .linalg import BipartiteDensityMatrix, state_stack
+from .linalg import BipartiteDensityMatrix, partial_trace, state_stack
 from .states import pauli_basis, werner_isotropic, werner_swap
 
 EXAMPLE_P_RANGES = {1: (-1.0, 1.0), 3: (0.0, 1.0)}
 
 # Most points a p grid may have; the default grids have 101 to 201.
 MAX_GRID_POINTS = 100_000
+
+# Most states ``grid_states`` builds in one stack (each default grid fits).
+GRID_BLOCK = 256
 
 # Maximum |pipeline - closed form| per row for the sweep to count as a
 # faithful reproduction.
@@ -36,19 +39,30 @@ ROW_COLUMNS = (
 )
 
 
-# The states of a p grid are built as one stack, and rows at one p share one
-# state, so its validation, spectrum, reduction and ``skew.engine`` entries
-# are paid once per p, not once per alpha; a few entries suffice, since a
-# sweep computes the rows of one p (or one grid) one after another. Safe for
-# the same reason as ``skew.engine``: the matrices are read-only and
-# ``spectral()`` / ``reduced()`` are deterministic memos.
-@lru_cache(maxsize=8)
-def example_states(example_id: int, ps: tuple) -> tuple[BipartiteDensityMatrix, ...]:
+def family_states(example_id: int, ps) -> tuple[BipartiteDensityMatrix, ...]:
+    """The states of example family 1 or 3 at each p of ``ps``, built as one stack."""
     if example_id == 1:
         return tuple(werner_swap(ps))
     if example_id == 3:
         return tuple(werner_isotropic(ps))
     raise ValidationError(f"unknown example id {example_id}")
+
+
+# The last few grids of ``sweep_rows`` callers and the one-point ``sweep_row``
+# (``reproduce`` uses ``grid_states``): the rows of one p at several alphas
+# share one state, its spectrum, reduction and ``skew.engine`` entries. Safe
+# as ``skew.engine`` is: matrices are read-only, and the memos deterministic.
+example_states = lru_cache(maxsize=8)(family_states)
+
+
+def grid_states(example_id: int, ps):
+    """``(p, state)`` for each p of ``ps``, built fresh in stacks of at most
+    ``GRID_BLOCK`` states, each stack reduced in one call."""
+    for start in range(0, len(ps), GRID_BLOCK):
+        block = ps[start:start + GRID_BLOCK]
+        states = family_states(example_id, block)
+        partial_trace(states, "A")
+        yield from zip(block, states)
 
 
 def certified_d(state, alpha: float, oracle: str, seed: int = 0):
@@ -98,9 +112,12 @@ def sweep_rows(example_id: int, ps, alphas, oracle: str, seed: int = 0) -> list[
 
 
 def sweep_row(example_id: int, p: float | None, alpha: float, oracle: str,
-              seed: int = 0) -> dict:
-    """``sweep_rows`` at one p and one alpha."""
-    return sweep_rows(example_id, (p,), (alpha,), oracle, seed)[0]
+              seed: int = 0, state: BipartiteDensityMatrix | None = None) -> dict:
+    """``sweep_rows`` at one p and one alpha, of ``state`` (the family's state
+    at p) if given. ``reproduce`` scores one row per call, as perfbench's
+    ``sweep`` workload times each call as one item, until that is redefined."""
+    states = example_states(example_id, (p,)) if state is None else (state,)
+    return state_rows(states, (p,), (alpha,), oracle, seed, example_id)[0]
 
 
 def p_grid(start: float, stop: float, step: float) -> list[float]:

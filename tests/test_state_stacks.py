@@ -7,8 +7,9 @@ state, the pair weights of each alpha at a scalar exponent, one rotation of
 the observables into the eigenbasis and one ``einsum`` each for I and J; for
 the qubit oracle, the Bloch form, its ``eigh`` and the direct re-evaluation
 of the minimizing basis; for a state's spectrum, ``eigh``, the canonical
-basis of each degenerate eigenspace and the eigenvector phases of one matrix. Every comparison is bit for bit (the sign of a zero
-included), never within a tolerance. The last test checks the same facts
+basis of each degenerate eigenspace and the eigenvector phases of one
+matrix. Every comparison is bit for bit (the sign of a zero included),
+never within a tolerance. The last test checks the same facts
 again in a subprocess on the AVX2 kernels of ``test_output_digests``.
 """
 
@@ -25,15 +26,17 @@ import pytest
 from skewunc import cli, sweeps
 from skewunc.bounds import heisenberg_type_checks, memory_bounds
 from skewunc.correlation import DeficitEvaluator, brute_force_D_qubit
-from skewunc.errors import NumericalConsistencyError, ShapeError, ValidationError
+from skewunc.errors import NumericalConsistencyError, ShapeError, SolverError, ValidationError
 from skewunc.linalg import (
     DEGENERACY_TOL,
     BipartiteDensityMatrix,
     DensityMatrix,
-    _canonical_eigenspace,
+    _canonical_eigenspaces,
+    _input_hash,
     clipped_spectrum,
     partial_trace,
     powered_spectrum,
+    stacked_eig,
 )
 from skewunc.skew import (
     PAIR_DEGENERACY_TOL,
@@ -248,6 +251,25 @@ def test_a_negative_deficit_raises_for_the_first_state_that_has_one():
     assert str(stacked.value).startswith("deficit -")
 
 
+def _one_state_canonical(block):
+    """The canonical basis of one eigenspace: Gram-Schmidt of its projections
+    of the standard basis vectors, in index order."""
+    d, g = block.shape
+    proj = block @ block.conj().T
+    cols = []
+    for i in range(d):
+        c = proj[:, i].copy()
+        for q in cols:
+            c -= q * (q.conj() @ c)
+        nrm = float(np.linalg.norm(c))
+        if nrm > 1e-6:
+            cols.append(c / nrm)
+            if len(cols) == g:
+                break
+    assert len(cols) == g
+    return np.column_stack(cols)
+
+
 def _one_state_eig(mat):
     """The eigendecomposition of one matrix: ``eigh``, the canonical basis of
     each degenerate eigenspace, then the phase of each eigenvector."""
@@ -261,7 +283,7 @@ def _one_state_eig(mat):
         while j < n and w[j] - w[j - 1] <= gtol:
             j += 1
         if j - i > 1:
-            v[:, i:j] = _canonical_eigenspace(v[:, i:j])
+            v[:, i:j] = _one_state_canonical(v[:, i:j])
         i = j
     pivots = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
     safe = np.abs(pivots)
@@ -339,6 +361,55 @@ def test_degenerate_and_one_state_stacks_have_the_bits_of_one_state():
     assert _same_bits(one.reduced().mat.view(np.float64), traced.view(np.float64))
     assert partial_trace([one], "A") == (one.reduced(),)
     assert partial_trace(one, "A") is one.reduced()
+
+
+def _degenerate_stacks():
+    """(name, matrices) of stacks whose degenerate eigenspaces share block
+    patterns, so ``stacked_eig`` canonicalises them in batched passes."""
+    for example_id, family in ((1, werner_swap), (3, werner_isotropic)):
+        grid = family(sweeps.example_grid(example_id))
+        yield f"grid {example_id}", [s.mat for s in grid]
+        yield f"grid {example_id} reduced", [s.mat for s in partial_trace(grid, "A")]
+    for d in range(3, 9):
+        for kind, rank in (("pure", None), ("fixed_rank", 2)):
+            spec = EnsembleSpec(kind, d, 423, rank=rank)
+            yield f"{kind} d={d}", [s.mat for s in random_densities(spec, range(12))]
+    # the threefold eigenspace lowest (p < 1/2) and highest (p > 1/2), and
+    # I/4 (p = 1/2): three block patterns, interleaved
+    yield "mixed patterns", [s.mat for s in werner_swap([0.2, 0.5, 0.9, -0.4, 0.5, 0.7])]
+    yield "one state", [werner_isotropic(0.3).mat]
+
+
+@pytest.mark.parametrize("name, mats", list(_degenerate_stacks()),
+                         ids=[name for name, _ in _degenerate_stacks()])
+def test_batched_canonical_eigenspaces_have_the_bits_of_lone_decompositions(name, mats):
+    w, v = stacked_eig(np.stack(mats))
+    for k, mat in enumerate(mats):
+        for want_w, want_v in (stacked_eig(mat), _one_state_eig(mat)):
+            assert _same_bits(w[k], want_w)
+            assert _same_bits(v[k].view(np.float64), want_v.view(np.float64))
+
+
+def test_a_block_of_fewer_canonical_vectors_raises_instead_of_keeping_its_basis(monkeypatch):
+    # rank 1 and not orthonormal: its projections span one direction, not two
+    bad = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
+    good = np.eye(3, 2, dtype=np.complex128)
+    assert _canonical_eigenspaces(bad[None])[1].tolist() == [1]
+    blocks, found = _canonical_eigenspaces(np.stack([good, bad]))
+    assert found.tolist() == [2, 1] and np.array_equal(blocks[0], good)
+    # stacked_eig raises, naming the matrix whose solver basis fell short
+    mats = np.array([np.diag([0.2, 0.2, 0.6]), np.diag([0.1, 0.1, 0.8])], dtype=np.complex128)
+    eigh = np.linalg.eigh
+
+    def short_basis(a):
+        w, v = eigh(a)
+        v[1, :, :2] = bad
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", short_basis)
+    with pytest.raises(SolverError, match="dimension 2 spans 1 canonical vectors") as err:
+        stacked_eig(mats)
+    assert err.value.input_hash == _input_hash(mats[1])
 
 
 _ONE_STATE_TRACE = {"A": 'ijkj->ik', "B": 'ijil->jl'}
@@ -509,9 +580,9 @@ def test_validate_clamps_both_ends_into_the_range():
 # --- the stack-equals-lone facts on the AVX2 kernels -----------------------------
 
 # Prints, as JSON, whether each fact the stacked code rests on holds at each
-# of 2x2, 2x3 and 3x2: each compares a stack with its states one at a time
-# (fresh lone draws, so no reduction or engine is shared through a cache),
-# or the BFGS port with SciPy's BFGS, bit for bit.
+# of 2x2, 2x3 and 3x2 (and on the example grids): each compares a stack with
+# its states one at a time (fresh lone draws, so no reduction or engine is
+# shared through a cache), or the BFGS port with SciPy's BFGS, bit for bit.
 _FACTS_CHILD = """
 import json
 import numpy as np
@@ -523,6 +594,7 @@ from skewunc.linalg import partial_trace, stacked_eig, stacked_kron
 from skewunc.skew import SkewEngine
 from skewunc.states import (ENSEMBLE_KINDS, EnsembleSpec, random_densities, random_density,
                             random_hermitian, werner_isotropic, werner_swap)
+from skewunc.sweeps import example_grid
 
 facts = {}
 
@@ -530,6 +602,20 @@ def record(name, pairs):
     same = all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
                for a, b in ((np.asarray(a), np.asarray(b)) for a, b in pairs))
     facts[name] = facts.get(name, True) and same
+
+def record_lone_eigs(name, states):
+    mats = np.stack([s.mat for s in states])
+    w, v = stacked_eig(mats)
+    for k, m in enumerate(mats):
+        record(name, [(x[k], y) for x, y in zip((w, v), stacked_eig(m))])
+
+# batched canonicalisation: the default grids and their reductions, and a
+# stack of three interleaved block patterns (Werner p < 1/2, = 1/2, > 1/2)
+for example_id, family in ((1, werner_swap), (3, werner_isotropic)):
+    grid = family(example_grid(example_id))
+    record_lone_eigs("stacked_eig default grids", grid)
+    record_lone_eigs("stacked_eig default grids", partial_trace(grid, "A"))
+record_lone_eigs("stacked_eig mixed patterns", werner_swap([0.2, 0.5, 0.9, -0.4, 0.5, 0.7]))
 
 for dims in ((2, 2), (2, 3), (3, 2)):
     tag = " %dx%d" % dims
@@ -597,4 +683,4 @@ def test_stacks_have_the_bits_of_lone_states_on_the_avx2_kernels():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     facts = json.loads(proc.stdout.splitlines()[-1])
-    assert len(facts) == 26 and [name for name, held in facts.items() if not held] == []
+    assert len(facts) == 28 and [name for name, held in facts.items() if not held] == []

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from skewunc import correlation, linalg, skew, states, sweeps
+from skewunc import cli, correlation, linalg, skew, states, sweeps
 from skewunc.checks import (
     DEFAULT_ALPHAS,
     CheckConfig,
@@ -133,6 +133,40 @@ def test_rows_at_one_p_share_one_state(monkeypatch):
     # the second alpha's row reuses the state, its reduction and both engines
     assert counts == {"__init__": 2, "stacked_eig": 2, "decomposed": 2, "widest": 1,
                       "reductions": 1, "werner_swap": 1, "stacked_pairs": 4}
+
+
+@pytest.mark.parametrize("example_id, family", [(1, "werner_swap"), (3, "werner_isotropic")])
+@pytest.mark.parametrize("block", [None, 50], ids=["default_block", "block_50"])
+def test_reproduce_scores_each_row_in_one_sweep_row_call_on_states_built_per_block(
+        monkeypatch, tmp_path, capsys, example_id, family, block):
+    """perfbench's ``sweep`` item is one ``cli.sweep_row`` call: reproduce
+    makes one per row, on states built as one stack per grid block."""
+    if block is not None:
+        monkeypatch.setattr(sweeps, "GRID_BLOCK", block)
+    block = sweeps.GRID_BLOCK
+    ps = sweeps.example_grid(example_id)
+    n_blocks = -(-len(ps) // block)
+    assert n_blocks == 1 or block == 50   # each default grid fits in one block
+    rows, counts = [], {"stacked_eig": 0, "decomposed": 0, family: 0}
+    original = cli.sweep_row
+
+    def recorded(*args):
+        rows.append(original(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(cli, "sweep_row", recorded)
+    _count_decompositions(monkeypatch, counts)
+    _count_calls(monkeypatch, states, family, counts)
+    out = tmp_path / "rows.csv"
+    assert main(["reproduce", "--example", str(example_id), "--alpha", "0.3,0.7",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    # per block: one family call, one stacked_eig call for the joint states
+    # and one for their reductions
+    assert counts == {"stacked_eig": 2 * n_blocks, "decomposed": 2 * len(ps),
+                      "widest": min(block, len(ps)), family: n_blocks}
+    assert len(rows) == 2 * len(ps) == len(out.read_text().splitlines()) - 1
+    assert rows == sweeps.sweep_rows(example_id, ps, (0.3, 0.7), "grid")
 
 
 def test_sweep_rows_reject_an_unknown_oracle():
