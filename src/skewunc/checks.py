@@ -38,6 +38,7 @@ from .linalg import (
     herm_eig,
     kron,
     partial_trace,
+    stacked_kron,
 )
 from .serialize import matrix_to_pairs, write_text
 from .skew import (
@@ -144,7 +145,8 @@ def _witness(inputs: dict) -> dict:
 
 def _result(name: str, tol: float, samples) -> tuple[PropertyResult, dict | None]:
     """The pass rule. The worst sample is the first NaN, else the first lowest
-    slack; only a failing property serializes its inputs (if not ``None``)."""
+    slack in yield order (shape by shape for ``_draws`` samples); only a
+    failing property serializes its inputs (if not ``None``)."""
     worst, worst_inputs, count = math.inf, None, 0
     for count, (slack, inputs) in enumerate(samples, 1):
         if slack < worst or (math.isnan(slack) and not math.isnan(worst)):
@@ -169,79 +171,58 @@ def _bipartite_dims(cfg: CheckConfig) -> list[tuple[int, int]]:
     return [(2, 2), (2, 3)] if max(cfg.dims) >= 3 else [(2, 2)]
 
 
-def _blocks(n: int):
-    """``range(n)`` in blocks of at most ``_STACK``."""
-    for lo in range(0, n, _STACK):
-        yield range(lo, min(lo + _STACK, n))
-
-
-def _grouped(keys, score, *columns) -> list:
-    """``score(key, *columns)`` on the entries of each key, with each column
-    cut to those entries, and its answers (one per entry) in entry order."""
-    groups: dict = {}
-    for k, key in enumerate(keys):
-        groups.setdefault(key, []).append(k)
-    out = [None] * len(keys)
-    for key, ks in groups.items():
-        for k, answer in zip(ks, score(key, *([col[k] for k in ks] for col in columns)),
-                             strict=True):
-            out[k] = answer
-    return out
-
-
-def _partial_traces(states, keep: str) -> list:
-    """``partial_trace(state, keep)`` of each bipartite state: one stacked call per shape."""
-    return _grouped([(rho.d_A, rho.d_B) for rho in states],
-                    lambda _, stack: partial_trace(stack, keep), states)
+def _blocks(indices: range):
+    """``indices`` in blocks (ranges) of at most ``_STACK``."""
+    for lo in range(0, len(indices), _STACK):
+        yield indices[lo:lo + _STACK]
 
 
 def _draws(cfg: CheckConfig, tag: str, n: int, dims, kind: str = "full_rank",
            alphas=None):
-    """Yield ``n`` samples ``(i, seed, state, alpha)`` as blocks of at most
-    ``_STACK``, in index order: ``seed`` is the property's seed for ``tag``,
-    ``state`` is draw ``i`` of ``kind`` at the next of ``dims``, and ``alpha``
-    the next of ``alphas`` (``cfg.alphas``). A block's states are drawn (and,
-    if bipartite, reduced) as one stack per entry of ``dims``."""
+    """Yield ``n`` samples ``(i, seed, state, alpha)`` in blocks of at most ``_STACK``:
+    ``seed`` is the property's seed for ``tag``, ``state`` is draw ``i`` of ``kind`` at
+    ``dims[i % len(dims)]``, and ``alpha`` is ``alphas[i % len(alphas)]`` (``cfg.alphas``).
+    Each entry of ``dims`` yields its own samples in index order, entry after entry,
+    and a block is drawn (and, if bipartite, reduced) as one stack of one shape."""
     seed = _tag_seed(cfg.seed, tag)
     alphas = cfg.alphas if alphas is None else alphas
-    specs = [EnsembleSpec(kind, dim, seed) for dim in dims]
-    for block in _blocks(n):
-        block_specs = [specs[i % len(specs)] for i in block]
-        states = _grouped(block_specs, random_densities, block)
-        if specs[0].bipartite:
-            _partial_traces(states, "A")
-        yield [(i, seed, rho, alphas[i % len(alphas)]) for i, rho in zip(block, states)]
+    for k, dim in enumerate(dims):
+        spec = EnsembleSpec(kind, dim, seed)
+        for block in _blocks(range(k, n, len(dims))):
+            states = random_densities(spec, block)
+            if spec.bipartite:
+                partial_trace(states, "A")
+            yield [(i, seed, rho, alphas[i % len(alphas)]) for i, rho in zip(block, states)]
 
 
-def _per_sample(draw, block, offset: int = 1, local: bool = False) -> list:
-    """``draw(d, seed + offset, i)`` for each sample ``(i, seed, rho, _)`` of a
-    ``_draws`` block, with d the state's dimension (its d_A if ``local``): one
-    block draw per dimension."""
-    seed = block[0][1] + offset
-    return _grouped([rho.d_A if local else rho.dim for _, _, rho, _ in block],
-                    lambda d, idx: draw(d, seed, idx), [i for i, *_ in block])
+def _per_sample(draw, block, offset: int = 1, local: bool = False):
+    """``draw(d, seed + offset, i)`` for each sample ``(i, seed, rho, _)`` of a ``_draws``
+    block, as one stack: d is the states' dimension (their d_A if ``local``)."""
+    _, seed, rho, _ = block[0]
+    return draw(rho.d_A if local else rho.dim, seed + offset, [i for i, *_ in block])
 
 
 def _skew_ij(states, hs, wanted) -> list[list[list[float]]]:
-    """``[I, J]`` of each state against its observable ``hs[k]`` at each alpha of ``wanted[k]``:
-    one stacked scoring per state dimension, at every alpha that its states want."""
-    def score(_, states, hs, wanted):
-        alphas = tuple(dict.fromkeys(chain.from_iterable(wanted)))
-        i, j, _ = engine(*states).stacked_pairs(np.stack(hs)[:, None], alphas)
-        ij = np.stack((i[:, 0], j[:, 0]), -1).tolist()
-        return [[row[alphas.index(a)] for a in want] for row, want in zip(ij, wanted)]
-    return _grouped([rho.dim for rho in states], score, states, hs, wanted)
+    """``[I, J]`` of each state of a stack against its observable ``hs[k]`` at each
+    alpha of ``wanted[k]``: one stacked scoring, at every alpha that the states want."""
+    alphas = tuple(dict.fromkeys(chain.from_iterable(wanted)))
+    i, j, _ = engine(*states).stacked_pairs(np.stack(hs)[:, None], alphas)
+    ij = np.stack((i[:, 0], j[:, 0]), -1).tolist()
+    return [[row[alphas.index(a)] for a in want] for row, want in zip(ij, wanted)]
 
 
 def _deficits(block, bases) -> list[list[float]]:
     """The total deficit of each sample's state at its alpha for each of its
-    bases ``bases[k]``: one ``DeficitEvaluator`` per state dimension and alpha."""
-    def score(key, states, bases):
-        ev = DeficitEvaluator(states, key[1])
-        per_basis = [ev.basis_deficit(np.stack(columns)) for columns in zip(*bases)]
-        return [[total for total, _ in scored] for scored in zip(*per_basis)]
-    return _grouped([(rho.dim, alpha) for _, _, rho, alpha in block], score,
-                    [rho for _, _, rho, _ in block], bases)
+    bases ``bases[k]``: one ``DeficitEvaluator`` per alpha of the block."""
+    out = [None] * len(block)
+    for alpha in dict.fromkeys(alpha for *_, alpha in block):
+        ks = [k for k, (*_, a) in enumerate(block) if a == alpha]
+        ev = DeficitEvaluator([block[k][2] for k in ks], alpha)
+        per_basis = [ev.basis_deficit(np.stack(columns))
+                     for columns in zip(*(bases[k] for k in ks))]
+        for k, *scored in zip(ks, *per_basis):
+            out[k] = [total for total, _ in scored]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -252,36 +233,40 @@ def _deficits(block, bases) -> list[list[float]]:
 def prop_eig_reconstruction(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "eig_reconstruction")
     dims = (2, 3, 4, 6)
-    for block in _blocks(cfg.n_samples):
-        for h in _grouped([dims[i % len(dims)] for i in block],
-                          lambda d, idx: random_hermitian(d, seed, idx), block):
-            dec = herm_eig(h)
-            resid = float(np.max(np.abs(dec.reconstruct() - h.mat)))
-            orth = float(np.max(np.abs(
-                dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(h.dim))))
-            yield -max(resid, orth), {"dim": h.dim, "matrix": h.mat}
+    for k, d in enumerate(dims):
+        for block in _blocks(range(k, cfg.n_samples, len(dims))):
+            for h in random_hermitian(d, seed, block):
+                dec = herm_eig(h)
+                resid = float(np.max(np.abs(dec.reconstruct() - h.mat)))
+                orth = float(np.max(np.abs(
+                    dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(d))))
+                yield -max(resid, orth), {"dim": d, "matrix": h.mat}
 
 
 @_property("linalg_fractional_power_pair", 1e-9)
 def prop_fractional_power_pair(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "fractional_power_pair")
-    full = {d: EnsembleSpec("full_rank", d, seed) for d in cfg.dims}
-    fixed = {d: EnsembleSpec("fixed_rank", d, seed, rank=d - 1) for d in cfg.dims if d > 2}
-    for block in _blocks(cfg.n_samples):
-        dims = [cfg.dims[i % len(cfg.dims)] for i in block]
-        specs = [fixed[d] if i % 3 == 0 and d > 2 else full[d] for i, d in zip(block, dims)]
-        for i, rho in zip(block, _grouped(specs, random_densities, block)):
-            alpha = cfg.alphas[i % len(cfg.alphas)]
-            prod = fractional_power(rho, alpha).mat @ fractional_power(rho, 1.0 - alpha).mat
-            err = float(np.max(np.abs(prod - rho.mat)))
-            yield -err, {"state": rho, "alpha": alpha}
+    for k, d in enumerate(cfg.dims):
+        full = EnsembleSpec("full_rank", d, seed)
+        # every third draw is rank-deficient where it can be
+        fixed = EnsembleSpec("fixed_rank", d, seed, rank=d - 1) if d > 2 else full
+        for block in _blocks(range(k, cfg.n_samples, len(cfg.dims))):
+            specs, rhos = [fixed if i % 3 == 0 else full for i in block], {}
+            for spec in dict.fromkeys(specs):
+                idx = [i for i, s in zip(block, specs) if s == spec]
+                rhos.update(zip(idx, random_densities(spec, idx)))
+            for i in block:
+                rho, alpha = rhos[i], cfg.alphas[i % len(cfg.alphas)]
+                prod = fractional_power(rho, alpha).mat @ fractional_power(rho, 1.0 - alpha).mat
+                err = float(np.max(np.abs(prod - rho.mat)))
+                yield -err, {"state": rho, "alpha": alpha}
 
 
 @_property("linalg_partial_trace", 1e-9)
 def prop_partial_trace(cfg: CheckConfig):
     for block in _draws(cfg, "partial_trace", cfg.n_samples, _bipartite_dims(cfg)):
         rhos = [rho for _, _, rho, _ in block]
-        for rho, *pair in zip(rhos, *(_partial_traces(rhos, keep) for keep in ("A", "B"))):
+        for rho, *pair in zip(rhos, *(partial_trace(rhos, keep) for keep in ("A", "B"))):
             bad = 0.0
             for red in pair:
                 bad = max(bad, abs(float(np.trace(red.mat).real) - 1.0),
@@ -293,18 +278,17 @@ def prop_partial_trace(cfg: CheckConfig):
 def prop_kron_roundtrip(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "kron_roundtrip")
     dims = _bipartite_dims(cfg)
-    specs = {d: EnsembleSpec("full_rank", d, seed) for d in chain.from_iterable(dims)}
-    for block in _blocks(cfg.n_samples):
-        shapes = [dims[i % len(dims)] for i in block]
-        a_s, b_s = (_grouped([specs[shape[k]] for shape in shapes], random_densities,
-                             [2 * i + k for i in block]) for k in (0, 1))
-        joints = _grouped(shapes, lambda shape, a_s, b_s: BipartiteDensityMatrix.stack(
-            [kron(a.mat, b.mat) for a, b in zip(a_s, b_s)], *shape), a_s, b_s)
-        for a, b, joint, red_a, red_b in zip(a_s, b_s, joints, *(
-                _partial_traces(joints, keep) for keep in ("A", "B"))):
-            err = max(float(np.max(np.abs(red_a.mat - a.mat))),
-                      float(np.max(np.abs(red_b.mat - b.mat))))
-            yield -err, {"state": joint}
+    for k, shape in enumerate(dims):
+        for block in _blocks(range(k, cfg.n_samples, len(dims))):
+            a_s, b_s = (random_densities(EnsembleSpec("full_rank", shape[side], seed),
+                                         [2 * i + side for i in block]) for side in (0, 1))
+            joints = BipartiteDensityMatrix.stack(stacked_kron(
+                np.stack([a.mat for a in a_s]), np.stack([b.mat for b in b_s])), *shape)
+            for a, b, joint, red_a, red_b in zip(a_s, b_s, joints, *(
+                    partial_trace(joints, keep) for keep in ("A", "B"))):
+                err = max(float(np.max(np.abs(red_a.mat - a.mat))),
+                          float(np.max(np.abs(red_b.mat - b.mat))))
+                yield -err, {"state": joint}
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +348,7 @@ def prop_local_monotonicity(cfg: CheckConfig):
         rhos = [rho for _, _, rho, _ in block]
         xs = [x.mat for x in _per_sample(random_hermitian, block, local=True)]
         wanted = [(alpha,) for *_, alpha in block]
-        joint = _skew_ij(rhos, [embedded(x[None], rho.d_B)[0] for x, rho in zip(xs, rhos)], wanted)
+        joint = _skew_ij(rhos, embedded(np.stack(xs), rhos[0].d_B), wanted)
         local = _skew_ij([rho.reduced() for rho in rhos], xs, wanted)
         for (_, _, rho, alpha), x, [(i_ab, _)], [(i_a, _)] in zip(block, xs, joint, local):
             yield i_ab - i_a, {"state": rho, "alpha": alpha, "observable": x}
@@ -409,8 +393,8 @@ def prop_oracle_consistency(cfg: CheckConfig):
 @_property("correlation_local_unitary_covariance", 1e-4)
 def prop_local_unitary_covariance(cfg: CheckConfig):
     for block in _draws(cfg, "lu_covariance", cfg.n_optimizer, [(2, 2)]):
-        for (_, _, rho, alpha), u in zip(block, _per_sample(random_unitary, block, local=True)):
-            [u] = embedded(u[None], rho.d_B)
+        us = embedded(_per_sample(random_unitary, block, local=True), 2)
+        for (_, _, rho, alpha), u in zip(block, us):
             rotated = BipartiteDensityMatrix(u @ rho.mat @ u.conj().T, rho.d_A, rho.d_B)
             err = abs(brute_force_D_qubit(rho, alpha) - brute_force_D_qubit(rotated, alpha))
             yield -err, {"state": rho, "alpha": alpha}
@@ -419,12 +403,12 @@ def prop_local_unitary_covariance(cfg: CheckConfig):
 @_property("correlation_classical_quantum_nullity", ORACLE_TOL)
 def prop_cq_nullity(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "cq_nullity")
-    draws = _draws(cfg, "cq_nullity", cfg.n_optimizer, _bipartite_dims(cfg),
-                   "classical_quantum")
-    states = [example2_state(), *(rho for _, _, rho, _ in chain.from_iterable(draws))]
-    for i, rho in enumerate(states):
-        alpha = cfg.alphas[i % len(cfg.alphas)]
-        value = quantum_correlation_D(rho, alpha, seed + i).value
+    draws = chain.from_iterable(_draws(cfg, "cq_nullity", cfg.n_optimizer,
+                                       _bipartite_dims(cfg), "classical_quantum"))
+    # example 2's state is sample 0, and draw i is sample i + 1
+    for k, rho in [(0, example2_state()), *((i + 1, rho) for i, _, rho, _ in draws)]:
+        alpha = cfg.alphas[k % len(cfg.alphas)]
+        value = quantum_correlation_D(rho, alpha, seed + k).value
         yield -value, {"state": rho, "alpha": alpha, "value": value}
 
 
@@ -436,7 +420,7 @@ def prop_cq_nullity(cfg: CheckConfig):
 def prop_heisenberg(cfg: CheckConfig):
     seed = _tag_seed(cfg.seed, "heisenberg")
     for d in cfg.dims:
-        for n in _blocks(cfg.n_samples):
+        for n in _blocks(range(cfg.n_samples)):
             rhos = random_densities(EnsembleSpec("full_rank", d, seed + d), n)
             rs = random_hermitian(d, seed + 10 * d, n)
             ss = random_hermitian(d, seed + 20 * d, n)
@@ -515,7 +499,7 @@ def _raises(draw, *args) -> bool:
 def prop_factory_validity(cfg: CheckConfig):
     runs = cfg.ensembles or default_ensembles(cfg)
     for run in runs:
-        for block in _blocks(run.n_samples):
+        for block in _blocks(range(run.n_samples)):
             # a block that raises is redrawn one index at a time, for the witness
             block_raises = _raises(random_densities, run.spec, block)
             for i in block:
@@ -533,7 +517,7 @@ def _twirl_invariance(cfg: CheckConfig, tag: str, family, p_lo: float, conj: boo
     """``family(p)`` commutes with ``u (x) u``, or ``u (x) u*`` if ``conj``."""
     seed = _tag_seed(cfg.seed, tag)
     rng = np.random.default_rng(seed)
-    for block in _blocks(max(1, cfg.n_samples // 10)):
+    for block in _blocks(range(max(1, cfg.n_samples // 10))):
         for u in random_unitary(2, seed + 1, block):
             p = float(rng.uniform(p_lo, 1.0))
             rho = family(p)

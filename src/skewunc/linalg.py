@@ -351,7 +351,7 @@ def fractional_power(rho: DensityMatrix, alpha: float) -> HermitianOperator:
 
 def kron(a, b) -> np.ndarray:
     """Tensor product of two complex square matrices, row-major: |i>|j> -> i*d_B + j."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
+    return stacked_kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
 def stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -25,7 +25,13 @@ from skewunc.errors import ConfigError, InvalidStateError
 from skewunc.linalg import BipartiteDensityMatrix, DensityMatrix, HermitianOperator
 from skewunc.serialize import pairs_to_matrix
 from skewunc.skew import ProjectiveBasis
-from skewunc.states import EnsembleSpec, random_density, random_hermitian, random_unitary
+from skewunc.states import (
+    EnsembleSpec,
+    example2_state,
+    random_density,
+    random_hermitian,
+    random_unitary,
+)
 
 SMALL = CheckConfig(seed=42, n_samples=24, n_optimizer=2, n_theorem=3,
                     alphas=(0.2, 0.5, 0.8), dims=(2, 3))
@@ -66,28 +72,32 @@ def test_config_rejects_ensemble_entries_it_cannot_run(entry):
         run_checks(replace(SMALL, ensembles=(entry,)), properties=())
 
 
-@pytest.mark.parametrize("dims, kind, alphas", [
-    (SMALL.dims, "full_rank", None),
-    (checks._bipartite_dims(SMALL), "full_rank", None),
-    ([(2, 2)], "full_rank", None),
-    (SMALL.dims, "pure", None),
-    ([(2, 2)], "full_rank", (0.3, 0.5, 0.7)),
+SPLIT, RUN = [[0, 2, 4], [6], [1, 3, 5]], [[0, 1, 2], [3, 4, 5], [6]]
+
+
+@pytest.mark.parametrize("dims, kind, alphas, layout", [
+    (SMALL.dims, "full_rank", None, SPLIT),
+    (checks._bipartite_dims(SMALL), "full_rank", None, SPLIT),
+    ([(2, 2)], "full_rank", None, RUN),
+    (SMALL.dims, "pure", None, SPLIT),
+    ([(2, 2)], "full_rank", (0.3, 0.5, 0.7), RUN),
 ], ids=["dims", "bipartite", "two_qubit", "pure", "alphas_override"])
-def test_draws_match_the_per_property_loop(monkeypatch, dims, kind, alphas):
-    # reference: the loop header each property used to carry; the samples
-    # come in blocks of at most _STACK, in index order
+def test_draws_match_the_per_property_loop(monkeypatch, dims, kind, alphas, layout):
+    # reference: the loop header each property used to carry; each entry of
+    # dims yields its own samples, in index order and in blocks of at most
+    # _STACK, entry after entry
     monkeypatch.setattr(checks, "_STACK", 3)
     seed = checks._tag_seed(SMALL.seed, "probe")
     cycle = SMALL.alphas if alphas is None else alphas
-    expected = []
+    expected = {}
     for i in range(7):
         d = dims[i % len(dims)]
         rho = random_density(EnsembleSpec(kind, d, seed), index=i)
-        expected.append((i, seed, rho, cycle[i % len(cycle)]))
+        expected[i] = (i, seed, rho, cycle[i % len(cycle)])
     blocks = list(checks._draws(SMALL, "probe", 7, dims, kind, alphas=alphas))
-    assert [len(block) for block in blocks] == [3, 3, 1]
-    drawn = [sample for block in blocks for sample in block]
-    for (i, s, rho, a), (ref_i, ref_s, ref_rho, ref_a) in zip(drawn, expected):
+    assert [[i for i, *_ in block] for block in blocks] == layout
+    for i, s, rho, a in (sample for block in blocks for sample in block):
+        ref_i, ref_s, ref_rho, ref_a = expected[i]
         assert (i, s, a) == (ref_i, ref_s, ref_a)
         assert type(rho) is type(ref_rho)
         assert np.array_equal(rho.mat, ref_rho.mat)
@@ -95,6 +105,44 @@ def test_draws_match_the_per_property_loop(monkeypatch, dims, kind, alphas):
             # reduced with the block's stack, to the bits of reducing it alone
             assert rho._reduced is not None
             assert np.array_equal(rho._reduced.mat, ref_rho.reduced().mat)
+
+
+def _shape(rho):
+    return (rho.d_A, rho.d_B) if isinstance(rho, BipartiteDensityMatrix) else rho.dim
+
+
+@pytest.mark.parametrize("stack", [1, 3, 7, 100])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 23, 230])
+@pytest.mark.parametrize("dims", [(2, 3, 4), ((2, 2), (2, 3)), (3,)],
+                         ids=["dims", "bipartite", "one_dim"])
+def test_draw_blocks_have_one_shape_and_cover_each_index_once(monkeypatch, stack, n, dims):
+    monkeypatch.setattr(checks, "_STACK", stack)
+    blocks = list(checks._draws(SMALL, "probe", n, dims))
+    assert all(0 < len(block) <= stack for block in blocks)
+    assert sorted(i for block in blocks for i, *_ in block) == list(range(n))
+    # one shape per block, dims[i % len(dims)], and shape after shape in
+    # the order of dims, each in index order
+    order = [(i % len(dims), i) for block in blocks for i, *_ in block]
+    assert order == sorted(order)
+    for block in blocks:
+        assert {_shape(rho) for _, _, rho, _ in block} == {dims[block[0][0] % len(dims)]}
+    # a block is cut only at _STACK or at the end of its shape
+    for shape in range(len(dims)):
+        sizes = [len(b) for b in blocks if b[0][0] % len(dims) == shape]
+        assert sizes == [stack] * (sum(sizes) // stack) + (
+            [sum(sizes) % stack] if sum(sizes) % stack else [])
+
+
+def test_fewer_samples_than_dims_draw_nothing_for_the_empty_shapes(monkeypatch):
+    drawn = []
+    draws = checks.random_densities
+    monkeypatch.setattr(checks, "random_densities",
+                        lambda spec, idx: drawn.append((spec.dims, list(idx))) or draws(spec, idx))
+    for n, dims in ((2, (2, 3, 4)), (1, ((2, 2), (2, 3)))):
+        blocks = list(checks._draws(SMALL, "probe", n, dims))
+        assert [[(i, _shape(rho)) for i, _, rho, _ in block] for block in blocks] == [
+            [(i, dims[i])] for i in range(n)]
+    assert drawn == [(2, [0]), (3, [1]), ((2, 2), [0])]
 
 
 def test_factory_validity_redraws_a_failing_block_one_index_at_a_time(monkeypatch):
@@ -126,16 +174,18 @@ def test_tag_seed_is_the_first_seed_sequence_word(seed):
 
 
 def test_per_sample_draws_match_lone_draws():
-    # one block draw per dimension: the samples alternate 2x2 and 2x3 states
-    [block] = checks._draws(SMALL, "probe", 7, checks._bipartite_dims(SMALL))
-    hs = checks._per_sample(random_hermitian, block)
-    xs = checks._per_sample(random_hermitian, block, 3, local=True)
-    us = checks._per_sample(random_unitary, block, 2, local=True)
-    assert {rho.dim for _, _, rho, _ in block} == {4, 6}
-    for (i, seed, rho, _), h, x, u in zip(block, hs, xs, us, strict=True):
-        assert np.array_equal(h.mat, random_hermitian(rho.dim, seed + 1, i).mat)
-        assert np.array_equal(x.mat, random_hermitian(rho.d_A, seed + 3, i).mat)
-        assert np.array_equal(u, random_unitary(rho.d_A, seed + 2, i))
+    # one block draw per block: the even samples are 2x2 states, the odd 2x3
+    blocks = list(checks._draws(SMALL, "probe", 7, checks._bipartite_dims(SMALL)))
+    assert [[(i, rho.dim) for i, _, rho, _ in block] for block in blocks] == [
+        [(0, 4), (2, 4), (4, 4), (6, 4)], [(1, 6), (3, 6), (5, 6)]]
+    for block in blocks:
+        hs = checks._per_sample(random_hermitian, block)
+        xs = checks._per_sample(random_hermitian, block, 3, local=True)
+        us = checks._per_sample(random_unitary, block, 2, local=True)
+        for (i, seed, rho, _), h, x, u in zip(block, hs, xs, us, strict=True):
+            assert np.array_equal(h.mat, random_hermitian(rho.dim, seed + 1, i).mat)
+            assert np.array_equal(x.mat, random_hermitian(rho.d_A, seed + 3, i).mat)
+            assert np.array_equal(u, random_unitary(rho.d_A, seed + 2, i))
 
 def test_small_campaign_passes(tmp_path):
     report = run_checks(SMALL, witness_dir=str(tmp_path))
@@ -244,10 +294,11 @@ def test_real_runner_witness_decodes(tmp_path, monkeypatch, prop, patch, keys):
 
 
 def test_stacked_blocks_change_no_result(monkeypatch):
-    # 230 samples make three blocks of checks._STACK; a block of one sample
-    # is the one-state path. Every sample's slack is compared as well: a
-    # wrong per-sample alpha can leave the worst slack as it is (at alpha 0
-    # a full-rank state's skew information is exactly 0).
+    # 230 samples make one to three blocks of checks._STACK per shape; a
+    # block of one sample is the one-state path, and blocks of 7 split each
+    # shape's 77, 77 and 76 (or 115) samples unevenly. Every sample's slack
+    # is compared as well: a wrong per-sample alpha can leave the worst slack
+    # as it is (at alpha 0 a full-rank state's skew information is exactly 0).
     cfg = CheckConfig(seed=42, n_samples=230, n_optimizer=1, n_theorem=30,
                       alphas=(0.0, 0.37, 0.5, 1.0), dims=(2, 3, 4))
     slacks = []
@@ -260,12 +311,33 @@ def test_stacked_blocks_change_no_result(monkeypatch):
 
     monkeypatch.setattr(checks, "_result", recorded)
     stacked, stacked_slacks = run_checks(cfg).results, slacks[:]
-    slacks.clear()
-    monkeypatch.setattr(checks, "_STACK", 1)
-    one_by_one = run_checks(cfg).results
     assert len(stacked) == len(ALL_PROPERTIES) + 1   # theorems give two results
-    assert stacked == one_by_one
-    assert stacked_slacks == slacks
+    for size in (1, 7):
+        slacks.clear()
+        monkeypatch.setattr(checks, "_STACK", size)
+        assert run_checks(cfg).results == stacked
+        assert slacks == stacked_slacks
+
+
+def test_cq_nullity_scores_draw_i_as_sample_i_plus_1(monkeypatch):
+    # example 2's state is sample 0 and draw i is sample i + 1, which picks
+    # its alpha and optimizer seed, whatever order the draws come in
+    calls = []
+    monkeypatch.setattr(checks, "quantum_correlation_D", lambda rho, alpha, seed: (
+        calls.append((rho, alpha, seed)) or SimpleNamespace(value=0.0)))
+    cfg = replace(SMALL, n_optimizer=5)
+    res, _ = checks.prop_cq_nullity(cfg)
+    seed = checks._tag_seed(cfg.seed, "cq_nullity")
+    (rho, alpha, first), *drawn = calls
+    assert res.samples == 6 and (alpha, first) == (0.2, seed)
+    assert np.array_equal(rho.mat, example2_state().mat)
+    # 2x2 draws 0, 2, 4, then 2x3 draws 1, 3
+    assert [(k - seed - 1, alpha) for _, alpha, k in drawn] == [
+        (0, 0.5), (2, 0.2), (4, 0.8), (1, 0.8), (3, 0.5)]
+    for rho, _, k in drawn:
+        i = k - seed - 1
+        spec = EnsembleSpec("classical_quantum", checks._bipartite_dims(cfg)[i % 2], seed)
+        assert np.array_equal(rho.mat, random_density(spec, i).mat)
 
 
 def test_report_dict_shape():

@@ -283,11 +283,22 @@ def test_stacked_kron_is_kron_over_broadcast_leading_axes():
     b = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
     out = stacked_kron(a, b)
     assert out.shape == (3, 6, 6)
-    for k in range(3):
-        assert np.allclose(out[k], kron(a[k], b[k]), rtol=0, atol=1e-15)
+    for k in range(3):   # np.kron: kron is stacked_kron of one pair
+        assert np.array_equal(out[k], np.kron(a[k], b[k]))
     # a lone factor serves every matrix of the other's stack, either side
     assert np.array_equal(stacked_kron(a[0], b)[2], stacked_kron(a[:1], b[2])[0])
     assert np.array_equal(stacked_kron(a[1], np.eye(3)), np.kron(a[1], np.eye(3)))
+
+
+@pytest.mark.parametrize("d_a", [1, 2, 3, 4, 5])
+def test_kron_has_the_bits_of_np_kron(d_a):
+    rng = np.random.default_rng(d_a)
+    for d_b in range(1, 6):
+        a = rng.normal(size=(d_a, d_a)) + 1j * rng.normal(size=(d_a, d_a))
+        b = rng.normal(size=(d_b, d_b)) + 1j * rng.normal(size=(d_b, d_b))
+        for x, y in ((a, b), (a.real, b), (1e-300 * a, 1e300 * b), (-0.0 * a, b)):
+            want = np.kron(np.asarray(x, np.complex128), np.asarray(y, np.complex128))
+            assert np.array_equal(kron(x, y).view(np.float64), want.view(np.float64))
 
 
 def test_partial_trace_product_state():

@@ -228,7 +228,7 @@ def test_closed_form_campaign_scores_each_example_as_one_stack(monkeypatch):
 
 @pytest.mark.parametrize("prop, n_stacks, widest", [
     (prop_relabel_invariance, 3, 100),   # dims (2, 2): 100 + 100 + 50
-    (prop_skew_ordering, 9, 34),         # dims 2, 3, 4: three per 100 samples
+    (prop_skew_ordering, 3, 84),         # dims 2, 3, 4: 84 + 83 + 83
 ])
 def test_sampled_campaign_decomposes_each_state_once_in_capped_stacks(
         monkeypatch, prop, n_stacks, widest):
@@ -236,8 +236,8 @@ def test_sampled_campaign_decomposes_each_state_once_in_capped_stacks(
     _count_calls(monkeypatch, linalg, "herm_eig", counts)
     _count_decompositions(monkeypatch, counts)
     res, _ = prop(CheckConfig(n_samples=250))
-    # 250 states drawn in stacks of at most _STACK = 100 samples, one stack
-    # per entry of dims; a bipartite stack's reductions in one more call
+    # 250 states drawn in stacks of at most _STACK = 100 samples of one entry
+    # of dims; a bipartite stack's reductions in one more call
     sides = 2 if prop is prop_relabel_invariance else 1
     assert res.samples == 250
     assert counts == {"herm_eig": 0, "stacked_eig": sides * n_stacks,
@@ -249,22 +249,22 @@ def test_kron_roundtrip_reduces_each_block_of_joints_once(monkeypatch):
     _count_calls(monkeypatch, linalg, "herm_eig", counts)
     _count_decompositions(monkeypatch, counts)
     res, _ = prop_kron_roundtrip(CheckConfig(n_samples=250))
-    # per block (100 + 100 + 50 samples of 2x2 and 2x3), one stacked call
-    # for the A factors, and per shape one for the B factors, one for the
-    # joints and one each for their reductions to rho_A and to rho_B: 9 calls
+    # per block (100 + 25 samples of 2x2, then of 2x3), one stacked call for
+    # the A factors, one for the B factors, one for the joints and one each
+    # for their reductions to rho_A and to rho_B: 5 calls
     assert res.samples == 250
-    assert counts == {"herm_eig": 0, "stacked_eig": 3 * 9, "decomposed": 5 * 250,
+    assert counts == {"herm_eig": 0, "stacked_eig": 4 * 5, "decomposed": 5 * 250,
                       "widest": 100}
 
 
 @pytest.mark.parametrize("prop, per_block", [
-    # one evaluator, a joint and a reduced engine, per shape and alpha (2 x 9)
-    (prop_deficit_nonnegative, {"evaluators": 18, "engines": 36, "stacked_pairs": 0,
-                                "reductions": 2}),
-    # a joint engine per shape and one for the reduced states (qubits for
-    # both shapes), each scored once
-    (prop_local_monotonicity, {"evaluators": 0, "engines": 3, "stacked_pairs": 3,
-                               "reductions": 2}),
+    # one evaluator, a joint and a reduced engine, per alpha: every block
+    # holds all nine
+    (prop_deficit_nonnegative, {"evaluators": 9, "engines": 18, "stacked_pairs": 0,
+                                "reductions": 1}),
+    # a joint engine and one for the reduced states, each scored once
+    (prop_local_monotonicity, {"evaluators": 0, "engines": 2, "stacked_pairs": 2,
+                               "reductions": 1}),
 ], ids=["deficit_nonnegative", "local_monotonicity"])
 def test_sampled_bipartite_campaign_builds_engines_per_block(monkeypatch, prop, per_block):
     engines, evaluators = {"__init__": 0}, {"__init__": 0}
@@ -275,13 +275,13 @@ def test_sampled_bipartite_campaign_builds_engines_per_block(monkeypatch, prop, 
     _count_reductions(monkeypatch, counts)
     _count_calls(monkeypatch, skew.SkewEngine, "stacked_pairs", counts)
     res, _ = prop(CheckConfig(n_samples=250))
-    # three blocks (100 + 100 + 50 samples) of 2x2 and 2x3 states at nine
-    # alphas; every state decomposed with its stack, and each shape's
+    # four blocks (100 + 25 samples of 2x2 states, then of 2x3) at nine
+    # alphas; every state decomposed with its stack, and each block's
     # reductions in one stacked call
     assert res.samples == 250
     assert {**counts, "evaluators": evaluators["__init__"],
             "engines": engines["__init__"]} == {
-        "herm_eig": 0, **{key: 3 * n for key, n in per_block.items()}}
+        "herm_eig": 0, **{key: 4 * n for key, n in per_block.items()}}
 
 
 @pytest.mark.parametrize("example_id, p", [(1, -0.4), (2, None), (3, 0.6)])
